@@ -19,14 +19,12 @@ from .logic import (
     PointedClause,
     Term,
     Var,
-    is_proper_subterm_var,
     mgu,
     pointed,
-    pointed_make,
     rename_clause_apart,
     subst_lit,
 )
-from .subsumption import subsumes_L_velim
+from .subsumption import _velim_candidates, subsumes_L_velim
 
 
 def constraint_resolve(p: PointedClause, q: PointedClause) -> Clause:
@@ -101,18 +99,6 @@ def constraint_eliminate(c: Clause, selection=None) -> Optional[Clause]:
     )
 
 
-def _velim_pick(lits, skip: Optional[int]) -> Optional[tuple[int, str, Term]]:
-    for i, l in enumerate(lits):
-        if i == skip or not l.is_constraint:
-            continue
-        a, b = l.args
-        if isinstance(a, Var) and not is_proper_subterm_var(a.name, b):
-            return i, a.name, b
-        if isinstance(b, Var) and not is_proper_subterm_var(b.name, a):
-            return i, b.name, a
-    return None
-
-
 def variable_eliminate(c: Clause) -> tuple[Clause, bool]:
     """Exhaustively rewrite  v != t | C  ~>  C[v <- t]  (v not inside t).
 
@@ -122,7 +108,7 @@ def variable_eliminate(c: Clause) -> tuple[Clause, bool]:
     lits = list(c.lits)
     changed = False
     while True:
-        pick = _velim_pick(lits, None)
+        pick = next(_velim_candidates(lits), None)
         if pick is None:
             break
         i, v, t = pick
@@ -132,34 +118,6 @@ def variable_eliminate(c: Clause) -> tuple[Clause, bool]:
     if not changed:
         return c, False
     return Clause.make(lits), True
-
-
-def variable_eliminate_pointed(p: PointedClause) -> tuple[PointedClause, bool]:
-    """Like variable_eliminate but the designated literal survives and is never
-    the constraint consumed."""
-    lits = list(p.clause.lits)
-    desig = p.index
-    changed = False
-    while True:
-        pick = _velim_pick(lits, desig)
-        if pick is None:
-            break
-        i, v, t = pick
-        sub = {v: t}
-        nxt = []
-        for j, l in enumerate(lits):
-            if j == i:
-                continue
-            if j == desig:
-                desig = len(nxt)
-            nxt.append(subst_lit(l, sub))
-        lits = nxt
-        changed = True
-    if not changed:
-        return p, False
-    clause, idx = pointed_make(lits, desig)
-    assert idx is not None
-    return PointedClause(clause, idx), True
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +213,6 @@ def all_paramodulants(
 
 # ---------------------------------------------------------------------------
 # bounded resolution closure and purity
-
-
-def dual_kind(l: Lit) -> Lit:
-    return l.dual()
 
 
 def resolution_partners(p: PointedClause, c: Clause) -> Iterator[PointedClause]:

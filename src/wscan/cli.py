@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -31,10 +32,8 @@ from .logic import (
     FNot,
     FOr,
     FTrue,
-    Formula,
     Lit,
     PredExpr,
-    Term,
     Var,
     lit_size,
     pred_expr_size,
@@ -58,123 +57,44 @@ from .witness import FirstOrderUnavailable, LresBudgetExceeded, Witness, extract
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding of the syntax (constructor-shaped, parse-back equal)
+# JSON encoding of the syntax: a node becomes an object holding its `type` tag
+# and each of its dataclass fields under the field's own name
 
 
-def term_to_json(t: Term):
-    if isinstance(t, Var):
-        return {"type": "var", "name": t.name}
-    return {"type": "app", "fn": t.fn, "args": [term_to_json(a) for a in t.args]}
+_JSON_TAGS = {
+    Var: "var",
+    App: "app",
+    Lit: "lit",
+    Clause: "clause",
+    FTrue: "true",
+    FFalse: "false",
+    FAtom: "atom",
+    FNot: "not",
+    FAnd: "and",
+    FOr: "or",
+    FImp: "imp",
+    FIff: "iff",
+    FAll: "all",
+    FEx: "ex",
+    FGfp: "gfp",
+    PredExpr: "lambda",
+}
 
 
-def term_from_json(o) -> Term:
-    if o["type"] == "var":
-        return Var(o["name"])
-    return App(o["fn"], tuple(term_from_json(a) for a in o["args"]))
-
-
-def lit_to_json(l: Lit):
-    return {
-        "type": "lit",
-        "pos": l.pos,
-        "head": l.head,
-        "args": [term_to_json(a) for a in l.args],
-        "pvar": l.pvar,
-    }
-
-
-def lit_from_json(o) -> Lit:
-    return Lit(o["pos"], o["head"], tuple(term_from_json(a) for a in o["args"]), o["pvar"])
-
-
-def clause_to_json(c: Clause):
-    return {"type": "clause", "lits": [lit_to_json(l) for l in c.lits]}
-
-
-def clause_from_json(o) -> Clause:
-    return Clause.make([lit_from_json(l) for l in o["lits"]])
-
-
-def formula_to_json(f: Formula):
-    if isinstance(f, FTrue):
-        return {"type": "true"}
-    if isinstance(f, FFalse):
-        return {"type": "false"}
-    if isinstance(f, FAtom):
-        return {
-            "type": "atom",
-            "head": f.head,
-            "args": [term_to_json(a) for a in f.args],
-            "pvar": f.pvar,
-        }
-    if isinstance(f, FNot):
-        return {"type": "not", "sub": formula_to_json(f.sub)}
-    if isinstance(f, FAnd):
-        return {"type": "and", "subs": [formula_to_json(s) for s in f.subs]}
-    if isinstance(f, FOr):
-        return {"type": "or", "subs": [formula_to_json(s) for s in f.subs]}
-    if isinstance(f, FImp):
-        return {"type": "imp", "lhs": formula_to_json(f.lhs), "rhs": formula_to_json(f.rhs)}
-    if isinstance(f, FIff):
-        return {"type": "iff", "lhs": formula_to_json(f.lhs), "rhs": formula_to_json(f.rhs)}
-    if isinstance(f, FAll):
-        return {"type": "all", "var": f.var, "sub": formula_to_json(f.sub)}
-    if isinstance(f, FEx):
-        return {"type": "ex", "var": f.var, "sub": formula_to_json(f.sub)}
-    if isinstance(f, FGfp):
-        return {
-            "type": "gfp",
-            "pvar": f.pvar,
-            "params": list(f.params),
-            "body": formula_to_json(f.body),
-            "args": [term_to_json(a) for a in f.args],
-        }
-    raise TypeError(f)
-
-
-def formula_from_json(o) -> Formula:
-    k = o["type"]
-    if k == "true":
-        return FTrue()
-    if k == "false":
-        return FFalse()
-    if k == "atom":
-        return FAtom(o["head"], tuple(term_from_json(a) for a in o["args"]), o["pvar"])
-    if k == "not":
-        return FNot(formula_from_json(o["sub"]))
-    if k == "and":
-        return FAnd(tuple(formula_from_json(s) for s in o["subs"]))
-    if k == "or":
-        return FOr(tuple(formula_from_json(s) for s in o["subs"]))
-    if k == "imp":
-        return FImp(formula_from_json(o["lhs"]), formula_from_json(o["rhs"]))
-    if k == "iff":
-        return FIff(formula_from_json(o["lhs"]), formula_from_json(o["rhs"]))
-    if k == "all":
-        return FAll(o["var"], formula_from_json(o["sub"]))
-    if k == "ex":
-        return FEx(o["var"], formula_from_json(o["sub"]))
-    if k == "gfp":
-        return FGfp(
-            o["pvar"],
-            tuple(o["params"]),
-            formula_from_json(o["body"]),
-            tuple(term_from_json(a) for a in o["args"]),
-        )
-    raise ValueError(f"unknown formula tag {k!r}")
-
-
-def pred_expr_to_json(pe: PredExpr):
-    return {"type": "lambda", "params": list(pe.params), "body": formula_to_json(pe.body)}
-
-
-def pred_expr_from_json(o) -> PredExpr:
-    return PredExpr(tuple(o["params"]), formula_from_json(o["body"]))
+def to_json(o):
+    """Constructor-shaped JSON for terms, literals, clauses, formulas and
+    predicate expressions; tuples become lists, names and flags stay as they are."""
+    if isinstance(o, tuple):
+        return [to_json(x) for x in o]
+    tag = _JSON_TAGS.get(type(o))
+    if tag is None:
+        return o
+    return {"type": tag, **{f.name: to_json(getattr(o, f.name)) for f in fields(o)}}
 
 
 def witness_to_json(w: Witness):
     return {
-        "bindings": {x: pred_expr_to_json(pe) for x, pe in sorted(w.psub.items())},
+        "bindings": {x: to_json(pe) for x, pe in sorted(w.psub.items())},
         "modes": [{"step": i, "note": note} for i, note in w.modes],
     }
 
@@ -221,7 +141,7 @@ def _derivation_block(
     lines.append("conclusion:")
     for c in d.conclusion():
         lines.append(_clause_text(c))
-    blob["conclusion"] = [clause_to_json(c) for c in d.conclusion()]
+    blob["conclusion"] = [to_json(c) for c in d.conclusion()]
     blob["conclusion_text"] = [_clause_text(c) for c in d.conclusion()]
     if w is not None:
         lines.append("witness:")
@@ -277,7 +197,7 @@ def cmd_solve(args) -> int:
         _err(str(e))
         return 3
     found: list[Derivation] = []
-    for d in search(prob.clauses, prob.xvars, limits, seed=args.seed):
+    for d in search(prob.clauses, prob.xvars, limits):
         found.append(d)
         if len(found) >= args.all:
             break
@@ -352,7 +272,7 @@ def cmd_check(args) -> int:
         _err(str(e))
         return 3
     if conclusion is None:
-        d = next(iter(search(prob.clauses, prob.xvars, _limits(args), seed=args.seed)), None)
+        d = next(iter(search(prob.clauses, prob.xvars, _limits(args))), None)
         if d is None:
             _emit(args, ["no derivation within limits"], {"solved": False})
             return 2
@@ -361,7 +281,7 @@ def cmd_check(args) -> int:
     rep = check_witness(prob.clauses, prob.xvars, conclusion, w, timeout=args.verify_timeout)
     lines = ["conclusion:"] + [_clause_text(c) for c in conclusion] + _report_lines(rep)
     blob = {
-        "conclusion": [clause_to_json(c) for c in conclusion],
+        "conclusion": [to_json(c) for c in conclusion],
         "witness": witness_to_json(w),
         "verification": report_to_json(rep),
     }
@@ -399,7 +319,7 @@ def cmd_prove(args) -> int:
                     "id": r.id,
                     "rule": r.rule,
                     "premises": list(r.premises),
-                    "clause": clause_to_json(r.clause),
+                    "clause": to_json(r.clause),
                 }
                 for r in got.steps
             ],
@@ -441,7 +361,7 @@ def _bench_one(path: str, args) -> dict:
     row["input_size"] = _input_size(prob)
     t0 = time.perf_counter()
     try:
-        d = next(iter(search(prob.clauses, prob.xvars, _limits(args), seed=args.seed)), None)
+        d = next(iter(search(prob.clauses, prob.xvars, _limits(args))), None)
     except Exception as e:  # a bench row must never kill the run
         row["verification"] = f"search error: {e}"
         return row
@@ -526,7 +446,6 @@ def _add_common(sp, verify_default: bool = False) -> None:
     env_timeout = float(os.environ.get("WSCAN_TIMEOUT", "10"))
     sp.add_argument("--max-steps", type=int, default=50)
     sp.add_argument("--timeout", type=float, default=env_timeout)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument(
         "--witness-mode",
         choices=["auto", "first-order", "fixpoint", "resolution"],

@@ -10,13 +10,21 @@ block is always a prefix of its literal tuple.
 Predicate variables (the second-order variables to be eliminated) are ordinary
 literal/atom heads flagged with ``pvar=True``; the equality head is the
 reserved name ``"="``.
+
+Formulas have one generic traversal: ``children`` lists a node's immediate
+subformulas and ``map_children`` rebuilds the node from their images.  These
+two are the one place that knows which fields of each node are subformulas;
+a walker handles only its own special cases (atoms, binders, ``gfp``) and
+leaves every other node to them.  The simplifier, the printer, the
+clausifier's NNF and the finite-model evaluator do different work for each
+connective, so they match on the node classes themselves.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 EQ = "="
 
@@ -95,14 +103,6 @@ def subst_consts(t: Term, s: Mapping[str, Term]) -> Term:
     if not t.args:
         return s.get(t.fn, t)
     return App(t.fn, tuple(subst_consts(a, s) for a in t.args))
-
-
-def compose_subst(s1: Subst, s2: Subst) -> dict[str, Term]:
-    """The substitution that first applies s1, then s2."""
-    out = {v: subst_term(t, s2) for v, t in s1.items()}
-    for v, t in s2.items():
-        out.setdefault(v, t)
-    return out
 
 
 def mgu(pairs: Iterable[tuple[Term, Term]]) -> Optional[dict[str, Term]]:
@@ -439,13 +439,6 @@ def rename_clause_apart(c: Clause, avoid: Iterable[str]) -> Clause:
     return Clause(tuple(subst_lit(l, ren) for l in c.lits))
 
 
-ClauseSet = frozenset  # of Clause
-
-
-def clause_set_size(n: Iterable[Clause]) -> int:
-    return sum(c.size for c in n)
-
-
 # ---------------------------------------------------------------------------
 # formulas
 
@@ -581,71 +574,73 @@ def clauses_to_formula(n: Iterable[Clause]) -> Formula:
     return fand(*[clause_to_formula(c) for c in sorted(n, key=lambda c: tuple(map(_lit_key, c.lits)))])
 
 
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of f, left to right."""
+    if isinstance(f, (FAnd, FOr)):
+        return f.subs
+    if isinstance(f, (FNot, FAll, FEx)):
+        return (f.sub,)
+    if isinstance(f, (FImp, FIff)):
+        return (f.lhs, f.rhs)
+    if isinstance(f, FGfp):
+        return (f.body,)
+    if isinstance(f, (FTrue, FFalse, FAtom)):
+        return ()
+    raise TypeError(f)
+
+
+def map_children(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """f with each immediate subformula replaced by its image under fn, taken
+    left to right; every other field (binders, atom and gfp arguments) is kept.
+    Rebuilds with the raw constructors, so nothing is flattened."""
+    if isinstance(f, (FAnd, FOr)):
+        return type(f)(tuple(fn(s) for s in f.subs))
+    if isinstance(f, FNot):
+        return FNot(fn(f.sub))
+    if isinstance(f, (FAll, FEx)):
+        return type(f)(f.var, fn(f.sub))
+    if isinstance(f, (FImp, FIff)):
+        return type(f)(fn(f.lhs), fn(f.rhs))
+    if isinstance(f, FGfp):
+        return FGfp(f.pvar, f.params, fn(f.body), f.args)
+    if isinstance(f, (FTrue, FFalse, FAtom)):
+        return f
+    raise TypeError(f)
+
+
 def formula_free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (FTrue, FFalse)):
-        return frozenset()
     if isinstance(f, FAtom):
         return frozenset(v for t in f.args for v in term_vars(t))
-    if isinstance(f, FNot):
-        return formula_free_vars(f.sub)
-    if isinstance(f, (FAnd, FOr)):
-        return frozenset().union(*[formula_free_vars(s) for s in f.subs]) if f.subs else frozenset()
-    if isinstance(f, (FImp, FIff)):
-        return formula_free_vars(f.lhs) | formula_free_vars(f.rhs)
     if isinstance(f, (FAll, FEx)):
         return formula_free_vars(f.sub) - {f.var}
     if isinstance(f, FGfp):
         body = formula_free_vars(f.body) - set(f.params)
         return body | frozenset(v for t in f.args for v in term_vars(t))
-    raise TypeError(f)
+    return frozenset().union(*map(formula_free_vars, children(f)))
 
 
 def formula_free_pvars(f: Formula) -> frozenset[str]:
     if isinstance(f, FAtom):
         return frozenset([f.head]) if f.pvar else frozenset()
-    if isinstance(f, FNot):
-        return formula_free_pvars(f.sub)
-    if isinstance(f, (FAnd, FOr)):
-        return frozenset().union(*[formula_free_pvars(s) for s in f.subs]) if f.subs else frozenset()
-    if isinstance(f, (FImp, FIff)):
-        return formula_free_pvars(f.lhs) | formula_free_pvars(f.rhs)
-    if isinstance(f, (FAll, FEx)):
-        return formula_free_pvars(f.sub)
-    if isinstance(f, FGfp):
-        return formula_free_pvars(f.body) - {f.pvar}
-    return frozenset()
+    free = frozenset().union(*map(formula_free_pvars, children(f)))
+    return free - {f.pvar} if isinstance(f, FGfp) else free
 
 
 def subst_formula(f: Formula, s: Subst) -> Formula:
     """Capture-avoiding first-order substitution."""
     if not s:
         return f
-    if isinstance(f, (FTrue, FFalse)):
-        return f
     if isinstance(f, FAtom):
         return FAtom(f.head, tuple(subst_term(t, s) for t in f.args), f.pvar)
-    if isinstance(f, FNot):
-        return FNot(subst_formula(f.sub, s))
-    if isinstance(f, FAnd):
-        return FAnd(tuple(subst_formula(x, s) for x in f.subs))
-    if isinstance(f, FOr):
-        return FOr(tuple(subst_formula(x, s) for x in f.subs))
-    if isinstance(f, FImp):
-        return FImp(subst_formula(f.lhs, s), subst_formula(f.rhs, s))
-    if isinstance(f, FIff):
-        return FIff(subst_formula(f.lhs, s), subst_formula(f.rhs, s))
     if isinstance(f, (FAll, FEx)):
-        cls = type(f)
         inner = {k: v for k, v in s.items() if k != f.var}
         if not inner:
             return f
-        clash = any(occurs_in(f.var, t) for t in inner.values())
         var, sub = f.var, f.sub
-        if clash:
-            new = fresh_name("v")
-            sub = subst_formula(sub, {var: Var(new)})
-            var = new
-        return cls(var, subst_formula(sub, inner))
+        if any(occurs_in(var, t) for t in inner.values()):
+            var = fresh_name("v")
+            sub = subst_formula(sub, {f.var: Var(var)})
+        return type(f)(var, subst_formula(sub, inner))
     if isinstance(f, FGfp):
         args = tuple(subst_term(t, s) for t in f.args)
         inner = {k: v for k, v in s.items() if k not in f.params}
@@ -659,7 +654,7 @@ def subst_formula(f: Formula, s: Subst) -> Formula:
                 params = tuple(ren[p].name if p in ren else p for p in params)
             body = subst_formula(body, inner)
         return FGfp(f.pvar, params, body, args)
-    raise TypeError(f)
+    return map_children(f, lambda g: subst_formula(g, s))
 
 
 # ---------------------------------------------------------------------------
@@ -702,24 +697,9 @@ def apply_pred_subst(f: Formula, ps: PredSubst) -> Formula:
         if f.pvar and f.head in ps:
             return ps[f.head].apply(f.args)
         return f
-    if isinstance(f, (FTrue, FFalse)):
-        return f
-    if isinstance(f, FNot):
-        return FNot(apply_pred_subst(f.sub, ps))
-    if isinstance(f, FAnd):
-        return FAnd(tuple(apply_pred_subst(x, ps) for x in f.subs))
-    if isinstance(f, FOr):
-        return FOr(tuple(apply_pred_subst(x, ps) for x in f.subs))
-    if isinstance(f, FImp):
-        return FImp(apply_pred_subst(f.lhs, ps), apply_pred_subst(f.rhs, ps))
-    if isinstance(f, FIff):
-        return FIff(apply_pred_subst(f.lhs, ps), apply_pred_subst(f.rhs, ps))
-    if isinstance(f, (FAll, FEx)):
-        return type(f)(f.var, apply_pred_subst(f.sub, ps))
     if isinstance(f, FGfp):
-        inner = {k: v for k, v in ps.items() if k != f.pvar}
-        return FGfp(f.pvar, f.params, apply_pred_subst(f.body, inner), f.args)
-    raise TypeError(f)
+        ps = {k: v for k, v in ps.items() if k != f.pvar}
+    return map_children(f, lambda g: apply_pred_subst(g, ps))
 
 
 def apply_pred_subst_clause(c: Clause, ps: PredSubst) -> Formula:
@@ -734,44 +714,6 @@ def compose_pred_subst(tau: PredSubst, sigma: PredSubst) -> dict[str, PredExpr]:
         out[x] = PredExpr(pe.params, apply_pred_subst(pe.body, sigma))
     for x, pe in sigma.items():
         out.setdefault(x, pe)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# polarity
-
-
-def pvar_polarities(f: Formula, sign: int = 1) -> dict[str, set[int]]:
-    """Map each free predicate variable to the set of polarities (+1/-1) of its
-    occurrences; implication and equivalence are unfolded."""
-    out: dict[str, set[int]] = {}
-
-    def merge(d: dict[str, set[int]]):
-        for k, v in d.items():
-            out.setdefault(k, set()).update(v)
-
-    if isinstance(f, FAtom):
-        if f.pvar:
-            out[f.head] = {sign}
-    elif isinstance(f, FNot):
-        merge(pvar_polarities(f.sub, -sign))
-    elif isinstance(f, (FAnd, FOr)):
-        for s in f.subs:
-            merge(pvar_polarities(s, sign))
-    elif isinstance(f, FImp):
-        merge(pvar_polarities(f.lhs, -sign))
-        merge(pvar_polarities(f.rhs, sign))
-    elif isinstance(f, FIff):
-        merge(pvar_polarities(f.lhs, sign))
-        merge(pvar_polarities(f.lhs, -sign))
-        merge(pvar_polarities(f.rhs, sign))
-        merge(pvar_polarities(f.rhs, -sign))
-    elif isinstance(f, (FAll, FEx)):
-        merge(pvar_polarities(f.sub, sign))
-    elif isinstance(f, FGfp):
-        body = pvar_polarities(f.body, sign)
-        body.pop(f.pvar, None)
-        merge(body)
     return out
 
 
@@ -934,153 +876,56 @@ def canonical_pred_expr(pe: PredExpr) -> PredExpr:
             return Var(env.get(t.name, t.name))
         return App(t.fn, tuple(rename_term(a, env) for a in t.args))
 
-    def fresh(env: dict) -> str:
+    def fresh() -> str:
         nonlocal counter
         name = f"u{counter}"
         counter += 1
         return name
 
     def walk(f: Formula, env: dict, penv: dict) -> Formula:
-        nonlocal counter, pcounter
-        if isinstance(f, (FTrue, FFalse)):
-            return f
+        nonlocal pcounter
         if isinstance(f, FAtom):
             head = penv.get(f.head, f.head) if f.pvar else f.head
             return FAtom(head, tuple(rename_term(a, env) for a in f.args), f.pvar)
-        if isinstance(f, FNot):
-            return FNot(walk(f.sub, env, penv))
-        if isinstance(f, (FAnd, FOr)):
-            return type(f)(tuple(walk(s, env, penv) for s in f.subs))
-        if isinstance(f, (FImp, FIff)):
-            return type(f)(walk(f.lhs, env, penv), walk(f.rhs, env, penv))
         if isinstance(f, (FAll, FEx)):
-            new = fresh(env)
+            new = fresh()
             return type(f)(new, walk(f.sub, {**env, f.var: new}, penv))
         if isinstance(f, FGfp):
             args = tuple(rename_term(a, env) for a in f.args)
             newp = f"Y{pcounter}"
             pcounter += 1
-            inner_env = dict(env)
-            newparams = []
-            for p in f.params:
-                n = fresh(inner_env)
-                inner_env[p] = n
-                newparams.append(n)
-            body = walk(f.body, inner_env, {**penv, f.pvar: newp})
-            return FGfp(newp, tuple(newparams), body, args)
-        raise TypeError(f)
+            newparams = tuple(fresh() for _ in f.params)
+            body = walk(f.body, {**env, **dict(zip(f.params, newparams))}, {**penv, f.pvar: newp})
+            return FGfp(newp, newparams, body, args)
+        return map_children(f, lambda g: walk(g, env, penv))
 
-    env: dict[str, str] = {}
-    params = []
-    for p in pe.params:
-        n = f"u{counter}"
-        counter += 1
-        env[p] = n
-        params.append(n)
-    return PredExpr(tuple(params), walk(pe.body, env, {}))
-
-
-# ---------------------------------------------------------------------------
-# alpha-equality
-
-
-def alpha_eq(f: Formula, g: Formula) -> bool:
-    return _alpha_eq(f, g, {}, {})
-
-
-def _alpha_eq(f: Formula, g: Formula, lm: dict, rm: dict) -> bool:
-    if type(f) is not type(g):
-        return False
-    if isinstance(f, (FTrue, FFalse)):
-        return True
-    if isinstance(f, FAtom):
-        return (
-            f.head == g.head
-            and f.pvar == g.pvar
-            and len(f.args) == len(g.args)
-            and all(_alpha_eq_term(a, b, lm, rm) for a, b in zip(f.args, g.args))
-        )
-    if isinstance(f, FNot):
-        return _alpha_eq(f.sub, g.sub, lm, rm)
-    if isinstance(f, (FAnd, FOr)):
-        return len(f.subs) == len(g.subs) and all(
-            _alpha_eq(a, b, lm, rm) for a, b in zip(f.subs, g.subs)
-        )
-    if isinstance(f, (FImp, FIff)):
-        return _alpha_eq(f.lhs, g.lhs, lm, rm) and _alpha_eq(f.rhs, g.rhs, lm, rm)
-    if isinstance(f, (FAll, FEx)):
-        tag = f"b{len(lm)}"
-        return _alpha_eq(f.sub, g.sub, {**lm, f.var: tag}, {**rm, g.var: tag})
-    if isinstance(f, FGfp):
-        if f.pvar != g.pvar or len(f.params) != len(g.params) or len(f.args) != len(g.args):
-            return False
-        if not all(_alpha_eq_term(a, b, lm, rm) for a, b in zip(f.args, g.args)):
-            return False
-        lm2, rm2 = dict(lm), dict(rm)
-        for i, (p, q) in enumerate(zip(f.params, g.params)):
-            lm2[p] = rm2[q] = f"p{len(lm)}_{i}"
-        return _alpha_eq(f.body, g.body, lm2, rm2)
-    raise TypeError(f)
-
-
-def _alpha_eq_term(s: Term, t: Term, lm: dict, rm: dict) -> bool:
-    if isinstance(s, Var) and isinstance(t, Var):
-        return lm.get(s.name, s.name) == rm.get(t.name, t.name)
-    if isinstance(s, App) and isinstance(t, App):
-        return (
-            s.fn == t.fn
-            and len(s.args) == len(t.args)
-            and all(_alpha_eq_term(a, b, lm, rm) for a, b in zip(s.args, t.args))
-        )
-    return False
-
-
-def pred_expr_alpha_eq(p: PredExpr, q: PredExpr) -> bool:
-    if p.arity != q.arity:
-        return False
-    fresh = [Var(fresh_name("v")) for _ in p.params]
-    return alpha_eq(p.apply(fresh), q.apply(fresh))
-
-
-# ---------------------------------------------------------------------------
-def formula_has_gfp(f: Formula) -> bool:
-    if isinstance(f, FGfp):
-        return True
-    if isinstance(f, FNot):
-        return formula_has_gfp(f.sub)
-    if isinstance(f, (FAnd, FOr)):
-        return any(formula_has_gfp(s) for s in f.subs)
-    if isinstance(f, (FImp, FIff)):
-        return formula_has_gfp(f.lhs) or formula_has_gfp(f.rhs)
-    if isinstance(f, (FAll, FEx)):
-        return formula_has_gfp(f.sub)
-    return False
+    params = tuple(fresh() for _ in pe.params)
+    return PredExpr(params, walk(pe.body, dict(zip(pe.params, params)), {}))
 
 
 # ---------------------------------------------------------------------------
 # formula size and printing
 
 
+def formula_has_gfp(f: Formula) -> bool:
+    return isinstance(f, FGfp) or any(map(formula_has_gfp, children(f)))
+
+
 def formula_size(f: Formula) -> int:
     """Every connective, quantifier, lambda/gfp binder and every predicate,
     function, constant and variable occurrence counts once."""
-    if isinstance(f, (FTrue, FFalse)):
-        return 1
     if isinstance(f, FAtom):
-        return 1 + sum(_term_size(t) for t in f.args)
-    if isinstance(f, FNot):
-        return 1 + formula_size(f.sub)
+        return 1 + sum(map(_term_size, f.args))
+    subs = children(f)
     if isinstance(f, (FAnd, FOr)):
-        if not f.subs:
-            return 1
-        return (len(f.subs) - 1) + sum(formula_size(s) for s in f.subs)
-    if isinstance(f, (FImp, FIff)):
-        return 1 + formula_size(f.lhs) + formula_size(f.rhs)
-    if isinstance(f, (FAll, FEx)):
-        return 2 + formula_size(f.sub)
-    if isinstance(f, FGfp):
-        return 2 + len(f.params) + formula_size(f.body) + sum(_term_size(t) for t in f.args)
-    raise TypeError(f)
+        own = len(subs) - 1 if subs else 1
+    elif isinstance(f, (FAll, FEx)):
+        own = 2
+    elif isinstance(f, FGfp):
+        own = 2 + len(f.params) + sum(map(_term_size, f.args))
+    else:
+        own = 1
+    return own + sum(map(formula_size, subs))
 
 
 def _term_size(t: Term) -> int:

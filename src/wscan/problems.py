@@ -41,6 +41,7 @@ from .logic import (
     forall,
     for_,
     lit_to_formula,
+    lit_vars,
     simplify_pred_expr,
 )
 from .witness import Witness
@@ -481,24 +482,12 @@ def ackermann_witness(p: Problem, x: str) -> Optional[Witness]:
         if any(l.pvar and l.head == x for l in rest):
             continue
         params = tuple(t.name for t in xlit.args)
-        extra = sorted(set().union(*[{v for v in _lit_vars(l)} for l in rest]) - set(params)) if rest else []
+        extra = sorted(set().union(*[set(lit_vars(l)) for l in rest]) - set(params))
         body: Formula = forall(extra, for_(*[lit_to_formula(l) for l in rest]))
         if wanted:  # single positive occurrence: the least admissible relation
             body = FNot(body)
         return Witness({x: canonical_pred_expr(simplify_pred_expr(PredExpr(params, body)))}, ())
     return None
-
-
-def _lit_vars(l: Lit) -> set[str]:
-    out: set[str] = set()
-    stack = list(l.args)
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            out.add(t.name)
-        else:
-            stack.extend(t.args)
-    return out
 
 
 # ---------------------------------------------------------------------------

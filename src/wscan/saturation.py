@@ -425,15 +425,11 @@ def search(
     clauses: Sequence[Clause],
     xarity: dict[str, int],
     limits: Optional[SearchLimits] = None,
-    seed: int = 0,
 ) -> Iterator[Derivation]:
     """Depth-first backtracking over pointed-clause choices, alternating
     preprocessing and purification; yields eliminating derivations lazily.
-
-    The search is deterministic: the seed is accepted for interface stability
-    but all tie-breaking is canonical.
+    The search is deterministic: all tie-breaking is canonical.
     """
-    del seed
     limits = limits or SearchLimits()
     deadline = time.monotonic() + limits.timeout
     branches = [0]

@@ -12,16 +12,18 @@ Three gradations are used by the solver:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .logic import (
     Clause,
     Lit,
     PointedClause,
+    Term,
     Var,
     is_proper_subterm_var,
     match_terms,
     pointed_make,
+    subst_lit,
 )
 
 
@@ -62,10 +64,6 @@ def _match_lit(pat: Lit, tgt: Lit, base) -> Iterator[dict]:
 def _subsumes(s: Clause, c: Clause, like: Optional[Lit]) -> bool:
     """Backtracking matcher; when `like` is given, the literals of s of that
     kind must map onto pairwise distinct literals of c."""
-    if len(s.lits) > len(c.lits) and like is not None:
-        # with injectivity the L-part cannot shrink, but the rest still can;
-        # only prune on the L-count
-        pass
     pats = sorted(
         range(len(s.lits)),
         key=lambda i: sum(1 for m in c.lits if any(True for _ in _match_lit(s.lits[i], m, {}))),
@@ -110,17 +108,17 @@ def subsumes_L(s: Clause, c: Clause, like: Lit) -> bool:
 # constraint unfolding (one-step elimination of  v != t  constraints)
 
 
-def _velim_candidates(lits) -> list[tuple[int, str, "object"]]:
-    out = []
+def _velim_candidates(lits: Sequence[Lit]) -> Iterator[tuple[int, str, Term]]:
+    """Each way to eliminate one constraint  v != t  (v not inside t), as
+    (literal index, v, t), leftmost constraint first."""
     for i, l in enumerate(lits):
         if not l.is_constraint:
             continue
         a, b = l.args
         if isinstance(a, Var) and not is_proper_subterm_var(a.name, b):
-            out.append((i, a.name, b))
+            yield i, a.name, b
         if isinstance(b, Var) and not is_proper_subterm_var(b.name, a):
-            out.append((i, b.name, a))
-    return out
+            yield i, b.name, a
 
 
 _CLOSURE_CAP = 256
@@ -138,11 +136,8 @@ def velim_closure(c: Clause) -> frozenset[Clause]:
     while queue and len(seen) < _CLOSURE_CAP:
         cur = queue.pop()
         for i, v, t in _velim_candidates(cur.lits):
-            lits = [l for j, l in enumerate(cur.lits) if j != i]
-            nxt = Clause.make(
-                Lit(l.pos, l.head, tuple(_sub1(a, v, t) for a in l.args), l.pvar)
-                for l in lits
-            )
+            sub = {v: t}
+            nxt = Clause.make(subst_lit(l, sub) for j, l in enumerate(cur.lits) if j != i)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -152,16 +147,6 @@ def velim_closure(c: Clause) -> frozenset[Clause]:
 
 
 _closure_cache: dict[Clause, frozenset[Clause]] = {}
-
-
-def _sub1(term, v: str, t):
-    if isinstance(term, Var):
-        return t if term.name == v else term
-    if not term.args:
-        return term
-    from .logic import App
-
-    return App(term.fn, tuple(_sub1(a, v, t) for a in term.args))
 
 
 def velim_closure_pointed(p: PointedClause) -> frozenset[PointedClause]:
@@ -174,6 +159,7 @@ def velim_closure_pointed(p: PointedClause) -> frozenset[PointedClause]:
         for i, v, t in _velim_candidates(cur.clause.lits):
             if i == cur.index:
                 continue
+            sub = {v: t}
             lits = []
             desig = None
             for j, l in enumerate(cur.clause.lits):
@@ -181,7 +167,7 @@ def velim_closure_pointed(p: PointedClause) -> frozenset[PointedClause]:
                     continue
                 if j == cur.index:
                     desig = len(lits)
-                lits.append(Lit(l.pos, l.head, tuple(_sub1(a, v, t) for a in l.args), l.pvar))
+                lits.append(subst_lit(l, sub))
             clause, idx = pointed_make(lits, desig)
             nxt = PointedClause(clause, idx)
             if nxt not in seen:

@@ -35,9 +35,11 @@ from .logic import (
     Term,
     Var,
     apply_pred_subst_clause,
+    children,
     clause_to_formula,
     formula_has_gfp,
     fresh_name,
+    map_children,
     rename_clause_apart,
     simplify,
     subst_formula,
@@ -90,37 +92,23 @@ FALSE_ = FFalse()
 
 
 def _standardize(f: Formula) -> Formula:
-    if isinstance(f, (FTrue, FFalse, FAtom)):
-        return f
-    if isinstance(f, FNot):
-        return FNot(_standardize(f.sub))
-    if isinstance(f, (FAnd, FOr)):
-        return type(f)(tuple(_standardize(s) for s in f.subs))
     if isinstance(f, (FAll, FEx)):
         v = fresh_name("q")
         return type(f)(v, _standardize(subst_formula(f.sub, {f.var: Var(v)})))
-    raise TypeError(f)
+    return map_children(f, _standardize)
 
 
 def _skolemize(f: Formula, univ: tuple[str, ...]) -> Formula:
-    if isinstance(f, (FTrue, FFalse, FAtom, FNot)):
-        return f
-    if isinstance(f, (FAnd, FOr)):
-        return type(f)(tuple(_skolemize(s, univ) for s in f.subs))
     if isinstance(f, FAll):
         return FAll(f.var, _skolemize(f.sub, univ + (f.var,)))
     if isinstance(f, FEx):
         sk = App(fresh_name("sk"), tuple(Var(v) for v in univ))
         return _skolemize(subst_formula(f.sub, {f.var: sk}), univ)
-    raise TypeError(f)
+    return map_children(f, lambda g: _skolemize(g, univ))
 
 
 def _matrix(f: Formula) -> Formula:
-    if isinstance(f, FAll):
-        return _matrix(f.sub)
-    if isinstance(f, (FAnd, FOr)):
-        return type(f)(tuple(_matrix(s) for s in f.subs))
-    return f
+    return _matrix(f.sub) if isinstance(f, FAll) else map_children(f, _matrix)
 
 
 def _to_lit(f: Formula) -> Lit:
@@ -299,16 +287,6 @@ class Signature:
                 self.add_term(a)
             if f.head != EQ or f.pvar:
                 (self.pvars if f.pvar else self.rels).setdefault((f.head, len(f.args)))
-        elif isinstance(f, FNot):
-            self.add_formula(f.sub)
-        elif isinstance(f, (FAnd, FOr)):
-            for s in f.subs:
-                self.add_formula(s)
-        elif isinstance(f, (FImp, FIff)):
-            self.add_formula(f.lhs)
-            self.add_formula(f.rhs)
-        elif isinstance(f, (FAll, FEx)):
-            self.add_formula(f.sub)
         elif isinstance(f, FGfp):
             # the bound recursion variable is not part of the signature
             inner = Signature()
@@ -317,6 +295,9 @@ class Signature:
             self.merge(inner)
             for a in f.args:
                 self.add_term(a)
+        else:
+            for g in children(f):
+                self.add_formula(g)
 
     def merge(self, other: "Signature") -> None:
         self.funcs.update(other.funcs)

@@ -36,10 +36,10 @@ from .logic import (
     formula_has_gfp,
     fresh_name,
     lit_to_formula,
+    map_children,
     pointed,
     pred_false,
     pred_true,
-    simplify,
     simplify_pred_expr,
     subst_consts,
     subst_lit,
@@ -88,28 +88,11 @@ class ClausePredicate:
 
 
 def _formula_subst_consts(f: Formula, m: dict[str, Var]) -> Formula:
-    from .logic import FAll, FAnd, FEx, FFalse, FIff, FImp, FOr, FTrue
-
-    if isinstance(f, (FTrue, FFalse)):
-        return f
     if isinstance(f, FAtom):
         return FAtom(f.head, tuple(subst_consts(a, m) for a in f.args), f.pvar)
-    if isinstance(f, FNot):
-        return FNot(_formula_subst_consts(f.sub, m))
-    if isinstance(f, (FAnd, FOr)):
-        return type(f)(tuple(_formula_subst_consts(s, m) for s in f.subs))
-    if isinstance(f, (FImp, FIff)):
-        return type(f)(_formula_subst_consts(f.lhs, m), _formula_subst_consts(f.rhs, m))
-    if isinstance(f, (FAll, FEx)):
-        return type(f)(f.var, _formula_subst_consts(f.sub, m))
     if isinstance(f, FGfp):
-        return FGfp(
-            f.pvar,
-            f.params,
-            _formula_subst_consts(f.body, m),
-            tuple(subst_consts(a, m) for a in f.args),
-        )
-    raise TypeError(f)
+        f = FGfp(f.pvar, f.params, f.body, tuple(subst_consts(a, m) for a in f.args))
+    return map_children(f, lambda g: _formula_subst_consts(g, m))
 
 
 def _start_lit(p: PointedClause, consts: tuple[str, ...]) -> Lit:

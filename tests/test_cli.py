@@ -49,8 +49,8 @@ def test_solve_json_parses_back(capsys):
 
 
 def test_solve_seed_is_byte_identical(capsys):
-    _, out1, _ = run(capsys, "solve", MAIN, "--seed", "3", "--format", "json", "--trace")
-    _, out2, _ = run(capsys, "solve", MAIN, "--seed", "3", "--format", "json", "--trace")
+    _, out1, _ = run(capsys, "solve", MAIN, "--format", "json", "--trace")
+    _, out2, _ = run(capsys, "solve", MAIN, "--format", "json", "--trace")
     assert out1 == out2
 
 
@@ -179,3 +179,54 @@ def test_bench_json(capsys):
 def test_unknown_subcommand_fails():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_json_encoder_shape_of_every_node_kind():
+    from wscan.cli import to_json
+    from wscan.logic import (
+        App, Clause, FAll, FAnd, FAtom, FEx, FFalse, FGfp, FIff, FImp, FNot, FOr,
+        FTrue, Lit, PredExpr, Var,
+    )
+
+    x, a = Var("x"), App("a", ())
+    fx = App("f", (x,))
+    atom = FAtom("B", (a,))
+    j_x = {"type": "var", "name": "x"}
+    j_a = {"type": "app", "fn": "a", "args": []}
+    j_fx = {"type": "app", "fn": "f", "args": [j_x]}
+    j_atom = {"type": "atom", "head": "B", "args": [j_a], "pvar": False}
+    j_true, j_false = {"type": "true"}, {"type": "false"}
+    assert to_json(x) == j_x
+    assert to_json(fx) == j_fx
+    assert to_json(Lit(False, "X", (fx,), True)) == {
+        "type": "lit", "pos": False, "head": "X", "args": [j_fx], "pvar": True
+    }
+    assert to_json(Clause((Lit(True, "B", (a,)),))) == {
+        "type": "clause",
+        "lits": [{"type": "lit", "pos": True, "head": "B", "args": [j_a], "pvar": False}],
+    }
+    assert to_json(FTrue()) == j_true
+    assert to_json(FFalse()) == j_false
+    assert to_json(atom) == j_atom
+    assert to_json(FNot(atom)) == {"type": "not", "sub": j_atom}
+    assert to_json(FAnd((atom, FTrue()))) == {"type": "and", "subs": [j_atom, j_true]}
+    assert to_json(FOr((FFalse(), atom))) == {"type": "or", "subs": [j_false, j_atom]}
+    assert to_json(FImp(atom, FFalse())) == {"type": "imp", "lhs": j_atom, "rhs": j_false}
+    assert to_json(FIff(FTrue(), atom)) == {"type": "iff", "lhs": j_true, "rhs": j_atom}
+    assert to_json(FAll("x", atom)) == {"type": "all", "var": "x", "sub": j_atom}
+    assert to_json(FEx("x", atom)) == {"type": "ex", "var": "x", "sub": j_atom}
+    gfp = FGfp("Y", ("p", "q"), FAtom("Y", (Var("q"), Var("p")), True), (fx, a))
+    j_gfp = {
+        "type": "gfp",
+        "pvar": "Y",
+        "params": ["p", "q"],
+        "body": {
+            "type": "atom",
+            "head": "Y",
+            "args": [{"type": "var", "name": "q"}, {"type": "var", "name": "p"}],
+            "pvar": True,
+        },
+        "args": [j_fx, j_a],
+    }
+    assert to_json(gfp) == j_gfp
+    assert to_json(PredExpr(("x",), gfp)) == {"type": "lambda", "params": ["x"], "body": j_gfp}

@@ -7,15 +7,24 @@ from wscan.logic import (
     App,
     Clause,
     FAll,
+    FAnd,
     FAtom,
+    FEx,
+    FFalse,
+    FGfp,
     FIff,
     FNot,
+    FOr,
     Lit,
     PredExpr,
     Var,
+    apply_pred_subst,
     apply_pred_subst_clause,
+    canonical_pred_expr,
     compose_pred_subst,
     const,
+    formula_free_pvars,
+    formula_free_vars,
     formula_size,
     formula_str,
     fresh_vars,
@@ -27,6 +36,7 @@ from wscan.logic import (
     pred_expr_str,
     rename_clause_apart,
     simplify,
+    subst_formula,
     subst_term,
     term_str,
 )
@@ -188,3 +198,56 @@ def test_formula_size_counts_connectives():
     fm = FAll("u", FIff(FAtom("B", (u,)), FAtom("C", (u, u))))
     # forall+bound var(2) + iff(1) + B-atom(1+1) + C-atom(1+2) = 8
     assert formula_size(fm) == 8
+
+
+def _pv(head, *args):
+    return FAtom(head, args, True)
+
+
+def test_subst_formula_renames_a_clashing_binder():
+    # u := ?v under "forall v" must not capture: the binder is renamed
+    got = subst_formula(FAll("v", FAtom("B", (u, v))), {"u": v})
+    assert isinstance(got, FAll) and got.var not in ("u", "v")
+    assert got.sub == FAtom("B", (v, Var(got.var)))
+    assert formula_free_vars(got) == {"v"}
+    # the same for a gfp parameter; the gfp arguments are substituted as usual
+    gfp = FGfp("Y", ("p", "q"), FAnd((_pv("Y", Var("p"), Var("q")), FAtom("B", (Var("p"), u)))), (u, a))
+    got = subst_formula(gfp, {"u": Var("p")})
+    (p2, q2) = got.params
+    assert p2 not in ("p", "q", "u") and q2 == "q"
+    assert got.args == (Var("p"), a)
+    assert got.body == FAnd((_pv("Y", Var(p2), Var("q")), FAtom("B", (Var(p2), Var("p")))))
+
+
+def test_free_names_respect_gfp_binders():
+    body = FAnd((_pv("Y", Var("p")), _pv("X", Var("w")), FEx("e", FAtom("B", (Var("p"), Var("e"))))))
+    gfp = FGfp("Y", ("p",), body, (Var("t"),))
+    assert formula_free_vars(gfp) == {"w", "t"}
+    assert formula_free_pvars(gfp) == {"X"}
+    # outside the gfp the same names are free
+    outside = FAnd((gfp, _pv("Y", Var("p"))))
+    assert formula_free_vars(outside) == {"w", "t", "p"}
+    assert formula_free_pvars(outside) == {"X", "Y"}
+
+
+def test_apply_pred_subst_leaves_a_gfp_bound_variable_alone():
+    gfp = FGfp("Y", ("p",), FAnd((_pv("Y", Var("p")), _pv("X", Var("p")))), (a,))
+    ps = {
+        "Y": PredExpr(("z",), FFalse()),
+        "X": PredExpr(("z",), FAtom("B", (Var("z"),))),
+    }
+    got = apply_pred_subst(FOr((gfp, _pv("Y", b))), ps)
+    want_gfp = FGfp("Y", ("p",), FAnd((_pv("Y", Var("p")), FAtom("B", (Var("p"),)))), (a,))
+    assert got == FOr((want_gfp, FFalse()))
+
+
+def test_canonical_pred_expr_numbers_a_nested_gfp():
+    inner = FGfp("Yb", ("r", "s"), FAnd((_pv("Yb", Var("s"), Var("r")), _pv("Ya", Var("q")))), (Var("q"), Var("x")))
+    outer = FGfp("Ya", ("q",), FAnd((FEx("x", FAtom("B", (Var("x"),))), FAll("q", inner))), (Var("x"),))
+    got = canonical_pred_expr(PredExpr(("x",), outer))
+    want_inner = FGfp(
+        "Y1", ("u4", "u5"), FAnd((_pv("Y1", Var("u5"), Var("u4")), _pv("Y0", Var("u3")))), (Var("u3"), Var("u0"))
+    )
+    want = FGfp("Y0", ("u1",), FAnd((FEx("u2", FAtom("B", (Var("u2"),))), FAll("u3", want_inner))), (Var("u0"),))
+    assert got == PredExpr(("u0",), want)
+    assert canonical_pred_expr(got) == got

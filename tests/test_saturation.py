@@ -1,10 +1,17 @@
 """Derivation search, trace replay, and the deletion side conditions."""
 
+from pathlib import Path
+
 import pytest
 
+from wscan.problems import merge_theory, parse_problem
 from wscan.saturation import ReplayError, SearchLimits, replay, search
 
 from conftest import cl, clauses_of
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "wscan" / "corpus"
+# p06 is not solved by blind search within the default limits
+SEARCH_SOLVED = [p for p in sorted(CORPUS.glob("*.wscan")) if p.stem != "p06_graph3"]
 
 MAIN = "B(a, ?v)\nX(a)\nB(?u, ?v) | ~X(?u) | X(?v)\n~X(c)"
 
@@ -32,6 +39,14 @@ def test_search_trace_replays_to_the_same_derivation():
     d2 = replay(clauses, {"X": 1}, text)
     assert d2.conclusion() == d.conclusion()
     assert d2.trace_lines() == d.trace_lines()
+
+
+@pytest.mark.parametrize("path", SEARCH_SOLVED, ids=lambda p: p.stem)
+def test_corpus_search_derivations_replay_exactly(path):
+    prob = merge_theory(parse_problem(path.read_text(), origin=str(path)))
+    d = next(search(prob.clauses, prob.xvars), None)
+    assert d is not None
+    assert replay(prob.clauses, prob.xvars, "\n".join(d.trace_lines())) == d
 
 
 def test_search_is_deterministic_across_runs():
