@@ -261,19 +261,3 @@ def is_purified(p: PointedClause, n: frozenset[Clause]) -> Optional[dict]:
                 return None
             cert[(c, q.index)] = cover
     return cert
-
-
-def ext_purity_check(n: frozenset[Clause], x: str) -> Optional[str]:
-    """Polarity p such that every clause mentioning predicate variable x has an
-    x-literal of polarity p ('+' preferred, and returned when x does not occur
-    at all); None when neither polarity qualifies."""
-    xclauses = [c for c in n if any(l.pvar and l.head == x for l in c.lits)]
-    if not xclauses:
-        return "+"
-    for pol, want in (("+", True), ("-", False)):
-        if all(
-            any(l.pvar and l.head == x and l.pos == want for l in c.lits)
-            for c in xclauses
-        ):
-            return pol
-    return None

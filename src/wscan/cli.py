@@ -442,10 +442,9 @@ def cmd_bench(args) -> int:
 # argument parsing
 
 
-def _add_common(sp, verify_default: bool = False) -> None:
-    env_timeout = float(os.environ.get("WSCAN_TIMEOUT", "10"))
+def _add_common(sp, timeout: float) -> None:
     sp.add_argument("--max-steps", type=int, default=50)
-    sp.add_argument("--timeout", type=float, default=env_timeout)
+    sp.add_argument("--timeout", type=float, default=timeout)
     sp.add_argument(
         "--witness-mode",
         choices=["auto", "first-order", "fixpoint", "resolution"],
@@ -453,12 +452,12 @@ def _add_common(sp, verify_default: bool = False) -> None:
     )
     sp.add_argument("--fo-k", type=int, default=None)
     sp.add_argument("--lres-budget", type=int, default=512)
-    sp.add_argument("--verify", action="store_true", default=verify_default)
+    sp.add_argument("--verify", action="store_true")
     sp.add_argument("--verify-timeout", type=float, default=30.0)
     sp.add_argument("--format", choices=["text", "json"], default="text")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(timeout: float) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wscan", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -466,21 +465,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("problem")
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--all", type=int, default=1, metavar="N")
-    _add_common(sp)
+    _add_common(sp, timeout)
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("replay", help="replay a recorded trace and extract its witness")
     sp.add_argument("problem")
     sp.add_argument("trace_file")
     sp.add_argument("--trace", action="store_true")
-    _add_common(sp)
+    _add_common(sp, timeout)
     sp.set_defaults(fn=cmd_replay)
 
     sp = sub.add_parser("check", help="check a witness file against a problem")
     sp.add_argument("problem")
     sp.add_argument("witness_file")
     sp.add_argument("conclusion", nargs="?", default=None)
-    _add_common(sp)
+    _add_common(sp, timeout)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("encode-graph", help="encode a graph reachability spec as a problem")
@@ -490,21 +489,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("prove", help="run the refutation prover on premises and a goal")
     sp.add_argument("premises")
     sp.add_argument("goal")
-    sp.add_argument("--timeout", type=float, default=float(os.environ.get("WSCAN_TIMEOUT", "10")))
+    sp.add_argument("--timeout", type=float, default=timeout)
     sp.add_argument("--format", choices=["text", "json"], default="text")
     sp.set_defaults(fn=cmd_prove)
 
     sp = sub.add_parser("bench", help="run every *.wscan problem in a directory")
     sp.add_argument("directory")
     sp.add_argument("--jobs", type=int, default=1)
-    _add_common(sp, verify_default=False)
+    _add_common(sp, timeout)
     sp.set_defaults(fn=cmd_bench)
 
     return ap
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    raw = os.environ.get("WSCAN_TIMEOUT", "10")
+    try:
+        timeout = float(raw)
+    except ValueError:
+        timeout = 0.0
+    if not timeout > 0:  # also false for nan
+        _err(f"WSCAN_TIMEOUT must be a positive number of seconds, got {raw!r}")
+        return 3
+    args = build_parser(timeout).parse_args(argv)
     return args.fn(args)
 
 

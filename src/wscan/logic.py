@@ -350,13 +350,6 @@ class Clause:
     def size(self) -> int:
         return sum(lit_size(l) for l in self.lits)
 
-    def pvar_lits(self, name: Optional[str] = None) -> tuple[tuple[int, Lit], ...]:
-        return tuple(
-            (i, l)
-            for i, l in enumerate(self.lits)
-            if l.pvar and (name is None or l.head == name)
-        )
-
     def __str__(self) -> str:
         if not self.lits:
             return "[]"
@@ -568,10 +561,6 @@ def lit_to_formula(l: Lit) -> Formula:
 
 def clause_to_formula(c: Clause) -> Formula:
     return forall(c.vars, for_(*[lit_to_formula(l) for l in c.lits]))
-
-
-def clauses_to_formula(n: Iterable[Clause]) -> Formula:
-    return fand(*[clause_to_formula(c) for c in sorted(n, key=lambda c: tuple(map(_lit_key, c.lits)))])
 
 
 def children(f: Formula) -> tuple[Formula, ...]:

@@ -1,9 +1,14 @@
-"""Derivations over clause sets: recording, preprocessing, purification,
+"""Derivations over clause sets: the rule table, preprocessing, purification,
 backtracking search, and scripted replay.
 
 A derivation is a sequence of steps, each transforming the current clause set.
 Clauses carry stable integer identifiers assigned at creation; traces reference
 them.  Literal positions in traces are 1-based.
+
+`RULES` is the one place that defines a rule: its trace line, and the function
+that checks its side conditions on the current state and builds the step.
+Search and replay both build every step through it, and `_State.apply` is the
+only code that changes a state.
 """
 
 from __future__ import annotations
@@ -11,13 +16,13 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import permutations
+from typing import Callable, Iterator, Optional, Sequence
 
 from .calculus import (
     constraint_eliminate,
     constraint_factor,
     constraint_resolve,
-    ext_purity_check,
     is_purified,
     paramodulant,
     variable_eliminate,
@@ -31,46 +36,16 @@ from .subsumption import is_tautology, subsumes, subsumes_L_velim
 
 
 @dataclass(frozen=True)
-class Infer:
-    """An inference adding a new clause: rule is 'res', 'fac', 'constrelim' or
-    'parmod'; `data` holds the rule-specific positions (0-based)."""
+class Step:
+    """One derivation step: the rule's name, its arguments in trace order
+    (literal positions 0-based; extpurdel also carries the arity), the ids it
+    removes, and the new id and clause it adds, if any."""
 
     rule: str
-    premises: tuple[int, ...]
-    data: tuple
-    new_id: int
-    conclusion: Clause
-
-
-@dataclass(frozen=True)
-class VarElimStep:
-    premise: int
-    new_id: int
-    conclusion: Clause
-
-
-@dataclass(frozen=True)
-class RedDel:
-    clause_id: int
-    reason: str  # 'tautology' | 'subsumed-by'
-    by: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class ExtPurDelStep:
-    pvar: str
-    polarity: str  # '+' | '-'
-    arity: int
-    deleted: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PurDelStep:
-    clause_id: int
-    lit: int  # 0-based designated literal
-
-
-Step = object
+    args: tuple
+    removed: tuple[int, ...] = ()
+    new_id: Optional[int] = None
+    added: Optional[Clause] = None
 
 
 @dataclass(frozen=True)
@@ -94,9 +69,6 @@ class Derivation:
     def alive_clauses(self, i: int) -> frozenset[Clause]:
         return frozenset(self.clauses[j] for j in self.states[i])
 
-    def purdel_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.steps) if isinstance(s, PurDelStep))
-
     def eliminating(self) -> bool:
         return not any(
             l.pvar for i in self.states[-1] for l in self.clauses[i].lits
@@ -118,38 +90,6 @@ class SearchLimits:
             raise ValueError("limits must be positive")
 
 
-# ---------------------------------------------------------------------------
-# trace format
-
-
-def trace_line(s: Step) -> str:
-    if isinstance(s, Infer):
-        if s.rule == "res":
-            (l1, l2) = s.data
-            return f"res {s.premises[0]}.{l1 + 1} {s.premises[1]}.{l2 + 1} -> {s.new_id}"
-        if s.rule == "fac":
-            (i, j) = s.data
-            return f"fac {s.premises[0]}.{i + 1}.{j + 1} -> {s.new_id}"
-        if s.rule == "constrelim":
-            return f"constrelim {s.premises[0]} -> {s.new_id}"
-        if s.rule == "parmod":
-            (ei, orient, li, path) = s.data
-            pos = ".".join(str(x + 1) for x in (li,) + path)
-            return f"parmod {s.premises[0]}.{ei + 1}:{orient} {s.premises[1]}@{pos} -> {s.new_id}"
-        raise ValueError(f"unknown rule {s.rule!r}")
-    if isinstance(s, VarElimStep):
-        return f"varelim {s.premise} -> {s.new_id}"
-    if isinstance(s, RedDel):
-        if s.reason == "tautology":
-            return f"redel {s.clause_id} tautology"
-        return f"redel {s.clause_id} subsumed-by {s.by}"
-    if isinstance(s, ExtPurDelStep):
-        return f"extpurdel {s.pvar} {s.polarity}"
-    if isinstance(s, PurDelStep):
-        return f"purdel {s.clause_id}.{s.lit + 1}"
-    raise TypeError(s)
-
-
 class ReplayError(Exception):
     def __init__(self, index: int, reason: str):
         super().__init__(f"step {index + 1}: {reason}")
@@ -157,14 +97,12 @@ class ReplayError(Exception):
         self.reason = reason
 
 
-_RES_RE = re.compile(r"res (\d+)\.(\d+) (\d+)\.(\d+) -> (\d+)$")
-_FAC_RE = re.compile(r"fac (\d+)\.(\d+)\.(\d+) -> (\d+)$")
-_CELIM_RE = re.compile(r"constrelim (\d+) -> (\d+)$")
-_PARMOD_RE = re.compile(r"parmod (\d+)\.(\d+)(?::(lr|rl))? (\d+)@(\d+(?:\.\d+)+) -> (\d+)$")
-_VELIM_RE = re.compile(r"varelim (\d+) -> (\d+)$")
-_REDEL_RE = re.compile(r"redel (\d+) (?:(tautology)|subsumed-by (\d+))$")
-_PURDEL_RE = re.compile(r"purdel (\d+)\.(\d+)$")
-_EXTPD_RE = re.compile(r"extpurdel (\w+) ([+-])$")
+class _Budget(Exception):
+    pass
+
+
+class _Rejected(Exception):
+    """A rule's side condition fails; the message is the reason."""
 
 
 # ---------------------------------------------------------------------------
@@ -177,31 +115,45 @@ class _State:
     alive: list[int]  # sorted ids
     steps: list[Step]
     states: list[frozenset[int]]
+    xarity: dict[str, int]
+    # search only: the step and time budget that `apply` charges
+    limits: Optional[SearchLimits] = None
+    deadline: float = 0.0
 
     @staticmethod
-    def start(clauses: Sequence[Clause]) -> "_State":
+    def start(
+        clauses: Sequence[Clause], xarity: dict[str, int], limits: Optional[SearchLimits] = None
+    ) -> "_State":
         table = {i + 1: c for i, c in enumerate(clauses)}
         alive = sorted(table)
-        return _State(table, alive, [], [frozenset(alive)])
+        deadline = time.monotonic() + limits.timeout if limits else 0.0
+        return _State(table, alive, [], [frozenset(alive)], xarity, limits, deadline)
 
     def clone(self) -> "_State":
-        return _State(dict(self.clauses), list(self.alive), list(self.steps), list(self.states))
+        return _State(
+            dict(self.clauses), list(self.alive), list(self.steps), list(self.states),
+            self.xarity, self.limits, self.deadline,
+        )
 
     def next_id(self) -> int:
         return max(self.clauses) + 1
 
-    def record(self, step: Step) -> None:
+    def charge(self) -> None:
+        """Raise _Budget when a search state may take no further step."""
+        if self.limits is not None and (
+            len(self.steps) >= self.limits.max_steps or time.monotonic() > self.deadline
+        ):
+            raise _Budget
+
+    def apply(self, step: Step) -> None:
+        self.charge()
+        for i in step.removed:
+            self.alive.remove(i)
+        if step.added is not None:
+            self.clauses[step.new_id] = step.added
+            self.alive.append(step.new_id)
         self.steps.append(step)
         self.states.append(frozenset(self.alive))
-
-    def add(self, c: Clause) -> int:
-        i = self.next_id()
-        self.clauses[i] = c
-        self.alive.append(i)
-        return i
-
-    def remove(self, i: int) -> None:
-        self.alive.remove(i)
 
     def alive_clauses(self, without: Optional[int] = None) -> frozenset[Clause]:
         return frozenset(self.clauses[i] for i in self.alive if i != without)
@@ -215,133 +167,258 @@ class _State:
         )
 
 
-class _Budget(Exception):
-    pass
+# ---------------------------------------------------------------------------
+# rules: each function checks the side conditions on the current state and
+# builds the step, or raises _Rejected with the reason
 
 
-def _clause_order(st: _State, i: int):
-    return (str(st.clauses[i]), i)
+def _need(st: _State, i: int) -> Clause:
+    if i not in st.alive:
+        raise _Rejected(f"clause {i} is not in the current set")
+    return st.clauses[i]
 
 
-def _check(st: _State, limits: SearchLimits, deadline: float) -> None:
-    if len(st.steps) >= limits.max_steps or time.monotonic() > deadline:
-        raise _Budget
+def _need_lit(c: Clause, i: int, k: int) -> Lit:
+    if not 0 <= k < len(c.lits):
+        raise _Rejected(f"clause {i} has no literal {k + 1}")
+    return c.lits[k]
+
+
+def _res(st: _State, i1: int, k1: int, i2: int, k2: int) -> Step:
+    c1, c2 = _need(st, i1), _need(st, i2)
+    _need_lit(c1, i1, k1), _need_lit(c2, i2, k2)
+    try:
+        r = constraint_resolve(pointed(c1, k1), pointed(c2, k2))
+    except ValueError as e:
+        raise _Rejected(str(e)) from None
+    return Step("res", (i1, k1, i2, k2), (), st.next_id(), r)
+
+
+def _fac(st: _State, i: int, a: int, b: int) -> Step:
+    c = _need(st, i)
+    _need_lit(c, i, a), _need_lit(c, i, b)
+    try:
+        f = constraint_factor(c, a, b)
+    except ValueError as e:
+        raise _Rejected(str(e)) from None
+    return Step("fac", (i, a, b), (), st.next_id(), f)
+
+
+def _constrelim(st: _State, i: int) -> Step:
+    r = constraint_eliminate(_need(st, i))
+    if r is None:
+        raise _Rejected(f"no eliminable constraint block in clause {i}")
+    return Step("constrelim", (i,), (), st.next_id(), r)
+
+
+def _parmod(
+    st: _State, i1: int, e1: int, orient: Optional[str], i2: int, pos: tuple[int, ...]
+) -> Step:
+    """Without an orientation, the first of lr/rl that applies is taken."""
+    c1, c2 = _need(st, i1), _need(st, i2)
+    li, path = pos[0], pos[1:]
+    _need_lit(c1, i1, e1), _need_lit(c2, i2, li)
+    for o in [orient] if orient else ["lr", "rl"]:
+        r = paramodulant(c1, e1, o, c2, li, path)
+        if r is not None:
+            return Step("parmod", (i1, e1, o, i2, pos), (), st.next_id(), r)
+    line = RULES["parmod"].line((i1, e1, orient, i2, pos), st.next_id())
+    raise _Rejected(f"paramodulation does not apply at {line!r}")
+
+
+def _varelim(st: _State, i: int) -> Step:
+    c, applied = variable_eliminate(_need(st, i))
+    if not applied:
+        raise _Rejected(f"clause {i} has no eliminable variable")
+    return Step("varelim", (i,), (i,), st.next_id(), c)
+
+
+def _tautology(st: _State, i: int) -> Step:
+    if not is_tautology(_need(st, i)):
+        raise _Rejected(f"clause {i} is not a tautology")
+    return Step("tautology", (i,), (i,))
+
+
+def _subsumed(st: _State, i: int, by: int) -> Step:
+    c, cb = _need(st, i), _need(st, by)
+    if by == i or not subsumes(cb, c):
+        raise _Rejected(f"clause {by} does not subsume clause {i}")
+    return Step("subsumed", (i, by), (i,))
+
+
+def _purdel(st: _State, i: int, k: int) -> Step:
+    c = _need(st, i)
+    if not _need_lit(c, i, k).pvar:
+        raise _Rejected(f"literal {i}.{k + 1} is not a predicate-variable literal")
+    if is_purified(pointed(c, k), st.alive_clauses(without=i)) is None:
+        raise _Rejected(f"{i}.{k + 1} is not purified in the current set")
+    return Step("purdel", (i, k), (i,))
+
+
+def _extpurdel(st: _State, x: str, pol: str) -> Step:
+    """Delete every live clause mentioning x; each must have an x-literal of
+    polarity `pol`."""
+    want = pol == "+"
+    ids = tuple(
+        i for i in sorted(st.alive)
+        if any(l.pvar and l.head == x for l in st.clauses[i].lits)
+    )
+    for i in ids:
+        if not any(l.pvar and l.head == x and l.pos == want for l in st.clauses[i].lits):
+            raise _Rejected(f"clause {i} has no {pol}{x} literal, ExtPurDel does not apply")
+    occurs = (len(l.args) for i in ids for l in st.clauses[i].lits if l.pvar and l.head == x)
+    arity = st.xarity.get(x, next(occurs, None))
+    if arity is None:
+        raise _Rejected(f"unknown predicate variable {x}")
+    return Step("extpurdel", (x, pol, arity), ids)
+
+
+# trace slots: (pattern, parse, print).  `i` is a clause id, `n` the new id,
+# `l` a literal position and `p` a literal position followed by an argument
+# path -- positions are 1-based in a trace line and 0-based in a Step
+_SLOTS: dict[str, tuple[str, Callable, Callable]] = {
+    "i": (r"(\d+)", int, str),
+    "n": (r"(\d+)", int, str),
+    "l": (r"(\d+)", lambda s: int(s) - 1, lambda k: str(k + 1)),
+    "p": (
+        r"(\d+(?:\.\d+)+)",
+        lambda s: tuple(int(x) - 1 for x in s.split(".")),
+        lambda p: ".".join(str(x + 1) for x in p),
+    ),
+    "o": (r"(?::(lr|rl))?", lambda s: s, lambda o: f":{o}" if o else ""),
+    "x": (r"(\w+)", str, str),
+    "s": (r"([+-])", str, str),
+}
+
+
+class Rule:
+    """One trace form: a line template whose `{slot}` fields are the rule's
+    arguments in order (`{n}` is the new id), and the rule function."""
+
+    def __init__(self, template: str, fn: Callable[..., Step]):
+        parts = re.split(r"\{(\w)\}", template)
+        self.text, self.slots = parts[0::2], parts[1::2]
+        self.fn = fn
+        self.pattern = re.compile(
+            re.escape(self.text[0])
+            + "".join(_SLOTS[s][0] + re.escape(t) for s, t in zip(self.slots, self.text[1:]))
+        )
+
+    def parse(self, line: str) -> Optional[tuple[tuple, Optional[int]]]:
+        """The arguments and the declared new id of a matching line."""
+        m = self.pattern.fullmatch(line)
+        if m is None:
+            return None
+        vals = [_SLOTS[s][1](g) for s, g in zip(self.slots, m.groups())]
+        declared = vals.pop(self.slots.index("n")) if "n" in self.slots else None
+        return tuple(vals), declared
+
+    def line(self, args: tuple, new_id: Optional[int]) -> str:
+        rest = iter(args)
+        out = [self.text[0]]
+        for s, t in zip(self.slots, self.text[1:]):
+            out += [str(new_id) if s == "n" else _SLOTS[s][2](next(rest)), t]
+        return "".join(out)
+
+
+RULES: dict[str, Rule] = {
+    "res": Rule("res {i}.{l} {i}.{l} -> {n}", _res),
+    "fac": Rule("fac {i}.{l}.{l} -> {n}", _fac),
+    "constrelim": Rule("constrelim {i} -> {n}", _constrelim),
+    "parmod": Rule("parmod {i}.{l}{o} {i}@{p} -> {n}", _parmod),
+    "varelim": Rule("varelim {i} -> {n}", _varelim),
+    "tautology": Rule("redel {i} tautology", _tautology),
+    "subsumed": Rule("redel {i} subsumed-by {i}", _subsumed),
+    "purdel": Rule("purdel {i}.{l}", _purdel),
+    "extpurdel": Rule("extpurdel {x} {s}", _extpurdel),
+}
+
+
+def trace_line(s: Step) -> str:
+    return RULES[s.rule].line(s.args, s.new_id)
+
+
+def _attempt(rule: Callable[..., Step], st: _State, *args) -> Optional[Step]:
+    """The step `rule` builds on `st`, or None where a side condition fails."""
+    try:
+        return rule(st, *args)
+    except _Rejected:
+        return None
 
 
 # ---------------------------------------------------------------------------
 # preprocessing
 
 
-def _velim_pass(st: _State, limits, deadline) -> bool:
+def _clause_pass(st: _State, rule: Callable[..., Step]) -> bool:
+    """Apply a one-clause rule to every live clause it applies to."""
     changed = False
     for i in sorted(st.alive):
-        c2, applied = variable_eliminate(st.clauses[i])
-        if applied:
-            _check(st, limits, deadline)
-            st.remove(i)
-            j = st.add(c2)
-            st.record(VarElimStep(i, j, c2))
+        step = _attempt(rule, st, i)
+        if step is not None:
+            st.apply(step)
             changed = True
     return changed
 
 
-def _tautology_pass(st: _State, limits, deadline) -> bool:
-    changed = False
-    for i in sorted(st.alive):
-        if is_tautology(st.clauses[i]):
-            _check(st, limits, deadline)
-            st.remove(i)
-            st.record(RedDel(i, "tautology"))
-            changed = True
-    return changed
-
-
-def _subsumption_pass(st: _State, limits, deadline, protect: frozenset[int] = frozenset()) -> bool:
+def _subsumption_pass(st: _State, protect: frozenset[int] = frozenset()) -> bool:
     """Delete clauses subsumed by another live clause, largest first, one at a
     time (mutually subsuming pairs keep the canonically smaller member)."""
     changed = False
-    while True:
-        victims = sorted(
-            (i for i in st.alive if i not in protect),
-            key=lambda i: _clause_order(st, i),
-            reverse=True,
-        )
-        hit = None
-        for i in victims:
-            by = next(
-                (j for j in sorted(st.alive) if j != i and subsumes(st.clauses[j], st.clauses[i])),
-                None,
-            )
-            if by is not None:
-                hit = (i, by)
-                break
-        if hit is None:
-            return changed
-        _check(st, limits, deadline)
-        i, by = hit
-        st.remove(i)
-        st.record(RedDel(i, "subsumed-by", by))
-        changed = True
-
-
-def _extpurdel_pass(st: _State, xarity: dict[str, int], limits, deadline) -> bool:
-    changed = False
-    for x in xarity:
-        ids = [
-            i for i in sorted(st.alive)
-            if any(l.pvar and l.head == x for l in st.clauses[i].lits)
-        ]
-        if not ids:
-            continue
-        pol = ext_purity_check(st.alive_clauses(), x)
-        if pol is None:
-            continue
-        _check(st, limits, deadline)
-        for i in ids:
-            st.remove(i)
-        st.record(ExtPurDelStep(x, pol, xarity[x], tuple(ids)))
+    while (step := _subsumption_step(st, protect)) is not None:
+        st.apply(step)
         changed = True
     return changed
 
 
-def _deletion_fixpoint(st: _State, xarity, limits, deadline) -> None:
+def _subsumption_step(st: _State, protect: frozenset[int]) -> Optional[Step]:
+    for i in sorted(set(st.alive) - protect, key=lambda i: (str(st.clauses[i]), i), reverse=True):
+        for j in sorted(st.alive):
+            step = _attempt(_subsumed, st, i, j)
+            if step is not None:
+                return step
+    return None
+
+
+def _extpurdel_pass(st: _State) -> bool:
+    changed = False
+    for x in st.xarity:
+        step = _attempt(_extpurdel, st, x, "+") or _attempt(_extpurdel, st, x, "-")
+        if step is not None and step.removed:
+            st.apply(step)
+            changed = True
+    return changed
+
+
+def _deletion_fixpoint(st: _State) -> None:
     while True:
-        changed = _velim_pass(st, limits, deadline)
-        changed |= _tautology_pass(st, limits, deadline)
-        changed |= _subsumption_pass(st, limits, deadline)
-        changed |= _extpurdel_pass(st, xarity, limits, deadline)
+        changed = _clause_pass(st, _varelim)
+        changed |= _clause_pass(st, _tautology)
+        changed |= _subsumption_pass(st)
+        changed |= _extpurdel_pass(st)
         if not changed:
             return
 
 
-def _factor_pass(st: _State, limits, deadline) -> bool:
+def _factor_pass(st: _State) -> bool:
     added = False
     for i in sorted(st.alive):
-        c = st.clauses[i]
-        for a in range(len(c.lits)):
-            for b in range(len(c.lits)):
-                if a == b:
-                    continue
-                la, lb = c.lits[a], c.lits[b]
-                if la.is_eq or not la.same_kind(lb):
-                    continue
-                f = constraint_factor(c, a, b)
-                if any(subsumes(s, f) for s in st.alive_clauses()):
-                    continue
-                _check(st, limits, deadline)
-                j = st.add(f)
-                st.record(Infer("fac", (i,), (a, b), j, f))
-                added = True
+        for a, b in permutations(range(len(st.clauses[i].lits)), 2):
+            step = _attempt(_fac, st, i, a, b)
+            if step is None or any(subsumes(s, step.added) for s in st.alive_clauses()):
+                continue
+            st.apply(step)
+            added = True
     return added
 
 
-def preprocess(st: _State, xarity: dict[str, int], limits: SearchLimits, deadline: float) -> None:
+def preprocess(st: _State) -> None:
     """Deletion fixpoint (variable elimination, tautology and subsumption
     deletion, external-purity deletion), then one round of non-redundant
     constraint factors, then the fixpoint again."""
-    _deletion_fixpoint(st, xarity, limits, deadline)
-    if _factor_pass(st, limits, deadline):
-        _deletion_fixpoint(st, xarity, limits, deadline)
+    _deletion_fixpoint(st)
+    if _factor_pass(st):
+        _deletion_fixpoint(st)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +435,7 @@ def _partner_positions(st: _State, p: PointedClause, skip: int) -> Iterator[tupl
                 yield i, k
 
 
-def purify(st: _State, p_id: int, p_idx: int, limits: SearchLimits, deadline: float) -> bool:
+def purify(st: _State, p_id: int, p_idx: int) -> bool:
     """Saturate the designated literal of clause `p_id` against the rest:
     repeatedly add constraint resolvents not subsumed (modulo constraint
     unfolding) by the live set, with eager variable elimination and subsumption
@@ -367,36 +444,31 @@ def purify(st: _State, p_id: int, p_idx: int, limits: SearchLimits, deadline: fl
     p = pointed(st.clauses[p_id], p_idx)
     like = p.designated.dual()
     spent = 0
-    while True:
-        if time.monotonic() > deadline or len(st.steps) >= limits.max_steps:
-            return False
-        if is_purified(p, st.alive_clauses(without=p_id)) is not None:
-            st.remove(p_id)
-            st.record(PurDelStep(p_id, p_idx))
-            return True
-        if spent >= limits.purify_budget:
-            return False
-        progress = False
-        for cid, k in _partner_positions(st, p, skip=p_id):
-            r = constraint_resolve(p, pointed(st.clauses[cid], k))
-            if any(subsumes_L_velim(s, r, like) for s in st.alive_clauses()):
-                continue
-            rid = st.add(r)
-            st.record(Infer("res", (p_id, cid), (p_idx, k), rid, r))
-            spent += 1
-            r2, applied = variable_eliminate(r)
-            if applied:
-                st.remove(rid)
-                rid2 = st.add(r2)
-                st.record(VarElimStep(rid, rid2, r2))
-            try:
-                _subsumption_pass(st, limits, deadline, protect=frozenset([p_id]))
-            except _Budget:
+    try:
+        while True:
+            # a state that may take no further step is not worth a purity check
+            st.charge()
+            step = _attempt(_purdel, st, p_id, p_idx)
+            if step is not None:
+                st.apply(step)
+                return True
+            if spent >= st.limits.purify_budget:
                 return False
-            progress = True
-            break
-        if not progress:
-            return False
+            for cid, k in _partner_positions(st, p, skip=p_id):
+                step = _res(st, p_id, p_idx, cid, k)
+                if any(subsumes_L_velim(s, step.added, like) for s in st.alive_clauses()):
+                    continue
+                st.apply(step)
+                spent += 1
+                velim = _attempt(_varelim, st, step.new_id)
+                if velim is not None:
+                    st.apply(velim)
+                _subsumption_pass(st, protect=frozenset([p_id]))
+                break
+            else:
+                return False
+    except _Budget:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +503,12 @@ def search(
     The search is deterministic: all tie-breaking is canonical.
     """
     limits = limits or SearchLimits()
-    deadline = time.monotonic() + limits.timeout
     branches = [0]
     seen: set[tuple[str, ...]] = set()
 
     def rec(st: _State) -> Iterator[Derivation]:
         try:
-            preprocess(st, xarity, limits, deadline)
+            preprocess(st)
         except _Budget:
             return
         if not any(l.pvar for c in st.alive_clauses() for l in c.lits):
@@ -448,167 +519,42 @@ def search(
                 yield d
             return
         for (i, k) in _candidates(st):
-            if time.monotonic() > deadline or branches[0] >= limits.max_branches:
+            if time.monotonic() > st.deadline or branches[0] >= limits.max_branches:
                 return
             branches[0] += 1
             child = st.clone()
-            if purify(child, i, k, limits, deadline):
+            if purify(child, i, k):
                 yield from rec(child)
 
-    yield from rec(_State.start(clauses))
+    yield from rec(_State.start(clauses, xarity, limits))
 
 
 # ---------------------------------------------------------------------------
 # replay
 
 
-def _need(st: _State, index: int, i: int) -> Clause:
-    if i not in st.alive:
-        raise ReplayError(index, f"clause {i} is not in the current set")
-    return st.clauses[i]
-
-
-def _need_lit(index: int, c: Clause, i: int, k: int) -> Lit:
-    if not 0 <= k < len(c.lits):
-        raise ReplayError(index, f"clause {i} has no literal {k + 1}")
-    return c.lits[k]
-
-
-def _assign(st: _State, index: int, declared: int, c: Clause) -> int:
-    if declared != st.next_id():
-        raise ReplayError(index, f"expected new id {st.next_id()}, trace says {declared}")
-    return st.add(c)
-
-
 def replay(clauses: Sequence[Clause], xarity: dict[str, int], trace: str) -> Derivation:
     """Execute a trace against an initial clause set, re-validating every side
     condition; raises ReplayError on the first invalid step."""
-    st = _State.start(clauses)
-    lines = [l.strip() for l in trace.splitlines()]
+    st = _State.start(clauses, xarity)
     index = -1
-    for raw in lines:
+    for raw in trace.splitlines():
+        raw = raw.strip()
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         index += 1
-        if m := _RES_RE.match(line):
-            i1, k1, i2, k2, nid = map(int, m.groups())
-            c1, c2 = _need(st, index, i1), _need(st, index, i2)
-            _need_lit(index, c1, i1, k1 - 1), _need_lit(index, c2, i2, k2 - 1)
-            try:
-                r = constraint_resolve(pointed(c1, k1 - 1), pointed(c2, k2 - 1))
-            except ValueError as e:
-                raise ReplayError(index, str(e)) from None
-            _assign(st, index, nid, r)
-            st.record(Infer("res", (i1, i2), (k1 - 1, k2 - 1), nid, r))
-        elif m := _FAC_RE.match(line):
-            i1, a, b, nid = map(int, m.groups())
-            c = _need(st, index, i1)
-            _need_lit(index, c, i1, a - 1), _need_lit(index, c, i1, b - 1)
-            try:
-                f = constraint_factor(c, a - 1, b - 1)
-            except ValueError as e:
-                raise ReplayError(index, str(e)) from None
-            _assign(st, index, nid, f)
-            st.record(Infer("fac", (i1,), (a - 1, b - 1), nid, f))
-        elif m := _CELIM_RE.match(line):
-            i1, nid = map(int, m.groups())
-            c = _need(st, index, i1)
-            r = constraint_eliminate(c)
-            if r is None:
-                raise ReplayError(index, f"no eliminable constraint block in clause {i1}")
-            _assign(st, index, nid, r)
-            st.record(Infer("constrelim", (i1,), (), nid, r))
-        elif m := _PARMOD_RE.match(line):
-            i1, e1, orient, i2, pos, nid = m.groups()
-            i1, e1, i2, nid = int(i1), int(e1), int(i2), int(nid)
-            parts = [int(x) - 1 for x in pos.split(".")]
-            li, path = parts[0], tuple(parts[1:])
-            c1, c2 = _need(st, index, i1), _need(st, index, i2)
-            _need_lit(index, c1, i1, e1 - 1), _need_lit(index, c2, i2, li)
-            orients = [orient] if orient else ["lr", "rl"]
-            r = None
-            for o in orients:
-                r = paramodulant(c1, e1 - 1, o, c2, li, path)
-                if r is not None:
-                    orient = o
-                    break
-            if r is None:
-                raise ReplayError(index, f"paramodulation does not apply at {line!r}")
-            _assign(st, index, nid, r)
-            st.record(Infer("parmod", (i1, i2), (e1 - 1, orient, li, path), nid, r))
-        elif m := _VELIM_RE.match(line):
-            i1, nid = map(int, m.groups())
-            c = _need(st, index, i1)
-            c2, applied = variable_eliminate(c)
-            if not applied:
-                raise ReplayError(index, f"clause {i1} has no eliminable variable")
-            st.remove(i1)
-            _assign(st, index, nid, c2)
-            st.record(VarElimStep(i1, nid, c2))
-        elif m := _REDEL_RE.match(line):
-            i1 = int(m.group(1))
-            c = _need(st, index, i1)
-            if m.group(2):
-                if not is_tautology(c):
-                    raise ReplayError(index, f"clause {i1} is not a tautology")
-                st.remove(i1)
-                st.record(RedDel(i1, "tautology"))
-            else:
-                by = int(m.group(3))
-                cb = _need(st, index, by)
-                if by == i1 or not subsumes(cb, c):
-                    raise ReplayError(index, f"clause {by} does not subsume clause {i1}")
-                st.remove(i1)
-                st.record(RedDel(i1, "subsumed-by", by))
-        elif m := _PURDEL_RE.match(line):
-            i1, k = map(int, m.groups())
-            c = _need(st, index, i1)
-            l = _need_lit(index, c, i1, k - 1)
-            if not l.pvar:
-                raise ReplayError(index, f"literal {i1}.{k} is not a predicate-variable literal")
-            if is_purified(pointed(c, k - 1), st.alive_clauses(without=i1)) is None:
-                raise ReplayError(index, f"{i1}.{k} is not purified in the current set")
-            st.remove(i1)
-            st.record(PurDelStep(i1, k - 1))
-        elif m := _EXTPD_RE.match(line):
-            x, pol = m.groups()
-            want = pol == "+"
-            ids = [
-                i for i in sorted(st.alive)
-                if any(l.pvar and l.head == x for l in st.clauses[i].lits)
-            ]
-            bad = next(
-                (
-                    i for i in ids
-                    if not any(
-                        l.pvar and l.head == x and l.pos == want
-                        for l in st.clauses[i].lits
-                    )
-                ),
-                None,
-            )
-            if bad is not None:
-                raise ReplayError(
-                    index, f"clause {bad} has no {pol}{x} literal, ExtPurDel does not apply"
-                )
-            arity = xarity.get(x)
-            if arity is None:
-                occ = next(
-                    (
-                        len(l.args)
-                        for i in ids
-                        for l in st.clauses[i].lits
-                        if l.pvar and l.head == x
-                    ),
-                    None,
-                )
-                if occ is None:
-                    raise ReplayError(index, f"unknown predicate variable {x}")
-                arity = occ
-            for i in ids:
-                st.remove(i)
-            st.record(ExtPurDelStep(x, pol, arity, tuple(ids)))
+        for rule in RULES.values():
+            if (parsed := rule.parse(line)) is not None:
+                break
         else:
             raise ReplayError(index, f"cannot parse trace line {raw!r}")
+        args, declared = parsed
+        try:
+            step = rule.fn(st, *args)
+        except _Rejected as e:
+            raise ReplayError(index, str(e)) from None
+        if step.new_id != declared:
+            raise ReplayError(index, f"expected new id {step.new_id}, trace says {declared}")
+        st.apply(step)
     return st.freeze()

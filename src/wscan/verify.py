@@ -14,9 +14,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .calculus import constraint_eliminate, constraint_factor, paramodulant, variable_eliminate
+from .calculus import (
+    all_paramodulants,
+    constraint_eliminate,
+    constraint_factor,
+    paramodulant,
+    variable_eliminate,
+)
 from .logic import (
     EQ,
+    FALSE,
+    TRUE,
     App,
     Clause,
     FAll,
@@ -39,6 +47,7 @@ from .logic import (
     clause_to_formula,
     formula_has_gfp,
     fresh_name,
+    lit_to_formula,
     map_children,
     rename_clause_apart,
     simplify,
@@ -58,9 +67,9 @@ class ClausifyError(Exception):
 
 def _nnf(f: Formula, pos: bool) -> Formula:
     if isinstance(f, FTrue):
-        return TRUE_ if pos else FALSE_
+        return TRUE if pos else FALSE
     if isinstance(f, FFalse):
-        return FALSE_ if pos else TRUE_
+        return FALSE if pos else TRUE
     if isinstance(f, FAtom):
         return f if pos else FNot(f)
     if isinstance(f, FNot):
@@ -85,10 +94,6 @@ def _nnf(f: Formula, pos: bool) -> Formula:
     if isinstance(f, FGfp):
         raise ClausifyError("gfp formulas have no clausal form")
     raise TypeError(f)
-
-
-TRUE_ = FTrue()
-FALSE_ = FFalse()
 
 
 def _standardize(f: Formula) -> Formula:
@@ -379,7 +384,7 @@ def soqe_holds(m: FiniteModel, n: Sequence[Clause], xars: Mapping[str, int]) -> 
                 if l.pvar and l.head in xars:
                     atoms.append((l.pos, l.head, tuple(eval_term(m, a, venv) for a in l.args)))
                     continue
-                if eval_formula(m, _lit_formula(l), venv):
+                if eval_formula(m, lit_to_formula(l), venv):
                     sat = True
                     break
             if sat:
@@ -388,11 +393,6 @@ def soqe_holds(m: FiniteModel, n: Sequence[Clause], xars: Mapping[str, int]) -> 
                 return False
             cnf.append(frozenset(atoms))
     return _dpll(cnf, {})
-
-
-def _lit_formula(l: Lit) -> Formula:
-    a = FAtom(l.head, l.args, l.pvar)
-    return a if l.pos else FNot(a)
 
 
 def _dpll(clauses: list[frozenset], assign: dict) -> bool:
@@ -588,7 +588,7 @@ class _Prover:
                         return
                     self._admit(r, "res", (hid, gid), (i, j))
             for (c1, c1id, c2, c2id) in ((g, gid, h, hid), (h, hid, g, gid)):
-                for r, ei, orient, li, path in _all_parmods(c1, c2):
+                for r, ei, orient, li, path in all_paramodulants(c1, c2):
                     if not self._spend():
                         return
                     self._admit(r, "parmod", (c1id, c2id), (ei, orient, li, path))
@@ -614,12 +614,6 @@ class _Prover:
                 if not self._spend():
                     return
                 self._admit(r, "constrelim", (gid,), (sel,))
-
-
-def _all_parmods(c1: Clause, c2: Clause):
-    from .calculus import all_paramodulants
-
-    yield from all_paramodulants(c1, c2)
 
 
 def find_model(

@@ -45,7 +45,7 @@ from .logic import (
     subst_lit,
     compose_pred_subst,
 )
-from .saturation import Derivation, ExtPurDelStep, PurDelStep
+from .saturation import Derivation
 from .subsumption import subsumes, subsumes_L_velim
 
 
@@ -364,9 +364,8 @@ class FirstOrderUnavailable(Exception):
 
 
 def _purdel_pred(
-    d: Derivation, i: int, step: PurDelStep, mode: str, k_override: Optional[int], budget: int
+    d: Derivation, i: int, p: PointedClause, mode: str, k_override: Optional[int], budget: int
 ) -> tuple[PredExpr, str]:
-    p = pointed(d.clauses[step.clause_id], step.lit)
     n = d.alive_clauses(i + 1)
     if mode in ("first-order", "auto"):
         got = find_acyclic(p, n)
@@ -403,13 +402,15 @@ def extract_witness(
     modes: list[tuple[int, str]] = []
     for i in range(len(d.steps) - 1, -1, -1):
         step = d.steps[i]
-        if isinstance(step, ExtPurDelStep):
-            pe = pred_true(step.arity) if step.polarity == "+" else pred_false(step.arity)
-            tau = {step.pvar: pe}
-            modes.append((i, f"ext {step.polarity}"))
-        elif isinstance(step, PurDelStep):
-            pe, note = _purdel_pred(d, i, step, mode, k_override, lres_budget)
-            tau = {d.clauses[step.clause_id].lits[step.lit].head: pe}
+        if step.rule == "extpurdel":
+            x, pol, arity = step.args
+            tau = {x: pred_true(arity) if pol == "+" else pred_false(arity)}
+            modes.append((i, f"ext {pol}"))
+        elif step.rule == "purdel":
+            cid, k = step.args
+            p = pointed(d.clauses[cid], k)
+            pe, note = _purdel_pred(d, i, p, mode, k_override, lres_budget)
+            tau = {p.designated.head: pe}
             modes.append((i, note))
         else:
             continue

@@ -8,7 +8,6 @@ from wscan.calculus import (
     constraint_eliminate,
     constraint_factor,
     constraint_resolve,
-    ext_purity_check,
     is_purified,
     paramodulant,
     res_p_bounded,
@@ -169,14 +168,3 @@ def test_is_purified_rejects_missing_cover():
     p = pointed("~X(?u) | B(?u)", pos=False)
     assert is_purified(p, n) is None
 
-
-def test_ext_purity_polarities():
-    n_pos = frozenset(clauses_of("X(a) | B(a)\nX(c)"))
-    assert ext_purity_check(n_pos, "X") == "+"
-    n_neg = frozenset(clauses_of("~X(a)\n~X(c) | B(c)"))
-    assert ext_purity_check(n_neg, "X") == "-"
-    n_mixed = frozenset(clauses_of("X(a)\n~X(c)"))
-    assert ext_purity_check(n_mixed, "X") is None
-    # clauses without X do not block either polarity
-    n_free = frozenset(clauses_of("B(a)\nX(c)"))
-    assert ext_purity_check(n_free, "X") == "+"

@@ -1,5 +1,6 @@
 """Derivation search, trace replay, and the deletion side conditions."""
 
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,17 @@ def test_corpus_search_derivations_replay_exactly(path):
     d = next(search(prob.clauses, prob.xvars), None)
     assert d is not None
     assert replay(prob.clauses, prob.xvars, "\n".join(d.trace_lines())) == d
+
+
+@pytest.mark.parametrize("path", SEARCH_SOLVED, ids=lambda p: p.stem)
+def test_step_budget_is_charged_per_step(path):
+    prob = merge_theory(parse_problem(path.read_text(), origin=str(path)))
+    d = next(search(prob.clauses, prob.xvars))
+    n = len(d.steps)
+    assert next(search(prob.clauses, prob.xvars, SearchLimits(max_steps=n))) == d
+    if n > 1:
+        tighter = search(prob.clauses, prob.xvars, SearchLimits(max_steps=n - 1))
+        assert all(len(e.steps) <= n - 1 for e in islice(tighter, 8))
 
 
 def test_search_is_deterministic_across_runs():
@@ -140,6 +152,23 @@ def test_replay_subsumption_deletion():
         replay(clauses, {"X": 1}, "redel 2 subsumed-by 1")
 
 
+def test_extpurdel_polarities():
+    def accepts(text, pol):
+        try:
+            replay(clauses_of(text), {"X": 1}, f"extpurdel X {pol}")
+        except ReplayError:
+            return False
+        return True
+
+    assert accepts("X(a) | B(a)\nX(c)", "+") and not accepts("X(a) | B(a)\nX(c)", "-")
+    assert accepts("~X(a)\n~X(c) | B(c)", "-") and not accepts("~X(a)\n~X(c) | B(c)", "+")
+    assert not accepts("X(a)\n~X(c)", "+") and not accepts("X(a)\n~X(c)", "-")
+    # clauses without X do not block either polarity
+    assert accepts("B(a)\nX(c)", "+")
+    # where both polarities apply, search takes +
+    assert solve("X(a) | ~X(b)").trace_lines() == ["extpurdel X +"]
+
+
 def test_purdel_blocked_when_only_cover_is_a_tautology():
     # the designated literal resolves against clause 1 into a tautology, and
     # tautologies do not count as covered, so the deletion must be refused
@@ -163,3 +192,39 @@ def test_derivation_records_alive_sets():
     assert len(initial) == 4
     final = set(d.conclusion())
     assert final <= set(d.clauses.values())
+
+
+# one row per trace form: problem, an accepted line and how it prints back,
+# a rejected line and its reason
+RULE_ROWS = [
+    ("res", MAIN, "res 2.1 4.1 -> 5", None,
+     "res 2.1 3.1 -> 5", "resolution is on predicate-variable literals"),
+    ("fac", "X(?u) | X(a)\n~X(b)", "fac 1.1.2 -> 3", None,
+     "fac 1.1.1 -> 3", "factoring needs two distinct literals"),
+    ("constrelim", "f(?u) != f(a) | X(?u)\n~X(b)", "constrelim 1 -> 3", None,
+     "constrelim 2 -> 3", "no eliminable constraint block in clause 2"),
+    ("parmod", "a = b\nB(f(a))", "parmod 1.1 2@1.1.1 -> 3", "parmod 1.1:lr 2@1.1.1 -> 3",
+     "parmod 1.1:rl 2@1.1.1 -> 3",
+     "paramodulation does not apply at 'parmod 1.1:rl 2@1.1.1 -> 3'"),
+    ("varelim", "?u != a | X(?u)\n~X(b)", "varelim 1 -> 3", None,
+     "varelim 2 -> 3", "clause 2 has no eliminable variable"),
+    ("tautology", "X(?u) | ~X(?u)\nB(a)", "redel 1 tautology", None,
+     "redel 2 tautology", "clause 2 is not a tautology"),
+    ("subsumed", "B(a) | B(?u)\nB(?v)", "redel 1 subsumed-by 2", None,
+     "redel 2 subsumed-by 1", "clause 1 does not subsume clause 2"),
+    ("purdel", "X(a)\nB(b)", "purdel 1.1", None,
+     "purdel 2.1", "literal 2.1 is not a predicate-variable literal"),
+    ("extpurdel", "X(a)\nB(b)", "extpurdel X +", None,
+     "extpurdel X -", "clause 1 has no -X literal, ExtPurDel does not apply"),
+]
+
+
+@pytest.mark.parametrize("rule,text,good,printed,bad,reason", RULE_ROWS, ids=[r[0] for r in RULE_ROWS])
+def test_replay_rule_row(rule, text, good, printed, bad, reason):
+    clauses = clauses_of(text)
+    d = replay(clauses, {"X": 1}, good)
+    assert [s.rule for s in d.steps] == [rule]
+    assert d.trace_lines() == [printed or good]
+    with pytest.raises(ReplayError) as e:
+        replay(clauses, {"X": 1}, bad)
+    assert e.value.index == 0 and e.value.reason == reason
