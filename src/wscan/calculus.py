@@ -223,24 +223,6 @@ def resolution_partners(p: PointedClause, c: Clause) -> Iterator[PointedClause]:
             yield pointed(c, i)
 
 
-def res_p_bounded(p: PointedClause, n: frozenset[Clause], k: int) -> frozenset[Clause]:
-    """The k-fold resolution closure of n under resolving with p."""
-    out = set(n)
-    frontier = set(n)
-    for _ in range(k):
-        new = set()
-        for c in frontier:
-            for q in resolution_partners(p, c):
-                r = constraint_resolve(p, q)
-                if r not in out:
-                    new.add(r)
-        if not new:
-            break
-        out |= new
-        frontier = new
-    return frozenset(out)
-
-
 def is_purified(p: PointedClause, n: frozenset[Clause]) -> Optional[dict]:
     """Check that every one-step resolvent of p against n is covered by n
     modulo constraint unfolding (with injective matching on the literals that

@@ -512,6 +512,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         _err(f"WSCAN_TIMEOUT must be a positive number of seconds, got {raw!r}")
         return 3
     args = build_parser(timeout).parse_args(argv)
+    for name in ("max_steps", "timeout", "verify_timeout"):
+        value = getattr(args, name, 1)  # not every command has every budget
+        if not value > 0:
+            _err(f"--{name.replace('_', '-')} must be positive, got {value}")
+            return 3
     return args.fn(args)
 
 

@@ -559,6 +559,14 @@ def lit_to_formula(l: Lit) -> Formula:
     return atom if l.pos else FNot(atom)
 
 
+def formula_to_lit(f: Formula) -> Lit:
+    """The inverse of lit_to_formula, for an atom under any number of `~`."""
+    if isinstance(f, FNot):
+        return formula_to_lit(f.sub).dual()
+    assert isinstance(f, FAtom)
+    return Lit(True, f.head, f.args, f.pvar)
+
+
 def clause_to_formula(c: Clause) -> Formula:
     return forall(c.vars, for_(*[lit_to_formula(l) for l in c.lits]))
 

@@ -7,8 +7,14 @@ File format (line-oriented, `#` comments):
     X(a) | ~B(?u, c)          ordinary clause; `|` separates literals
     a != c.                   equality/disequality atoms; trailing `.` optional
 
-Variables are `?`-prefixed; identifiers are `[A-Za-z_][A-Za-z0-9_]*`.  The
-signature is inferred from use and arity conflicts are rejected.
+Variables are `?`-prefixed; identifiers are `[A-Za-z_][A-Za-z0-9_]*`.  A line
+is a directive when its first token is the identifier `exists`, so
+`existsB(a)` is a clause.  The signature is inferred from use and arity
+conflicts are rejected.
+
+Clause literals, prover goals and witness bodies share one recursive-descent
+grammar for terms and atoms; a clause literal is an optional `~` followed by
+a formula atom.  Errors carry the line and column of the offending token.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .logic import (
     canonical_pred_expr,
     forall,
     for_,
+    formula_to_lit,
     lit_to_formula,
     lit_vars,
     simplify_pred_expr,
@@ -79,18 +86,16 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokens(text: str, keep_newlines: bool = False) -> list[_Tok]:
+def _tokens(text: str, line: int = 1) -> list[_Tok]:
+    """The tokens of `text`, whose first line is numbered `line`."""
     out: list[_Tok] = []
-    line, start = 1, 0
-    pos = 0
+    start = pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", line, pos - start + 1)
         kind = m.lastgroup
         if kind == "nl":
-            if keep_newlines:
-                out.append(_Tok("nl", "\n", line, pos - start + 1))
             line += 1
             start = m.end()
         elif kind not in ("ws", "comment"):
@@ -118,6 +123,13 @@ class _Parser:
         t = self.peek()
         return t.kind == kind and (text is None or t.text == text)
 
+    def accept(self, kind: str, text: Optional[str] = None) -> bool:
+        """Consume the next token when it matches."""
+        if self.at(kind, text):
+            self.next()
+            return True
+        return False
+
     def expect(self, kind: str, text: Optional[str] = None) -> _Tok:
         t = self.peek()
         if not self.at(kind, text):
@@ -131,31 +143,11 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# problems
-
-
-@dataclass
-class Problem:
-    """Clauses in file order (ids in traces are 1-based positions), the
-    predicate variables to eliminate with their arities, indices of
-    background-theory clauses, and the inferred signature."""
-
-    clauses: tuple[Clause, ...]
-    xvars: dict[str, int]
-    theory: frozenset[int] = frozenset()
-    funcs: dict[str, int] = field(default_factory=dict)
-    preds: dict[str, int] = field(default_factory=dict)
-    origin: str = "text"
-
-    def __post_init__(self):
-        for i in self.theory:
-            c = self.clauses[i]
-            if any(l.pvar for l in c.lits):
-                raise ValueError(f"theory clause {i + 1} contains a predicate variable: {c}")
+# signatures
 
 
 class _SigCheck:
-    """Arity bookkeeping shared by the clause and formula parsers."""
+    """Arity and symbol-kind bookkeeping for every symbol a parse meets."""
 
     def __init__(self, xvars: Mapping[str, int]):
         self.xvars = dict(xvars)
@@ -189,127 +181,226 @@ class _SigCheck:
         return False
 
 
-def _parse_term(p: _Parser, sig: _SigCheck) -> Term:
+# ---------------------------------------------------------------------------
+# terms, atoms and formulas: one grammar for clause literals, goals and
+# witness bodies.  `bound` holds the names in scope of a quantifier, gfp or
+# lambda binder; a bare identifier among them is a variable.  Clause files
+# bind nothing, so their variables carry the `?` mark.
+
+
+def _parse_args(
+    p: _Parser, sig: _SigCheck, bound: tuple[str, ...], empty: bool = False
+) -> tuple[Term, ...]:
+    """`( t, … )`; with `empty`, also `()`."""
+    p.expect("sym", "(")
+    args: list[Term] = []
+    if not (empty and p.at("sym", ")")):
+        args.append(_parse_term(p, sig, bound))
+        while p.accept("sym", ","):
+            args.append(_parse_term(p, sig, bound))
+    p.expect("sym", ")")
+    return tuple(args)
+
+
+def _parse_term(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Term:
     t = p.peek()
     if t.kind == "var":
         p.next()
         return Var(t.text[1:])
     if t.kind == "ident":
         p.next()
-        args: list[Term] = []
-        if p.at("sym", "("):
-            p.next()
-            args.append(_parse_term(p, sig))
-            while p.at("sym", ","):
-                p.next()
-                args.append(_parse_term(p, sig))
-            p.expect("sym", ")")
+        if t.text in bound and not p.at("sym", "("):
+            return Var(t.text)
+        args = _parse_args(p, sig, bound) if p.at("sym", "(") else ()
         sig.func(t.text, len(args), t)
-        return App(t.text, tuple(args))
+        return App(t.text, args)
     raise p.error(f"expected a term, found {t.text!r}")
 
 
-def _parse_literal(p: _Parser, sig: _SigCheck) -> Lit:
-    pos = True
-    if p.at("sym", "~"):
-        p.next()
-        pos = False
+def _parse_atom(
+    p: _Parser, sig: _SigCheck, bound: tuple[str, ...], negated: bool = False
+) -> Formula:
+    """`head(args)`, `head`, `s = t` or `s != t` (a negated equation).  A
+    clause literal's `~` (`negated`) may not precede a disequation."""
     t = p.peek()
-    # an atom is either  head(args)  /  head  with an uppercase-or-any ident,
-    # or  term (= | !=) term; disambiguate by looking past the first term.
-    if t.kind == "ident":
+    if t.kind == "ident" and t.text not in bound:
+        # a predicate atom unless an equation sign follows the first term
         save = p.i
-        name_tok = p.next()
-        args: list[Term] = []
-        if p.at("sym", "("):
-            p.next()
-            # could still be a term followed by = ; parse args tentatively
-            args.append(_parse_term(p, sig))
-            while p.at("sym", ","):
-                p.next()
-                args.append(_parse_term(p, sig))
-            p.expect("sym", ")")
-        if p.at("sym", "=") or p.at("sym", "!="):
-            p.i = save  # it was the left-hand term of an equation
-        else:
-            pvar = sig.pred(name_tok.text, len(args), name_tok)
-            return Lit(pos, name_tok.text, tuple(args), pvar)
-    lhs = _parse_term(p, sig)
-    if p.at("sym", "="):
         p.next()
-        rhs = _parse_term(p, sig)
-        return Lit(pos, EQ, (lhs, rhs))
-    if p.at("sym", "!="):
-        if not pos:
-            raise p.error("~ cannot negate a disequation; write =")
-        p.next()
-        rhs = _parse_term(p, sig)
-        return Lit(False, EQ, (lhs, rhs))
+        args = _parse_args(p, sig, bound) if p.at("sym", "(") else ()
+        if not (p.at("sym", "=") or p.at("sym", "!=")):
+            return FAtom(t.text, args, sig.pred(t.text, len(args), t))
+        p.i = save
+    lhs = _parse_term(p, sig, bound)
+    if p.accept("sym", "="):
+        return FAtom(EQ, (lhs, _parse_term(p, sig, bound)))
+    if negated and p.at("sym", "!="):
+        raise p.error("~ cannot negate a disequation; write =")
+    if p.accept("sym", "!="):
+        return FNot(FAtom(EQ, (lhs, _parse_term(p, sig, bound))))
     raise p.error("expected = or != after a term")
+
+
+def _parse_binders(p: _Parser, blank: bool = False) -> tuple[str, ...]:
+    """Binder names up to the `.` (a `?` mark is dropped); with `blank`, a
+    `_` closes the list, as in `lambda _.`."""
+    names: list[str] = []
+    while p.at("var") or (p.at("ident") and not (blank and p.at("ident", "_"))):
+        names.append(p.next().text.lstrip("?"))
+    p.accept("ident", "_")
+    p.expect("sym", ".")
+    return tuple(names)
+
+
+def _parse_formula(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
+    lhs = _parse_imp(p, sig, bound)
+    while p.accept("sym", "<->"):
+        lhs = FIff(lhs, _parse_imp(p, sig, bound))
+    return lhs
+
+
+def _parse_imp(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
+    lhs = _parse_or(p, sig, bound)
+    if p.accept("sym", "->"):
+        return FImp(lhs, _parse_imp(p, sig, bound))
+    return lhs
+
+
+def _parse_or(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
+    subs = [_parse_and(p, sig, bound)]
+    while p.accept("sym", "\\/"):
+        subs.append(_parse_and(p, sig, bound))
+    return subs[0] if len(subs) == 1 else FOr(tuple(subs))
+
+
+def _parse_and(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
+    subs = [_parse_unary(p, sig, bound)]
+    while p.accept("sym", "/\\"):
+        subs.append(_parse_unary(p, sig, bound))
+    return subs[0] if len(subs) == 1 else FAnd(tuple(subs))
+
+
+def _parse_unary(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
+    if p.accept("sym", "~"):
+        return FNot(_parse_unary(p, sig, bound))
+    if p.at("ident", "forall") or p.at("ident", "exists"):
+        ctor = FAll if p.next().text == "forall" else FEx
+        names = _parse_binders(p)
+        body = _parse_formula(p, sig, bound + names)
+        for n in reversed(names):
+            body = ctor(n, body)
+        return body
+    if p.at("ident", "gfp"):
+        return _parse_gfp(p, sig, bound)
+    if p.accept("ident", "true"):
+        return FTrue()
+    if p.accept("ident", "false"):
+        return FFalse()
+    if p.accept("sym", "("):
+        if p.at("ident", "gfp"):
+            g = _parse_gfp(p, sig, bound)
+            p.expect("sym", ")")
+            if p.accept("sym", "@"):  # application args follow the closing paren
+                return replace(g, args=_parse_args(p, sig, bound, empty=True))
+            return g
+        f = _parse_formula(p, sig, bound)
+        p.expect("sym", ")")
+        return f
+    return _parse_atom(p, sig, bound)
+
+
+def _parse_gfp(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> FGfp:
+    p.expect("ident", "gfp")
+    yname = p.expect("ident").text
+    params = _parse_binders(p)
+    inner = _SigCheck({**sig.xvars, yname: len(params)})
+    inner.funcs, inner.preds = sig.funcs, sig.preds  # share tables
+    body = _parse_formula(p, inner, bound + params)
+    return FGfp(yname, params, body, ())
+
+
+# ---------------------------------------------------------------------------
+# problems
+
+
+@dataclass
+class Problem:
+    """Clauses in file order (ids in traces are 1-based positions), the
+    predicate variables to eliminate with their arities, indices of
+    background-theory clauses, and the inferred signature."""
+
+    clauses: tuple[Clause, ...]
+    xvars: dict[str, int]
+    theory: frozenset[int] = frozenset()
+    funcs: dict[str, int] = field(default_factory=dict)
+    preds: dict[str, int] = field(default_factory=dict)
+    origin: str = "text"
+
+    def __post_init__(self):
+        for i in self.theory:
+            c = self.clauses[i]
+            if any(l.pvar for l in c.lits):
+                raise ValueError(f"theory clause {i + 1} contains a predicate variable: {c}")
+
+
+def _parse_literal(p: _Parser, sig: _SigCheck) -> Lit:
+    neg = p.accept("sym", "~")
+    atom = _parse_atom(p, sig, (), negated=neg)
+    return formula_to_lit(FNot(atom) if neg else atom)
 
 
 def _parse_clause_line(p: _Parser, sig: _SigCheck) -> Clause:
     lits = [_parse_literal(p, sig)]
-    while p.at("sym", "|"):
-        p.next()
+    while p.accept("sym", "|"):
         lits.append(_parse_literal(p, sig))
-    if p.at("sym", "."):
-        p.next()
+    p.accept("sym", ".")
     return Clause.make(lits)
+
+
+def _parse_exists(p: _Parser, xvars: dict[str, int]) -> None:
+    p.expect("ident", "exists")
+    while True:
+        name = p.expect("ident")
+        p.expect("sym", "/")
+        arity = int(p.expect("num").text)
+        if name.text in xvars and xvars[name.text] != arity:
+            raise ParseError(
+                f"arity conflict for {name.text}: declared /{xvars[name.text]} and /{arity}",
+                name.line,
+                name.col,
+            )
+        xvars[name.text] = arity
+        if not p.accept("sym", ","):
+            break
+    p.accept("sym", ".")
+    if not p.at("eof"):
+        raise p.error("trailing input after exists directive")
 
 
 def parse_problem(text: str, origin: str = "text") -> Problem:
     """Parse the clause file format; raises ParseError with line/column."""
-    lines = text.split("\n")
+    lines = [
+        _Parser(_tokens(body, ln))
+        for ln, raw in enumerate(text.split("\n"), start=1)
+        if (body := raw.split("#", 1)[0]).strip()
+    ]
     xvars: dict[str, int] = {}
-    # first pass: `exists` directives, so declarations may follow uses
-    for ln, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped.startswith("exists"):
-            continue
-        p = _Parser(_tokens(raw.split("#", 1)[0]))
-        for t in p.toks:
-            object.__setattr__(t, "line", ln)
-        p.expect("ident", "exists")
-        while True:
-            name = p.expect("ident")
-            p.expect("sym", "/")
-            arity = int(p.expect("num").text)
-            if name.text in xvars and xvars[name.text] != arity:
-                raise ParseError(
-                    f"arity conflict for {name.text}: declared /{xvars[name.text]} and /{arity}",
-                    ln,
-                    name.col,
-                )
-            xvars[name.text] = arity
-            if p.at("sym", ","):
-                p.next()
-                continue
-            break
-        if p.at("sym", "."):
-            p.next()
-        if not p.at("eof"):
-            raise ParseError(f"trailing input after exists directive", ln, p.peek().col)
+    # `exists` directives first, so declarations may follow uses
+    for p in [p for p in lines if p.at("ident", "exists")]:
+        _parse_exists(p, xvars)
     sig = _SigCheck(xvars)
     clauses: list[Clause] = []
     theory: set[int] = set()
-    for ln, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0]
-        if not body.strip() or body.strip().startswith("exists"):
+    for p in lines:
+        if p.at("eof"):  # a directive, already read
             continue
-        p = _Parser(_tokens(body))
-        for t in p.toks:
-            object.__setattr__(t, "line", ln)
-        is_theory = False
-        if p.at("ident", "theory"):
-            p.next()
-            is_theory = True
+        is_theory = p.accept("ident", "theory")
         c = _parse_clause_line(p, sig)
         if not p.at("eof"):
-            raise ParseError(f"trailing input after clause", ln, p.peek().col)
+            raise p.error("trailing input after clause")
         if is_theory:
             if any(l.pvar for l in c.lits):
-                raise ParseError("theory clause contains a predicate variable", ln, 1)
+                raise ParseError("theory clause contains a predicate variable", p.toks[0].line, 1)
             theory.add(len(clauses))
         clauses.append(c)
     return Problem(tuple(clauses), xvars, frozenset(theory), sig.funcs, sig.preds, origin)
@@ -491,157 +582,7 @@ def ackermann_witness(p: Problem, x: str) -> Optional[Witness]:
 
 
 # ---------------------------------------------------------------------------
-# witness files and formula text
-
-
-def _parse_formula(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
-    return _parse_iff(p, sig, bound)
-
-
-def _parse_iff(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
-    lhs = _parse_imp(p, sig, bound)
-    while p.at("sym", "<->"):
-        p.next()
-        lhs = FIff(lhs, _parse_imp(p, sig, bound))
-    return lhs
-
-
-def _parse_imp(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
-    lhs = _parse_or(p, sig, bound)
-    if p.at("sym", "->"):
-        p.next()
-        return FImp(lhs, _parse_imp(p, sig, bound))
-    return lhs
-
-
-def _parse_or(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
-    subs = [_parse_and(p, sig, bound)]
-    while p.at("sym", "\\/"):
-        p.next()
-        subs.append(_parse_and(p, sig, bound))
-    return subs[0] if len(subs) == 1 else FOr(tuple(subs))
-
-
-def _parse_and(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
-    subs = [_parse_unary(p, sig, bound)]
-    while p.at("sym", "/\\"):
-        p.next()
-        subs.append(_parse_unary(p, sig, bound))
-    return subs[0] if len(subs) == 1 else FAnd(tuple(subs))
-
-
-def _parse_unary(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
-    if p.at("sym", "~"):
-        p.next()
-        return FNot(_parse_unary(p, sig, bound))
-    if p.at("ident", "forall") or p.at("ident", "exists"):
-        ctor = FAll if p.next().text == "forall" else FEx
-        names = []
-        while p.at("var") or (p.at("ident") and not p.at("sym", ".")):
-            t = p.next()
-            names.append(t.text[1:] if t.kind == "var" else t.text)
-        p.expect("sym", ".")
-        body = _parse_formula(p, sig, bound + tuple(names))
-        for n in reversed(names):
-            body = ctor(n, body)
-        return body
-    if p.at("ident", "gfp"):
-        return _parse_gfp(p, sig, bound)
-    if p.at("ident", "true"):
-        p.next()
-        return FTrue()
-    if p.at("ident", "false"):
-        p.next()
-        return FFalse()
-    if p.at("sym", "("):
-        save = p.i
-        p.next()
-        if p.at("ident", "gfp"):
-            g = _parse_gfp(p, sig, bound)
-            p.expect("sym", ")")
-            if p.at("sym", "@"):  # application args follow the closing paren
-                p.next()
-                p.expect("sym", "(")
-                args: list[Term] = []
-                if not p.at("sym", ")"):
-                    args.append(_parse_term_b(p, sig, bound))
-                    while p.at("sym", ","):
-                        p.next()
-                        args.append(_parse_term_b(p, sig, bound))
-                p.expect("sym", ")")
-                return FGfp(g.pvar, g.params, g.body, tuple(args))
-            return g
-        f = _parse_formula(p, sig, bound)
-        # `(term ...` is also possible: fall back to atom parsing on failure paths
-        p.expect("sym", ")")
-        return f
-    return _parse_atom(p, sig, bound)
-
-
-def _parse_gfp(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> FGfp:
-    p.expect("ident", "gfp")
-    yname = p.expect("ident").text
-    params = []
-    while p.at("var") or (p.at("ident") and not p.at("sym", ".")):
-        t = p.next()
-        params.append(t.text[1:] if t.kind == "var" else t.text)
-    p.expect("sym", ".")
-    inner = _SigCheck(dict(sig.xvars, **{yname: len(params)}))
-    inner.funcs, inner.preds = sig.funcs, sig.preds  # share tables
-    body = _parse_formula(p, inner, bound + tuple(params))
-    return FGfp(yname, tuple(params), body, ())
-
-
-def _parse_term_b(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Term:
-    """Terms in formula position: bare identifiers that are lambda/quantifier
-    bound count as variables, so hand-written files need no `?` marks."""
-    t = p.peek()
-    if t.kind == "var":
-        p.next()
-        return Var(t.text[1:])
-    if t.kind == "ident":
-        p.next()
-        if not p.at("sym", "(") and t.text in bound:
-            return Var(t.text)
-        args: list[Term] = []
-        if p.at("sym", "("):
-            p.next()
-            args.append(_parse_term_b(p, sig, bound))
-            while p.at("sym", ","):
-                p.next()
-                args.append(_parse_term_b(p, sig, bound))
-            p.expect("sym", ")")
-        sig.func(t.text, len(args), t)
-        return App(t.text, tuple(args))
-    raise p.error(f"expected a term, found {t.text!r}")
-
-
-def _parse_atom(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
-    t = p.peek()
-    if t.kind == "ident" and t.text not in bound:
-        save = p.i
-        name_tok = p.next()
-        args: list[Term] = []
-        if p.at("sym", "("):
-            p.next()
-            args.append(_parse_term_b(p, sig, bound))
-            while p.at("sym", ","):
-                p.next()
-                args.append(_parse_term_b(p, sig, bound))
-            p.expect("sym", ")")
-        if p.at("sym", "=") or p.at("sym", "!="):
-            p.i = save
-        else:
-            pvar = sig.pred(name_tok.text, len(args), name_tok)
-            return FAtom(name_tok.text, tuple(args), pvar)
-    lhs = _parse_term_b(p, sig, bound)
-    if p.at("sym", "="):
-        p.next()
-        return FAtom(EQ, (lhs, _parse_term_b(p, sig, bound)))
-    if p.at("sym", "!="):
-        p.next()
-        return FNot(FAtom(EQ, (lhs, _parse_term_b(p, sig, bound))))
-    raise p.error("expected = or != after a term")
+# formula and witness files
 
 
 def parse_formula(text: str, xvars: Optional[Mapping[str, int]] = None) -> Formula:
@@ -649,8 +590,7 @@ def parse_formula(text: str, xvars: Optional[Mapping[str, int]] = None) -> Formu
     p = _Parser(_tokens(text))
     sig = _SigCheck(xvars or {})
     f = _parse_formula(p, sig, ())
-    if p.at("sym", "."):
-        p.next()
+    p.accept("sym", ".")
     if not p.at("eof"):
         raise p.error("trailing input after formula")
     return f
@@ -665,22 +605,13 @@ def parse_witness(text: str, xvars: Optional[Mapping[str, int]] = None) -> dict[
         body = raw.split("#", 1)[0]
         if not body.strip():
             continue
-        p = _Parser(_tokens(body))
-        for t in p.toks:
-            object.__setattr__(t, "line", ln)
+        p = _Parser(_tokens(body, ln))
         name = p.expect("ident").text
         p.expect("sym", ":=")
         p.expect("ident", "lambda")
-        params: list[str] = []
-        while p.at("var") or (p.at("ident") and p.peek().text != "_"):
-            t = p.next()
-            params.append(t.text[1:] if t.kind == "var" else t.text)
-        if p.at("ident", "_"):
-            p.next()
-        p.expect("sym", ".")
-        f = _parse_formula(p, sig, tuple(params))
-        if p.at("sym", "."):
-            p.next()
+        params = _parse_binders(p, blank=True)
+        f = _parse_formula(p, sig, params)
+        p.accept("sym", ".")
         if not p.at("eof"):
             raise p.error("trailing input after witness binding")
         if xvars is not None and name in xvars and xvars[name] != len(params):
@@ -689,5 +620,5 @@ def parse_witness(text: str, xvars: Optional[Mapping[str, int]] = None) -> dict[
                 ln,
                 1,
             )
-        out[name] = PredExpr(tuple(params), f)
+        out[name] = PredExpr(params, f)
     return out

@@ -86,7 +86,8 @@ class SearchLimits:
     max_branches: int = 64
 
     def __post_init__(self):
-        if min(self.max_steps, self.purify_budget, self.max_branches) <= 0 or self.timeout <= 0:
+        # `not > 0` also rejects a nan timeout, which no deadline would pass
+        if min(self.max_steps, self.purify_budget, self.max_branches) <= 0 or not self.timeout > 0:
             raise ValueError("limits must be positive")
 
 
@@ -218,6 +219,8 @@ def _parmod(
     c1, c2 = _need(st, i1), _need(st, i2)
     li, path = pos[0], pos[1:]
     _need_lit(c1, i1, e1), _need_lit(c2, i2, li)
+    if any(k < 0 for k in path):
+        raise _Rejected("paramodulation path positions start at 1")
     for o in [orient] if orient else ["lr", "rl"]:
         r = paramodulant(c1, e1, o, c2, li, path)
         if r is not None:

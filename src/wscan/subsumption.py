@@ -17,12 +17,10 @@ from typing import Iterator, Optional, Sequence
 from .logic import (
     Clause,
     Lit,
-    PointedClause,
     Term,
     Var,
     is_proper_subterm_var,
     match_terms,
-    pointed_make,
     subst_lit,
 )
 
@@ -92,12 +90,6 @@ def subsumes(s: Clause, c: Clause) -> bool:
     return _subsumes(s, c, None)
 
 
-def subsumes_strictly(s: Clause, c: Clause) -> bool:
-    """Subsumption that never holds between renamings of the same clause; safe
-    for deletion both ways round."""
-    return s != c and subsumes(s, c)
-
-
 def subsumes_L(s: Clause, c: Clause, like: Lit) -> bool:
     """Subsumption where s's literals of the kind of `like` (same predicate and
     polarity) must have pairwise distinct images in c."""
@@ -147,33 +139,6 @@ def velim_closure(c: Clause) -> frozenset[Clause]:
 
 
 _closure_cache: dict[Clause, frozenset[Clause]] = {}
-
-
-def velim_closure_pointed(p: PointedClause) -> frozenset[PointedClause]:
-    """Constraint unfolding on pointed clauses: the designated literal is kept
-    and is never the constraint being consumed."""
-    seen = {p}
-    queue = [p]
-    while queue and len(seen) < _CLOSURE_CAP:
-        cur = queue.pop()
-        for i, v, t in _velim_candidates(cur.clause.lits):
-            if i == cur.index:
-                continue
-            sub = {v: t}
-            lits = []
-            desig = None
-            for j, l in enumerate(cur.clause.lits):
-                if j == i:
-                    continue
-                if j == cur.index:
-                    desig = len(lits)
-                lits.append(subst_lit(l, sub))
-            clause, idx = pointed_make(lits, desig)
-            nxt = PointedClause(clause, idx)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
 
 
 def subsumes_L_velim(s: Clause, c: Clause, like: Lit) -> bool:

@@ -46,6 +46,7 @@ from .logic import (
     children,
     clause_to_formula,
     formula_has_gfp,
+    formula_to_lit,
     fresh_name,
     lit_to_formula,
     map_children,
@@ -116,21 +117,13 @@ def _matrix(f: Formula) -> Formula:
     return _matrix(f.sub) if isinstance(f, FAll) else map_children(f, _matrix)
 
 
-def _to_lit(f: Formula) -> Lit:
-    if isinstance(f, FNot):
-        l = _to_lit(f.sub)
-        return Lit(not l.pos, l.head, l.args, l.pvar)
-    assert isinstance(f, FAtom)
-    return Lit(True, f.head, f.args, f.pvar)
-
-
 def _cnf(f: Formula) -> list[tuple[Lit, ...]]:
     if isinstance(f, FTrue):
         return []
     if isinstance(f, FFalse):
         return [()]
     if isinstance(f, (FAtom, FNot)):
-        return [(_to_lit(f),)]
+        return [(formula_to_lit(f),)]
     if isinstance(f, FAnd):
         out = []
         for s in f.subs:

@@ -10,7 +10,6 @@ from wscan.calculus import (
     constraint_resolve,
     is_purified,
     paramodulant,
-    res_p_bounded,
     variable_eliminate,
 )
 from wscan.logic import Clause, PointedClause, Var, const
@@ -147,14 +146,6 @@ def test_paramodulation_carries_side_literals():
         any(l.head == "C" for l in r.lits) and any(l.head == "B" for l in r.lits)
         for r in outs
     )
-
-
-def test_res_p_bounded_levels():
-    n = frozenset(clauses_of("X(a)\nX(b)"))
-    p = pointed("~X(?u) | B(?u)", pos=False)
-    lvl1 = res_p_bounded(p, n, 1)
-    assert cl("?u != a | B(?u)") in lvl1 or cl("B(a)") in lvl1
-    assert res_p_bounded(p, n, 0) == n
 
 
 def test_is_purified_accepts_covered_resolvents():

@@ -147,6 +147,26 @@ def test_invalid_env_timeout_is_an_input_error(capsys, tmp_path, monkeypatch, co
     assert err.startswith("error: ") and "WSCAN_TIMEOUT" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", MAIN, "--timeout", "nan"],
+        ["check", MAIN, "w.txt", "--timeout", "0"],
+        ["check", MAIN, "w.txt", "--verify-timeout", "nan"],
+        ["replay", MAIN, TRACE, "--max-steps", "0"],
+        ["prove", MAIN, "goal.txt", "--timeout", "-1"],
+        ["bench", CORPUS, "--verify-timeout", "0"],
+    ],
+    ids=["solve-timeout", "check-timeout", "check-verify-timeout", "replay-max-steps",
+         "prove-timeout", "bench-verify-timeout"],
+)
+def test_invalid_budget_flag_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: --") and "must be positive" in err
+
+
 def test_prove_disproved_shows_countermodel(capsys, tmp_path):
     prem = tmp_path / "p.wscan"
     prem.write_text("exists X/1.\nB(a)\n")

@@ -2,13 +2,16 @@
 substitution shortcut."""
 
 import pathlib
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wscan.logic import pred_expr_str
 from wscan.problems import (
     GraphSpec,
     ParseError,
+    Problem,
     ackermann_witness,
     encode_graph,
     merge_theory,
@@ -18,9 +21,11 @@ from wscan.problems import (
     parse_witness,
     print_problem,
 )
+from wscan.saturation import replay, search
 from wscan.verify import FiniteModel, check_witness, soqe_holds
+from wscan.witness import extract_witness
 
-from conftest import cl
+from conftest import random_clause
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "wscan" / "corpus"
 
@@ -73,6 +78,42 @@ def test_trailing_dot_optional():
     p1 = parse_problem("exists X/1.\nX(a).\n", origin="t")
     p2 = parse_problem("exists X/1.\nX(a)\n", origin="t")
     assert p1.clauses == p2.clauses
+
+
+def test_tokenizer_errors_report_their_line():
+    with pytest.raises(ParseError) as e:
+        parse_problem("exists X/1.\n\nX(a)\n# $ in a comment is fine\nB($)\n", origin="t")
+    assert str(e.value) == "line 5, col 3: unexpected character '$'"
+    with pytest.raises(ParseError) as e:
+        parse_witness("X := lambda u. B(u)\nY := lambda u. $\n", xvars={"X": 1, "Y": 1})
+    assert str(e.value) == "line 2, col 16: unexpected character '$'"
+
+
+def test_identifiers_may_begin_with_exists():
+    p = parse_problem("existsB(a)\nexists X/1.\nX(a) | exists_y = a\n", origin="t")
+    assert p.xvars == {"X": 1}
+    assert p.preds == {"existsB": 1}
+    assert p.funcs == {"a": 0, "exists_y": 0}
+    assert len(p.clauses) == 2
+
+
+def test_clause_literal_cannot_negate_a_disequation():
+    with pytest.raises(ParseError) as e:
+        parse_problem("B(a) | ~ a != b\n", origin="t")
+    assert str(e.value) == "line 1, col 12: ~ cannot negate a disequation; write ="
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.integers(0, 2**32 - 1))
+def test_printed_problems_parse_back(n):
+    rng = random.Random(n)
+    clauses = tuple(random_clause(rng) for _ in range(rng.randrange(1, 6)))
+    theory = frozenset(
+        i for i, c in enumerate(clauses) if not any(l.pvar for l in c.lits) and rng.random() < 0.5
+    )
+    p = Problem(clauses, {"X": 1}, theory)
+    q = parse_problem(print_problem(p))
+    assert (q.clauses, q.xvars, q.theory) == (p.clauses, p.xvars, p.theory)
 
 
 def test_declarations_may_follow_uses():
@@ -214,3 +255,26 @@ def test_parse_witness_rejects_wrong_arity():
 def test_parse_witness_nullary():
     w = parse_witness("X := lambda _. false\n", xvars={"X": 0})
     assert pred_expr_str(w["X"]) == "lambda _. false"
+
+
+# every corpus derivation (blind search, except p06; the traces), in every
+# witness mode; resolution-mode extraction does not finish on two traces
+WITNESS_RUNS = [(p.stem, None) for p in sorted(CORPUS.glob("*.wscan")) if p.stem != "p06_graph3"]
+WITNESS_RUNS += [("p01_main", "p01_d1"), ("p01_main", "p01_d2"), ("p05_cycle", "p05_cycle"),
+                 ("p06_graph3", "p06_graph3")]
+UNFINISHED = {("p01_d2", "resolution"), ("p05_cycle", "resolution")}
+
+
+@pytest.mark.parametrize("problem,trace", WITNESS_RUNS, ids=lambda x: x or "search")
+def test_extracted_witnesses_print_and_parse_back(problem, trace):
+    prob = merge_theory(parse_problem((CORPUS / f"{problem}.wscan").read_text()))
+    if trace is None:
+        d = next(search(prob.clauses, prob.xvars))
+    else:
+        d = replay(prob.clauses, prob.xvars, (CORPUS / f"{trace}.trace").read_text())
+    for mode in ("auto", "fixpoint", "resolution"):
+        if (trace, mode) in UNFINISHED:
+            continue
+        w = extract_witness(d, mode=mode)
+        text = "".join(f"{x} := {pred_expr_str(pe)}\n" for x, pe in sorted(w.psub.items()))
+        assert parse_witness(text, prob.xvars) == dict(w.psub), (mode, text)

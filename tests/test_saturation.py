@@ -186,6 +186,12 @@ def test_purdel_blocked_when_only_cover_is_a_tautology():
         replay(clauses, {"X": 1}, f"purdel 5.{neg + 1}")
 
 
+@pytest.mark.parametrize("kw", [{"timeout": 0.0}, {"timeout": float("nan")}, {"max_steps": 0}])
+def test_search_limits_must_be_positive(kw):
+    with pytest.raises(ValueError):
+        SearchLimits(**kw)
+
+
 def test_derivation_records_alive_sets():
     d = solve(MAIN)
     initial = d.alive_clauses(0)
@@ -219,7 +225,16 @@ RULE_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("rule,text,good,printed,bad,reason", RULE_ROWS, ids=[r[0] for r in RULE_ROWS])
+# path position 0 names no argument (it must not wrap round to the last one)
+PARMOD_POSITION_0 = ("parmod", "a = b\nB(a)", "parmod 1.1 2@1.1 -> 3", "parmod 1.1:lr 2@1.1 -> 3",
+                     "parmod 1.1 2@1.0 -> 3", "paramodulation path positions start at 1")
+
+
+@pytest.mark.parametrize(
+    "rule,text,good,printed,bad,reason",
+    RULE_ROWS + [PARMOD_POSITION_0],
+    ids=[r[0] for r in RULE_ROWS] + ["parmod-position-0"],
+)
 def test_replay_rule_row(rule, text, good, printed, bad, reason):
     clauses = clauses_of(text)
     d = replay(clauses, {"X": 1}, good)

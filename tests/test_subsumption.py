@@ -4,16 +4,14 @@ import random
 
 import pytest
 
-from wscan.logic import App, Clause, Lit, PointedClause, Var, pointed_make
+from wscan.logic import Clause, Lit, Var
 from wscan.subsumption import (
     has_reflexive_equation,
     is_tautology,
     subsumes,
     subsumes_L,
     subsumes_L_velim,
-    subsumes_strictly,
     velim_closure,
-    velim_closure_pointed,
 )
 
 from conftest import (
@@ -43,8 +41,6 @@ def test_plain_subsumption_examples():
     assert not subsumes(cl("B(f(?u))"), cl("B(a)"))
     # set semantics: a clause subsumes its own factors
     assert subsumes(cl("X(?u) | X(?v)"), cl("X(?u)"))
-    assert subsumes_strictly(cl("B(?u)"), cl("B(a)"))
-    assert not subsumes_strictly(cl("B(?u)"), cl("B(?v)"))
 
 
 def test_injective_subsumption_blocks_collapse():
@@ -80,22 +76,6 @@ def test_nontransitivity_triple():
     assert subsumes_L_velim(s1, s2, POS_X)
     assert subsumes_L_velim(s2, s3, POS_X)
     assert not subsumes_L_velim(s1, s3, POS_X)
-
-
-def test_pointed_closure_keeps_designated_literal():
-    # u != a | X(u) | X(b)  with X(u) designated: the constraint may only be
-    # consumed in a way that keeps the designated occurrence itself
-    lits = [
-        Lit(False, "=", (Var("u"), App("a", ())), False),
-        Lit(True, "X", (Var("u"),), True),
-        Lit(True, "X", (App("b", ()),), True),
-    ]
-    clause, idx = pointed_make(lits, 1)
-    closure = velim_closure_pointed(PointedClause(clause, idx))
-    reduced = [p for p in closure if len(p.clause.lits) == 2]
-    assert len(reduced) == 1
-    (p,) = reduced
-    assert p.clause.lits[p.index] == Lit(True, "X", (App("a", ()),), True)
 
 
 def test_empty_clause_subsumes_everything():
