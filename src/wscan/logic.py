@@ -1,11 +1,16 @@
 """Core syntax: terms, literals, clauses, formulas and substitutions.
 
 Clauses are kept in a canonical form so that clause equality coincides with
-equality up to variable renaming: literals are deduplicated and sorted by a
-renaming-invariant shape key, and variables are renamed to ``u0, u1, ...`` in
-order of first occurrence.  Equality literals with negative polarity are the
-*constraint* literals of the calculus and sort first, so a clause's constraint
-block is always a prefix of its literal tuple.
+equality up to variable renaming.  Literals are deduplicated and sorted by a
+renaming-invariant shape key (``_lit_shape``).  Among the orders that keep
+that sort, the form takes the one whose literals give the least ``_lit_key``
+sequence once variables are renamed to ``u0, u1, ...`` in order of first
+occurrence; ties go to the first such order by input index.  The form is
+canonical at every clause size.  Finding it takes exponential time only on
+highly symmetric clauses, where many orders tie.  Equality literals with
+negative polarity are the *constraint* literals of the calculus and sort
+first, so a clause's constraint block is always a prefix of its literal
+tuple.
 
 Predicate variables (the second-order variables to be eliminated) are ordinary
 literal/atom heads flagged with ``pvar=True``; the equality head is the
@@ -265,59 +270,100 @@ def _lit_key(l: Lit):
     return (_lit_kind(l), l.head, l.pos, tuple(_term_key(t) for t in l.args))
 
 
-_PERM_CAP = 40320  # 8!
+def _canonical_order(lits: list[Lit]) -> tuple[tuple[Lit, ...], tuple[int, ...]]:
+    """Order literals canonically and rename variables to u0, u1, ...
 
-
-def _canonical_order(lits: list[Lit]) -> tuple[tuple[Lit, ...], dict[str, Term], tuple[int, ...]]:
-    """Order literals canonically and rename variables to u0,u1,...
-
-    Returns the ordered renamed literals, the renaming (old name -> Var) and,
-    for each input position, the output position of that literal.
+    Literals are sorted by ``_lit_shape``; only literals of one shape may
+    change places.  Of those orders, the canonical one gives the least
+    ``_lit_key`` sequence once variables are renamed by first occurrence, and
+    among orders that give it, the first in input-index order wins.  This
+    holds at every clause size.  When no two literals share a shape the sort
+    alone is the order; otherwise ``_least_order`` finds it, in time that is
+    exponential only on highly symmetric clauses.  Returns the renamed
+    literals in that order and, for each input position, the output position
+    of that literal.
     """
-    order = sorted(range(len(lits)), key=lambda i: _lit_shape(lits[i]))
-    # group indices with identical shape; permuting inside a group may give a
-    # smaller serialization once variables are renamed
+    shapes = [_lit_shape(l) for l in lits]
+    order = sorted(range(len(lits)), key=shapes.__getitem__)
     groups: list[list[int]] = []
     for i in order:
-        if groups and _lit_shape(lits[groups[-1][-1]]) == _lit_shape(lits[i]):
+        if groups and shapes[groups[-1][-1]] == shapes[i]:
             groups[-1].append(i)
         else:
             groups.append([i])
-
-    def rename(seq: Sequence[int]):
-        ren: dict[str, Term] = {}
-        for i in seq:
-            for v in lit_vars(lits[i]):
-                if v not in ren:
-                    ren[v] = Var(f"u{len(ren)}")
-        out = tuple(subst_lit(lits[i], ren) for i in seq)
-        return out, ren
-
-    n_cands = 1
-    for g in groups:
-        for k in range(2, len(g) + 1):
-            n_cands *= k
-        if n_cands > _PERM_CAP:
-            break
-    if n_cands > _PERM_CAP or n_cands == 1:
-        seq = [i for g in groups for i in g]
-        out, ren = rename(seq)
-        best_seq = seq
-    else:
-        best = None
-        best_seq = None
-        for combo in itertools.product(*[itertools.permutations(g) for g in groups]):
-            seq = [i for g in combo for i in g]
-            cand, ren_c = rename(seq)
-            key = tuple(_lit_key(l) for l in cand)
-            if best is None or key < best[0]:
-                best = (key, cand, ren_c)
-                best_seq = seq
-        out, ren = best[1], best[2]
+    seq = order if len(groups) == len(lits) else _least_order(lits, groups)
+    ren: dict[str, Term] = {}
+    for i in seq:
+        for v in lit_vars(lits[i]):
+            if v not in ren:
+                ren[v] = Var(f"u{len(ren)}")
     positions = [0] * len(lits)
-    for outpos, i in enumerate(best_seq):
+    for outpos, i in enumerate(seq):
         positions[i] = outpos
-    return out, ren, tuple(positions)
+    return tuple(subst_lit(lits[i], ren) for i in seq), tuple(positions)
+
+
+def _least_order(lits: list[Lit], groups: list[list[int]]) -> Sequence[int]:
+    """The first index sequence, through the shape groups in turn, whose
+    renamed literals give the least ``_lit_key`` sequence.
+
+    Renaming by first occurrence makes the key of the literal at a position
+    depend only on that literal and the ones before it, so the least sequence
+    is built one position at a time: each partial order kept so far is
+    extended by each unused literal of the current group, and only the
+    extensions with the least key at that position are kept.  Literals of
+    one shape differ only in their variables, so that key compares as the
+    tuple of names their variable occurrences get, as strings, in order.  Partial orders are kept
+    in index order, and two that used the same literals and named the
+    variables of the unused literals alike have the same completions, so only
+    the first of them is kept.  A literal whose variables occur in no other
+    literal can trade places with any such literal of its group that has the
+    same variable pattern, so only the first unused one of those is tried.
+
+    The work grows exponentially only on highly symmetric clauses, such as
+    the edge literals of a complete graph, where many partial orders tie and
+    stay distinct.
+    """
+    occs = [tuple(lit_vars(l)) for l in lits]
+    holders: dict[str, int] = {}  # variable -> bit set of the literals it occurs in
+    for i, vs in enumerate(occs):
+        for v in vs:
+            holders[v] = holders.get(v, 0) | 1 << i
+    pattern: list[Optional[tuple[int, ...]]] = []
+    for i, vs in enumerate(occs):
+        local: dict[str, int] = {}
+        lone = all(holders[v] == 1 << i for v in vs)
+        pattern.append(tuple(local.setdefault(v, len(local)) for v in vs) if lone else None)
+    # (index sequence, names given so far, bit set of the literals used)
+    partials: list[tuple[tuple[int, ...], dict[str, str], int]] = [((), {}, 0)]
+    for group in groups:
+        for _ in group:
+            best: Optional[tuple[str, ...]] = None
+            kept: dict[tuple, tuple[tuple[int, ...], dict[str, str], int]] = {}
+            for seq, ren, used in partials:
+                tried = set()
+                for i in group:
+                    if used >> i & 1 or pattern[i] in tried:
+                        continue
+                    if pattern[i] is not None:
+                        tried.add(pattern[i])
+                    named = dict(ren)
+                    for v in occs[i]:
+                        if v not in named:
+                            named[v] = f"u{len(named)}"
+                    key = tuple(map(named.__getitem__, occs[i]))
+                    if best is not None and key > best:
+                        continue
+                    if best is None or key < best:
+                        best, kept = key, {}
+                    now_used = used | 1 << i
+                    # what the completions depend on: the unused literals and
+                    # the names of the variables that occur in them
+                    live = frozenset((v, n) for v, n in named.items() if holders[v] & ~now_used)
+                    if (now_used, live) not in kept:
+                        kept[now_used, live] = (seq + (i,), named, now_used)
+            partials = list(kept.values())
+    return partials[0][0]
 
 
 @dataclass(frozen=True)
@@ -382,7 +428,7 @@ def pointed_make(lits: Iterable[Lit], designated: Optional[int]) -> tuple[Clause
             mapped = index_of[l]
     if not uniq:
         return Clause(()), None
-    ordered, _, positions = _canonical_order(uniq)
+    ordered, positions = _canonical_order(uniq)
     out = mapped if mapped is None else positions[mapped]
     return Clause(ordered), out
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ MAIN = CORPUS / "p01_main.wscan"
 TRACE = CORPUS / "p01_d1.trace"
 CYCLE = CORPUS / "p05_cycle.wscan"
 GRAPH = CORPUS / "p06_graph3.graph"
+GRAPH_PROBLEM = CORPUS / "p06_graph3.wscan"
 
 
 def run(capsys, *argv):
@@ -66,6 +68,18 @@ def test_solve_unsolvable_exits_two(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", f, "--timeout", "2", "--max-steps", "10")
     assert code == 2
     assert "no derivation" in out
+
+
+def test_solve_timeout_bounds_blind_search(capsys):
+    # p06 has no derivation that blind search finds in time; the deadline is
+    # checked between steps, so the run ends near it only if no one step,
+    # canonicalizing its clauses included, takes long
+    start = time.monotonic()
+    code, out, _ = run(capsys, "solve", GRAPH_PROBLEM, "--timeout", "3")
+    elapsed = time.monotonic() - start
+    assert code == 2
+    assert "no derivation within limits" in out
+    assert elapsed < 6, f"--timeout 3 returned after {elapsed:.1f} s"
 
 
 def test_replay_ok(capsys):

@@ -1,7 +1,10 @@
 """Terms, literals, clause canonicalization, and formula printing."""
 
+import itertools
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wscan.logic import (
     App,
@@ -22,6 +25,9 @@ from wscan.logic import (
     apply_pred_subst_clause,
     canonical_pred_expr,
     compose_pred_subst,
+    _lit_key,
+    _lit_shape,
+    _orient_eq,
     const,
     formula_free_pvars,
     formula_free_vars,
@@ -30,6 +36,7 @@ from wscan.logic import (
     fresh_vars,
     lit_size,
     lit_str,
+    lit_vars,
     match_terms,
     mgu,
     pointed_make,
@@ -37,6 +44,7 @@ from wscan.logic import (
     rename_clause_apart,
     simplify,
     subst_formula,
+    subst_lit,
     subst_term,
     term_str,
 )
@@ -120,6 +128,99 @@ def test_pointed_make_tracks_designated_literal():
     ]
     clause, idx = pointed_make(lits, 1)
     assert clause.lits[idx] == Lit(False, "X", (Var("u0"),), True)
+
+
+def brute_force_order(lits):
+    """Reference for the canonical order: list every order that keeps the
+    shape groups, rename each by first occurrence, and keep the least
+    `_lit_key` sequence, the first in input-index order on ties.  Returns the
+    renamed literals and the input index at each output position."""
+    order = sorted(range(len(lits)), key=lambda i: _lit_shape(lits[i]))
+    groups = [list(g) for _, g in itertools.groupby(order, key=lambda i: _lit_shape(lits[i]))]
+    best = None
+    for combo in itertools.product(*map(itertools.permutations, groups)):
+        seq = [i for g in combo for i in g]
+        ren = {}
+        for i in seq:
+            for x in lit_vars(lits[i]):
+                ren.setdefault(x, Var(f"u{len(ren)}"))
+        out = tuple(subst_lit(lits[i], ren) for i in seq)
+        key = [_lit_key(l) for l in out]
+        if best is None or key < best[0]:
+            best = (key, out, seq)
+    return best[1], best[2]
+
+
+_VARS = st.sampled_from([Var("x"), Var("y"), Var("z"), Var("w")])
+_TERMS = st.one_of(_VARS, st.sampled_from([a, b]), _VARS.map(f))
+_LITS = st.one_of(
+    st.builds(lambda p, s, t: Lit(p, "E", (s, t), False), st.booleans(), _VARS, _VARS),
+    st.builds(lambda s, t: Lit(False, "=", (s, t), False), _TERMS, _TERMS),
+    st.builds(lambda p, s: Lit(p, "X", (s,), True), st.booleans(), _TERMS),
+    st.builds(lambda s: Lit(True, "P", (s,), False), _TERMS),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_LITS, min_size=1, max_size=7))
+def test_canonical_form_matches_the_permutation_search(lits):
+    oriented = [_orient_eq(l) for l in lits]
+    uniq = list(dict.fromkeys(oriented))
+    want, seq = brute_force_order(uniq)
+    assert Clause.make(lits).lits == want
+    for d, l in enumerate(oriented):
+        assert pointed_make(lits, d) == (Clause(want), seq.index(uniq.index(l)))
+
+
+def _shuffled_renamed(rng, lits):
+    lits = list(lits)
+    rng.shuffle(lits)
+    names = sorted({x for l in lits for x in lit_vars(l)})
+    ren = {x: Var(f"y{k}") for k, x in enumerate(rng.sample(names, len(names)))}
+    return [subst_lit(l, ren) for l in lits]
+
+
+def _one_form(rng, lits):
+    forms = {Clause.make(_shuffled_renamed(rng, lits)) for _ in range(5)}
+    assert len(forms) == 1
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        [("P", (i,)) for i in range(8)],
+        [("E", (i, i + 1)) for i in range(12)],
+        [("E", (i, (i + 1) % 12)) for i in range(12)],
+    ],
+    ids=["8-disjoint-P", "12-edge-path", "12-edge-cycle"],
+)
+def test_canonical_form_is_invariant_on_symmetric_clauses(atoms):
+    lits = [Lit(True, head, tuple(Var(f"x{i}") for i in args), False) for head, args in atoms]
+    _one_form(random.Random(0), lits)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_canonical_form_is_invariant_at_every_size(n):
+    # 12-16 literals, 8 or more of them of the one shape E(?_, ?_)
+    rng = random.Random(n)
+    xs = [Var(f"x{i}") for i in range(rng.randrange(4, 10))]
+    lits = set()
+    while len(lits) < 8:
+        lits.add(Lit(True, "E", tuple(rng.sample(xs, 2)), False))
+    size = rng.randrange(12, 17)
+    while len(lits) < size:
+        lits.add(
+            rng.choice(
+                [
+                    Lit(True, "E", (rng.choice(xs), rng.choice(xs)), False),
+                    Lit(rng.random() < 0.5, "P", (rng.choice(xs),), False),
+                    Lit(False, "=", (rng.choice(xs), f(rng.choice(xs))), False),
+                    Lit(rng.random() < 0.5, "X", (rng.choice(xs),), True),
+                ]
+            )
+        )
+    _one_form(rng, sorted(lits, key=str))
 
 
 def test_rename_apart_preserves_literal_positions():
