@@ -35,14 +35,12 @@ from .logic import (
     Lit,
     PredExpr,
     Var,
-    lit_size,
     pred_expr_size,
     pred_expr_str,
 )
 from .problems import (
     ParseError,
     Problem,
-    _clause_text,
     encode_graph,
     merge_theory,
     parse_formula,
@@ -140,9 +138,9 @@ def _derivation_block(
     blob: dict = {}
     lines.append("conclusion:")
     for c in d.conclusion():
-        lines.append(_clause_text(c))
+        lines.append(str(c))
     blob["conclusion"] = [to_json(c) for c in d.conclusion()]
-    blob["conclusion_text"] = [_clause_text(c) for c in d.conclusion()]
+    blob["conclusion_text"] = [str(c) for c in d.conclusion()]
     if w is not None:
         lines.append("witness:")
         lines.extend(_witness_lines(w))
@@ -279,7 +277,7 @@ def cmd_check(args) -> int:
         conclusion = d.conclusion()
     w = Witness(dict(psub), ())
     rep = check_witness(prob.clauses, prob.xvars, conclusion, w, timeout=args.verify_timeout)
-    lines = ["conclusion:"] + [_clause_text(c) for c in conclusion] + _report_lines(rep)
+    lines = ["conclusion:"] + [str(c) for c in conclusion] + _report_lines(rep)
     blob = {
         "conclusion": [to_json(c) for c in conclusion],
         "witness": witness_to_json(w),
@@ -311,7 +309,7 @@ def cmd_prove(args) -> int:
         lines = ["proved"]
         for r in got.steps:
             src = r.rule if r.rule == "input" else f"{r.rule} {' '.join(map(str, r.premises))}"
-            lines.append(f"{r.id}. {_clause_text(r.clause)}  [{src}]")
+            lines.append(f"{r.id}. {r.clause}  [{src}]")
         blob = {
             "result": "proved",
             "steps": [
@@ -338,27 +336,27 @@ def cmd_prove(args) -> int:
     return 2
 
 
-def _input_size(prob: Problem) -> int:
-    return sum(lit_size(l) for c in prob.clauses for l in c.lits)
+_BENCH_COLS = [
+    "problem",
+    "input_size",
+    "solved",
+    "derivation_len",
+    "scan_ms",
+    "witness_ms",
+    "witness_size",
+    "verification",
+]
 
 
 def _bench_one(path: str, args) -> dict:
-    row = {
-        "problem": Path(path).name,
-        "input_size": "",
-        "solved": "no",
-        "derivation_len": "",
-        "scan_ms": "",
-        "witness_ms": "",
-        "witness_size": "",
-        "verification": "",
-    }
+    row = dict.fromkeys(_BENCH_COLS, "")
+    row.update(problem=Path(path).name, solved="no")
     try:
         prob = _load_problem(path)
     except (ParseError, OSError, ValueError) as e:
         row["verification"] = f"input error: {e}"
         return row
-    row["input_size"] = _input_size(prob)
+    row["input_size"] = sum(c.size for c in prob.clauses)
     t0 = time.perf_counter()
     try:
         d = next(iter(search(prob.clauses, prob.xvars, _limits(args))), None)
@@ -386,18 +384,6 @@ def _bench_one(path: str, args) -> dict:
     else:
         row["verification"] = "skipped"
     return row
-
-
-_BENCH_COLS = [
-    "problem",
-    "input_size",
-    "solved",
-    "derivation_len",
-    "scan_ms",
-    "witness_ms",
-    "witness_size",
-    "verification",
-]
 
 
 def _aggregate(rows: list[dict]) -> list[dict]:

@@ -22,7 +22,8 @@ two are the one place that knows which fields of each node are subformulas;
 a walker handles only its own special cases (atoms, binders, ``gfp``) and
 leaves every other node to them.  The simplifier, the printer, the
 clausifier's NNF and the finite-model evaluator do different work for each
-connective, so they match on the node classes themselves.
+connective, so they match on the node classes themselves; ``DUAL`` and
+``UNIT`` let one case serve a connective and its dual.
 """
 
 from __future__ import annotations
@@ -228,14 +229,7 @@ def lit_vars(l: Lit) -> Iterator[str]:
 def lit_size(l: Lit) -> int:
     """Number of non-logical symbol occurrences (equality and negation do not
     count; predicate variables do)."""
-    n = 0 if l.is_eq else 1
-    stack = list(l.args)
-    while stack:
-        t = stack.pop()
-        n += 1
-        if isinstance(t, App):
-            stack.extend(t.args)
-    return n
+    return (0 if l.is_eq else 1) + sum(map(_term_size, l.args))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +392,7 @@ class Clause:
 
     def __str__(self) -> str:
         if not self.lits:
-            return "[]"
+            return "false"  # the clause grammar reads a line `false` as the empty clause
         return " | ".join(lit_str(l) for l in self.lits)
 
 
@@ -558,45 +552,41 @@ TRUE = FTrue()
 FALSE = FFalse()
 
 
-def fand(*subs: Formula) -> Formula:
+# Negation swaps each connective with its dual.  A junction's unit is its
+# value when empty, and the dual's unit absorbs it.
+DUAL: dict[type, type] = {FAnd: FOr, FOr: FAnd, FAll: FEx, FEx: FAll}
+UNIT: dict[type, Formula] = {FAnd: TRUE, FOr: FALSE}
+
+
+def junction(kind: type, subs: Iterable[Formula]) -> Formula:
+    """The conjunction (kind FAnd) or disjunction (FOr) of subs, with nested
+    junctions of the same kind flattened and the empty and one-element cases
+    collapsed."""
     flat: list[Formula] = []
     for s in subs:
-        if isinstance(s, FAnd):
+        if isinstance(s, kind):
             flat.extend(s.subs)
         else:
             flat.append(s)
     if not flat:
-        return TRUE
+        return UNIT[kind]
     if len(flat) == 1:
         return flat[0]
-    return FAnd(tuple(flat))
+    return kind(tuple(flat))
+
+
+def fand(*subs: Formula) -> Formula:
+    return junction(FAnd, subs)
 
 
 def for_(*subs: Formula) -> Formula:
-    flat: list[Formula] = []
-    for s in subs:
-        if isinstance(s, FOr):
-            flat.extend(s.subs)
-        else:
-            flat.append(s)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return FOr(tuple(flat))
+    return junction(FOr, subs)
 
 
 def forall(vars_: Iterable[str], sub: Formula) -> Formula:
     out = sub
     for v in reversed(list(vars_)):
         out = FAll(v, out)
-    return out
-
-
-def exists(vars_: Iterable[str], sub: Formula) -> Formula:
-    out = sub
-    for v in reversed(list(vars_)):
-        out = FEx(v, out)
     return out
 
 
@@ -721,14 +711,6 @@ class PredExpr:
         return subst_formula(self.body, dict(zip(self.params, args)))
 
 
-def pred_true(arity: int) -> PredExpr:
-    return PredExpr(tuple(fresh_name("v") for _ in range(arity)), TRUE)
-
-
-def pred_false(arity: int) -> PredExpr:
-    return PredExpr(tuple(fresh_name("v") for _ in range(arity)), FALSE)
-
-
 PredSubst = Mapping[str, PredExpr]
 
 
@@ -764,26 +746,21 @@ def compose_pred_subst(tau: PredSubst, sigma: PredSubst) -> dict[str, PredExpr]:
 # simplification
 
 
-def _one_point_all(var: str, disjuncts: list[Formula]) -> Optional[Formula]:
-    # forall v. (v != t | rest)  ~>  rest[v <- t]   (v not a proper subterm of t)
-    for i, d in enumerate(disjuncts):
-        if isinstance(d, FNot) and isinstance(d.sub, FAtom) and d.sub.head == EQ and not d.sub.pvar:
-            a, b = d.sub.args
-            for v, t in ((a, b), (b, a)):
-                if isinstance(v, Var) and v.name == var and not is_proper_subterm_var(var, t):
-                    rest = disjuncts[:i] + disjuncts[i + 1:]
-                    return subst_formula(for_(*rest), {var: t})
-    return None
-
-
-def _one_point_ex(var: str, conjuncts: list[Formula]) -> Optional[Formula]:
-    for i, d in enumerate(conjuncts):
+def _one_point(f: Union[FAll, FEx], sub: Formula) -> Optional[Formula]:
+    # forall v. (v != t | rest)  ~>  rest[v <- t], and dually
+    # exists v. (v = t & rest)  ~>  rest[v <- t]   (v not a proper subterm of t)
+    kind = FOr if isinstance(f, FAll) else FAnd
+    parts = list(sub.subs) if isinstance(sub, kind) else [sub]
+    for i, d in enumerate(parts):
+        if kind is FOr:
+            if not isinstance(d, FNot):
+                continue
+            d = d.sub
         if isinstance(d, FAtom) and d.head == EQ and not d.pvar:
             a, b = d.args
             for v, t in ((a, b), (b, a)):
-                if isinstance(v, Var) and v.name == var and not is_proper_subterm_var(var, t):
-                    rest = conjuncts[:i] + conjuncts[i + 1:]
-                    return subst_formula(fand(*rest), {var: t})
+                if isinstance(v, Var) and v.name == f.var and not is_proper_subterm_var(f.var, t):
+                    return subst_formula(junction(kind, parts[:i] + parts[i + 1:]), {f.var: t})
     return None
 
 
@@ -815,45 +792,27 @@ def _simplify1(f: Formula) -> Formula:
             return TRUE
         # Negation-normal form: push the negation through the propositional
         # and quantifier structure.  Gfp applications stay opaque.
-        if isinstance(s, FAnd):
-            return FOr(tuple(FNot(x) for x in s.subs))
-        if isinstance(s, FOr):
-            return FAnd(tuple(FNot(x) for x in s.subs))
+        if isinstance(s, (FAnd, FOr)):
+            return DUAL[type(s)](tuple(FNot(x) for x in s.subs))
         if isinstance(s, FImp):
             return FAnd((s.lhs, FNot(s.rhs)))
-        if isinstance(s, FAll):
-            return FEx(s.var, FNot(s.sub))
-        if isinstance(s, FEx):
-            return FAll(s.var, FNot(s.sub))
+        if isinstance(s, (FAll, FEx)):
+            return DUAL[type(s)](s.var, FNot(s.sub))
         return FNot(s)
-    if isinstance(f, FAnd):
+    if isinstance(f, (FAnd, FOr)):
+        kind = type(f)
         subs: list[Formula] = []
         for x in f.subs:
             x = _simplify1(x)
-            if isinstance(x, FFalse):
-                return FALSE
-            if isinstance(x, FTrue):
+            if x == UNIT[DUAL[kind]]:  # absorbs the junction
+                return x
+            if x == UNIT[kind]:
                 continue
-            if isinstance(x, FAnd):
+            if isinstance(x, kind):
                 subs.extend(x.subs)
             else:
                 subs.append(x)
-        dedup = list(dict.fromkeys(subs))
-        return fand(*dedup)
-    if isinstance(f, FOr):
-        subs = []
-        for x in f.subs:
-            x = _simplify1(x)
-            if isinstance(x, FTrue):
-                return TRUE
-            if isinstance(x, FFalse):
-                continue
-            if isinstance(x, FOr):
-                subs.extend(x.subs)
-            else:
-                subs.append(x)
-        dedup = list(dict.fromkeys(subs))
-        return for_(*dedup)
+        return junction(kind, dict.fromkeys(subs))
     if isinstance(f, FImp):
         a, b = _simplify1(f.lhs), _simplify1(f.rhs)
         if isinstance(a, FTrue):
@@ -882,12 +841,7 @@ def _simplify1(f: Formula) -> Formula:
             return sub
         if f.var not in formula_free_vars(sub):
             return sub
-        if isinstance(f, FAll):
-            disjuncts = list(sub.subs) if isinstance(sub, FOr) else [sub]
-            got = _one_point_all(f.var, disjuncts)
-        else:
-            conjuncts = list(sub.subs) if isinstance(sub, FAnd) else [sub]
-            got = _one_point_ex(f.var, conjuncts)
+        got = _one_point(f, sub)
         if got is not None:
             return _simplify1(got)
         return type(f)(f.var, sub)
@@ -997,15 +951,11 @@ def _fstr(f: Formula, outer: int) -> str:
         return "true"
     if isinstance(f, FFalse):
         return "false"
-    if isinstance(f, FAtom):
-        if f.head == EQ and not f.pvar:
-            return f"({term_str(f.args[0])} = {term_str(f.args[1])})"
-        if not f.args:
-            return f.head
-        return f"{f.head}({','.join(term_str(a) for a in f.args)})"
+    if isinstance(f, FAtom) or isinstance(f, FNot) and isinstance(f.sub, FAtom):
+        # a literal prints as in a clause, an (in)equation in parentheses
+        l = formula_to_lit(f)
+        return f"({l})" if l.is_eq else str(l)
     if isinstance(f, FNot):
-        if isinstance(f.sub, FAtom) and f.sub.head == EQ and not f.sub.pvar:
-            return f"({term_str(f.sub.args[0])} != {term_str(f.sub.args[1])})"
         return f"~{_fstr(f.sub, _PREC_UNIT)}"
     if isinstance(f, FAnd):
         return _paren(" /\\ ".join(_fstr(s, _PREC_AND) for s in f.subs), outer, _PREC_AND - 1)

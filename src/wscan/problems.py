@@ -6,6 +6,7 @@ File format (line-oriented, `#` comments):
     theory B(a, ?v)           background-theory clause
     X(a) | ~B(?u, c)          ordinary clause; `|` separates literals
     a != c.                   equality/disequality atoms; trailing `.` optional
+    false                     the empty clause
 
 Variables are `?`-prefixed; identifiers are `[A-Za-z_][A-Za-z0-9_]*`.  A line
 is a directive when its first token is the identifier `exists`, so
@@ -345,11 +346,18 @@ class Problem:
 
 def _parse_literal(p: _Parser, sig: _SigCheck) -> Lit:
     neg = p.accept("sym", "~")
+    if p.at("ident", "true") or p.at("ident", "false"):
+        raise p.error(f"{p.peek().text} is not a literal; a line `false` is the empty clause")
     atom = _parse_atom(p, sig, (), negated=neg)
     return formula_to_lit(FNot(atom) if neg else atom)
 
 
 def _parse_clause_line(p: _Parser, sig: _SigCheck) -> Clause:
+    # a line `false` is the empty clause; `_parse_literal` rejects any other
+    # `true` or `false` in literal position
+    if [t.text for t in p.toks[p.i:]] in (["false", ""], ["false", ".", ""]):
+        p.i = len(p.toks) - 1
+        return Clause()
     lits = [_parse_literal(p, sig)]
     while p.accept("sym", "|"):
         lits.append(_parse_literal(p, sig))
@@ -413,40 +421,14 @@ def print_problem(p: Problem) -> str:
         out.append(f"exists {decls}.")
     for i, c in enumerate(p.clauses):
         prefix = "theory " if i in p.theory else ""
-        out.append(prefix + _clause_text(c))
+        out.append(prefix + str(c))
     return "\n".join(out) + "\n"
-
-
-def _term_text(t: Term) -> str:
-    if isinstance(t, Var):
-        return f"?{t.name}"
-    if not t.args:
-        return t.fn
-    return f"{t.fn}({', '.join(_term_text(a) for a in t.args)})"
-
-
-def _lit_text(l: Lit) -> str:
-    if l.is_eq:
-        op = "=" if l.pos else "!="
-        return f"{_term_text(l.args[0])} {op} {_term_text(l.args[1])}"
-    neg = "" if l.pos else "~"
-    if not l.args:
-        return f"{neg}{l.head}"
-    return f"{neg}{l.head}({', '.join(_term_text(a) for a in l.args)})"
-
-
-def _clause_text(c: Clause) -> str:
-    if not c.lits:
-        return "false"  # the empty clause has no literal syntax; never printed in problems
-    return " | ".join(_lit_text(l) for l in c.lits)
 
 
 def merge_theory(p: Problem) -> Problem:
     """Fold the background theory into the ordinary clause set.  Ids are
-    positional, so this only clears the theory marking."""
-    for i in p.theory:
-        if any(l.pvar for l in p.clauses[i].lits):
-            raise ValueError("theory clause contains a predicate variable")
+    positional, so this only clears the theory marking.  `Problem` checked
+    the theory clauses for predicate variables when `p` was built."""
     return replace(p, theory=frozenset())
 
 

@@ -22,6 +22,7 @@ from .calculus import (
     variable_eliminate,
 )
 from .logic import (
+    DUAL,
     EQ,
     FALSE,
     TRUE,
@@ -75,12 +76,9 @@ def _nnf(f: Formula, pos: bool) -> Formula:
         return f if pos else FNot(f)
     if isinstance(f, FNot):
         return _nnf(f.sub, not pos)
-    if isinstance(f, FAnd):
-        subs = tuple(_nnf(s, pos) for s in f.subs)
-        return FAnd(subs) if pos else FOr(subs)
-    if isinstance(f, FOr):
-        subs = tuple(_nnf(s, pos) for s in f.subs)
-        return FOr(subs) if pos else FAnd(subs)
+    if isinstance(f, (FAnd, FOr)):
+        kind = type(f) if pos else DUAL[type(f)]
+        return kind(tuple(_nnf(s, pos) for s in f.subs))
     if isinstance(f, FImp):
         return _nnf(FOr((FNot(f.lhs), f.rhs)), pos)
     if isinstance(f, FIff):
@@ -88,10 +86,9 @@ def _nnf(f: Formula, pos: bool) -> Formula:
         both = FAnd((a, b))
         neither = FAnd((FNot(a), FNot(b)))
         return _nnf(FOr((both, neither)), pos)
-    if isinstance(f, FAll):
-        return FAll(f.var, _nnf(f.sub, pos)) if pos else FEx(f.var, _nnf(f.sub, False))
-    if isinstance(f, FEx):
-        return FEx(f.var, _nnf(f.sub, pos)) if pos else FAll(f.var, _nnf(f.sub, False))
+    if isinstance(f, (FAll, FEx)):
+        kind = type(f) if pos else DUAL[type(f)]
+        return kind(f.var, _nnf(f.sub, pos))
     if isinstance(f, FGfp):
         raise ClausifyError("gfp formulas have no clausal form")
     raise TypeError(f)
@@ -272,13 +269,6 @@ class Signature:
             for a in t.args:
                 self.add_term(a)
 
-    def add_lit(self, l: Lit) -> None:
-        for a in l.args:
-            self.add_term(a)
-        if l.is_eq:
-            return
-        (self.pvars if l.pvar else self.rels).setdefault((l.head, len(l.args)))
-
     def add_formula(self, f: Formula) -> None:
         if isinstance(f, FAtom):
             for a in f.args:
@@ -307,7 +297,7 @@ def signature_of(clauses: Sequence[Clause] = (), formulas: Sequence[Formula] = (
     sig = Signature()
     for c in clauses:
         for l in c.lits:
-            sig.add_lit(l)
+            sig.add_formula(lit_to_formula(l))
     for f in formulas:
         sig.add_formula(f)
     return sig

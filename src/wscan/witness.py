@@ -12,34 +12,33 @@ Three ways to build the per-PurDel predicate:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .calculus import constraint_resolve, resolution_partners, variable_eliminate
 from .logic import (
     EQ,
+    FALSE,
+    TRUE,
     App,
     Clause,
     FAtom,
     FGfp,
     FNot,
-    Formula,
     Lit,
     PointedClause,
     PredExpr,
+    Term,
     Var,
     canonical_pred_expr,
-    clause_to_formula,
     fand,
     for_,
     forall,
     formula_has_gfp,
     fresh_name,
     lit_to_formula,
-    map_children,
     pointed,
-    pred_false,
-    pred_true,
     simplify_pred_expr,
     subst_consts,
     subst_lit,
@@ -64,21 +63,19 @@ class ClausePredicate:
     def _normalized(self) -> frozenset[Clause]:
         m = {c: Var(f"@{i}") for i, c in enumerate(self.consts)}
         return frozenset(
-            Clause.make(
-                Lit(l.pos, l.head, tuple(subst_consts(a, m) for a in l.args), l.pvar)
-                for l in c.lits
-            )
-            for c in self.clauses
+            Clause.make(_lit_subst_consts(l, m) for l in c.lits) for c in self.clauses
         )
 
     def same_up_to_consts(self, other: "ClausePredicate") -> bool:
         return len(self.consts) == len(other.consts) and self._normalized() == other._normalized()
 
     def to_pred_expr(self, negate: bool = False) -> PredExpr:
-        params = tuple(fresh_name("u") for _ in self.consts)
+        # not `u`: canonical clause variables are u0, u1, ..., and a parameter
+        # of that name would be captured by the clause's quantifier
+        params = tuple(fresh_name("w") for _ in self.consts)
         m = {c: Var(p) for c, p in zip(self.consts, params)}
         parts = [
-            _formula_subst_consts(clause_to_formula(c), m)
+            forall(c.vars, for_(*[lit_to_formula(_lit_subst_consts(l, m)) for l in c.lits]))
             for c in sorted(self.clauses, key=lambda c: (len(c.lits), str(c)))
         ]
         body = fand(*parts)
@@ -87,12 +84,8 @@ class ClausePredicate:
         return simplify_pred_expr(PredExpr(params, body))
 
 
-def _formula_subst_consts(f: Formula, m: dict[str, Var]) -> Formula:
-    if isinstance(f, FAtom):
-        return FAtom(f.head, tuple(subst_consts(a, m) for a in f.args), f.pvar)
-    if isinstance(f, FGfp):
-        f = FGfp(f.pvar, f.params, f.body, tuple(subst_consts(a, m) for a in f.args))
-    return map_children(f, lambda g: _formula_subst_consts(g, m))
+def _lit_subst_consts(l: Lit, m: dict[str, Term]) -> Lit:
+    return Lit(l.pos, l.head, tuple(subst_consts(a, m) for a in l.args), l.pvar)
 
 
 def _start_lit(p: PointedClause, consts: tuple[str, ...]) -> Lit:
@@ -139,7 +132,7 @@ def lres(p: PointedClause, budget: int = 512) -> ClausePredicate:
                 out.add(r)
                 next_frontier.append(r)
         frontier = next_frontier
-    return ClausePredicate(consts, frozenset(_reduce(out)))
+    return ClausePredicate(consts, frozenset(out))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +153,7 @@ def make_alpha(p: PointedClause) -> tuple[str, PredExpr]:
     the positions the clause hands the predicate to."""
     d = p.designated
     y = fresh_name("Y")
-    params = tuple(fresh_name("u") for _ in d.args)
+    params = tuple(fresh_name("w") for _ in d.args)  # not `u`, as in to_pred_expr
     slots, rest = _slots_and_rest(p)
     disj = (
         [FNot(FAtom(EQ, (Var(u), t))) for u, t in zip(params, d.args)]
@@ -168,7 +161,7 @@ def make_alpha(p: PointedClause) -> tuple[str, PredExpr]:
         + [FAtom(y, l.args, pvar=True) for l in slots]
     )
     body = fand(
-        lit_to_formula(d.dual()),
+        lit_to_formula(Lit(not d.pos, d.head, tuple(Var(u) for u in params), d.pvar)),
         forall(sorted(p.clause.vars), for_(*disj)),
     )
     return y, simplify_pred_expr(PredExpr(params, body))
@@ -197,7 +190,7 @@ def b_k(p: PointedClause, k: int) -> ClausePredicate:
     for _ in range(k):
         nxt: set[Clause] = {Clause.make([_start_lit(p, consts)])}
         choices = sorted(level, key=lambda c: (len(c.lits), str(c)))
-        for pick in _product(choices, len(slots)):
+        for pick in itertools.product(choices, repeat=len(slots)):
             lits = list(constraints) + list(rest)
             for slot, r in zip(slots, pick):
                 lits.extend(_instantiate(r, consts, slot.args))
@@ -207,23 +200,10 @@ def b_k(p: PointedClause, k: int) -> ClausePredicate:
     return ClausePredicate(consts, frozenset(level))
 
 
-def _product(items: list[Clause], n: int):
-    if n == 0:
-        yield ()
-        return
-    for head in items:
-        for tail in _product(items, n - 1):
-            yield (head,) + tail
-
-
 def _instantiate(r: Clause, consts: tuple[str, ...], args: tuple) -> list[Lit]:
     ren = {v: Var(fresh_name("z")) for v in r.vars}
     m = dict(zip(consts, args))
-    out = []
-    for l in r.lits:
-        l = subst_lit(l, ren)
-        out.append(Lit(l.pos, l.head, tuple(subst_consts(a, m) for a in l.args), l.pvar))
-    return out
+    return [_lit_subst_consts(subst_lit(l, ren), m) for l in r.lits]
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +384,8 @@ def extract_witness(
         step = d.steps[i]
         if step.rule == "extpurdel":
             x, pol, arity = step.args
-            tau = {x: pred_true(arity) if pol == "+" else pred_false(arity)}
+            params = tuple(fresh_name("v") for _ in range(arity))
+            tau = {x: PredExpr(params, TRUE if pol == "+" else FALSE)}
             modes.append((i, f"ext {pol}"))
         elif step.rule == "purdel":
             cid, k = step.args

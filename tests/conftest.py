@@ -7,6 +7,7 @@ recomputed from its one-step definition.
 """
 
 import itertools
+import pathlib
 
 from wscan.logic import (
     App,
@@ -16,8 +17,26 @@ from wscan.logic import (
     is_proper_subterm_var,
     subst_lit,
 )
-from wscan.problems import parse_problem
+from wscan.problems import merge_theory, parse_problem
+from wscan.saturation import replay, search
 from wscan.subsumption import subsumes
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "wscan" / "corpus"
+
+# every corpus derivation: blind search on each problem but p06, which search
+# does not solve, and the four recorded traces
+CORPUS_RUNS = [(p.stem, None) for p in sorted(CORPUS.glob("*.wscan")) if p.stem != "p06_graph3"]
+CORPUS_RUNS += [("p01_main", "p01_d1"), ("p01_main", "p01_d2"), ("p05_cycle", "p05_cycle"),
+                ("p06_graph3", "p06_graph3")]
+
+
+def corpus_derivation(problem, trace):
+    """The problem (theory merged) and its first search derivation, or the
+    replayed trace when one is named."""
+    prob = merge_theory(parse_problem((CORPUS / f"{problem}.wscan").read_text()))
+    if trace is None:
+        return prob, next(search(prob.clauses, prob.xvars))
+    return prob, replay(prob.clauses, prob.xvars, (CORPUS / f"{trace}.trace").read_text())
 
 
 def problem(text):

@@ -128,6 +128,30 @@ def test_check_with_explicit_conclusion(capsys, tmp_path):
     assert code == 1  # lambda false satisfies neither input clause
 
 
+def test_check_passes_what_replay_prints_for_an_unsatisfiable_problem(capsys, tmp_path):
+    # the conclusion is the empty clause; it must print as a line that
+    # parses back to the empty clause, so that `check` agrees with
+    # `replay --verify`
+    problem = tmp_path / "p.wscan"
+    problem.write_text("exists X/1.\nX(a)\n~X(a)\n")
+    trace = tmp_path / "p.trace"
+    trace.write_text(
+        "res 1.1 2.1 -> 3\nconstrelim 3 -> 4\nredel 3 subsumed-by 4\npurdel 1.1\npurdel 2.1\n"
+    )
+    code, out, _ = run(capsys, "replay", problem, trace, "--verify")
+    assert code == 0 and "verification: PASS" in out
+    code, out, _ = run(capsys, "replay", problem, trace, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["conclusion_text"] == ["false"]
+    witness, conclusion = tmp_path / "w.txt", tmp_path / "c.wscan"
+    witness.write_text("".join(f"{line}\n" for line in doc["witness_text"]))
+    conclusion.write_text("".join(f"{line}\n" for line in doc["conclusion_text"]))
+    code, out, _ = run(capsys, "check", problem, witness, conclusion)
+    assert code == 0, out
+    assert "verification: PASS" in out
+
+
 def test_encode_graph_round_trip(capsys):
     code, out, _ = run(capsys, "encode-graph", GRAPH)
     assert code == 0

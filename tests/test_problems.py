@@ -1,13 +1,12 @@
 """Problem text format, graph encoding, and the direct single-occurrence
 substitution shortcut."""
 
-import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wscan.logic import pred_expr_str
+from wscan.logic import App, Clause, Lit, pred_expr_str
 from wscan.problems import (
     GraphSpec,
     ParseError,
@@ -21,13 +20,10 @@ from wscan.problems import (
     parse_witness,
     print_problem,
 )
-from wscan.saturation import replay, search
 from wscan.verify import FiniteModel, check_witness, soqe_holds
 from wscan.witness import extract_witness
 
-from conftest import random_clause
-
-CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "wscan" / "corpus"
+from conftest import CORPUS, CORPUS_RUNS, corpus_derivation, random_clause
 
 
 def test_parse_round_trip_is_identity():
@@ -108,12 +104,25 @@ def test_clause_literal_cannot_negate_a_disequation():
 def test_printed_problems_parse_back(n):
     rng = random.Random(n)
     clauses = tuple(random_clause(rng) for _ in range(rng.randrange(1, 6)))
+    if rng.random() < 0.2:
+        clauses += (Clause(),)
     theory = frozenset(
         i for i, c in enumerate(clauses) if not any(l.pvar for l in c.lits) and rng.random() < 0.5
     )
     p = Problem(clauses, {"X": 1}, theory)
     q = parse_problem(print_problem(p))
     assert (q.clauses, q.xvars, q.theory) == (p.clauses, p.xvars, p.theory)
+
+
+def test_empty_clause_line_and_misplaced_truth_constants():
+    assert str(Clause()) == "false"
+    p = parse_problem("B(a)\nfalse\ntheory false.\n")
+    assert p.clauses == (Clause.make([Lit(True, "B", (App("a"),))]), Clause(), Clause())
+    assert p.theory == frozenset({2})
+    for text, col in (("false | B(a)", 1), ("B(a) | true", 8), ("~false", 2), ("true", 1)):
+        with pytest.raises(ParseError) as e:
+            parse_problem(f"B(a)\n{text}\n")
+        assert (e.value.line, e.value.col) == (2, col), text
 
 
 def test_declarations_may_follow_uses():
@@ -137,10 +146,10 @@ def test_parse_graph_and_validation():
 def test_encode_single_node_graph():
     p = encode_graph(GraphSpec(1, (), (1,), ()))
     body = print_problem(p)
-    assert "~E(a1, a1)" in body
+    assert "~E(a1,a1)" in body
     assert "?u0 = a1" in body
     assert "X(a1)" in body
-    assert "~X(?u1) | ~E(?u0, ?u1)" in body or "~E(?u0, ?u1) | ~X(?u0)" in body
+    assert "~X(?u1) | ~E(?u0,?u1)" in body or "~E(?u0,?u1) | ~X(?u0)" in body
 
 
 def test_encode_overlapping_init_and_fail_still_encodes():
@@ -257,21 +266,15 @@ def test_parse_witness_nullary():
     assert pred_expr_str(w["X"]) == "lambda _. false"
 
 
-# every corpus derivation (blind search, except p06; the traces), in every
-# witness mode; resolution-mode extraction does not finish on two traces
-WITNESS_RUNS = [(p.stem, None) for p in sorted(CORPUS.glob("*.wscan")) if p.stem != "p06_graph3"]
-WITNESS_RUNS += [("p01_main", "p01_d1"), ("p01_main", "p01_d2"), ("p05_cycle", "p05_cycle"),
-                 ("p06_graph3", "p06_graph3")]
+# resolution-mode extraction does not finish on two traces
 UNFINISHED = {("p01_d2", "resolution"), ("p05_cycle", "resolution")}
 
 
-@pytest.mark.parametrize("problem,trace", WITNESS_RUNS, ids=lambda x: x or "search")
+@pytest.mark.parametrize("problem,trace", CORPUS_RUNS, ids=lambda x: x or "search")
 def test_extracted_witnesses_print_and_parse_back(problem, trace):
-    prob = merge_theory(parse_problem((CORPUS / f"{problem}.wscan").read_text()))
-    if trace is None:
-        d = next(search(prob.clauses, prob.xvars))
-    else:
-        d = replay(prob.clauses, prob.xvars, (CORPUS / f"{trace}.trace").read_text())
+    prob, d = corpus_derivation(problem, trace)
+    conclusion = "".join(f"{c}\n" for c in d.conclusion())
+    assert parse_problem(conclusion).clauses == tuple(d.conclusion()), conclusion
     for mode in ("auto", "fixpoint", "resolution"):
         if (trace, mode) in UNFINISHED:
             continue

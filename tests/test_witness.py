@@ -1,13 +1,16 @@
 """Deletion certificates: bounded expressions, resolution saturation, the
 acyclicity analysis, and full witness extraction."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wscan.logic import PointedClause, pred_expr_str, simplify_pred_expr
-from wscan.saturation import replay
-from wscan.verify import check_witness, eval_formula, models, signature_of
+from wscan import logic
+from wscan.logic import FNot, PointedClause, PredExpr, pred_expr_str, simplify_pred_expr
+from wscan.saturation import SearchLimits, replay, search
+from wscan.verify import check_witness, eval_formula, model_count, models, signature_of
 from wscan.witness import (
     Acyclic,
     LresBudgetExceeded,
@@ -19,7 +22,7 @@ from wscan.witness import (
     lres,
 )
 
-from conftest import cl, clauses_of
+from conftest import CORPUS_RUNS, cl, clauses_of, corpus_derivation, random_clause
 
 
 def pointed(text, pos=None, header="X/1"):
@@ -254,3 +257,69 @@ def test_one_sided_pairs_are_acyclic_and_level_one():
         assert isinstance(res, Acyclic)
         assert b_k(p, 1).same_up_to_consts(_lres(p))
         done += 1
+
+
+# -- the gfp predicate against the bounded certificate -------------------------
+
+
+def gfp_certificate_breaks(d):
+    """Compare, at each purdel step where `find_acyclic` gives Acyclic(k), the
+    gfp predicate with b_k, both as `_purdel_pred` builds them, on every model
+    of size 1 and 2 (size 2 only up to 4,096 interpretations, to bound the
+    time).  Returns the (step, model, arguments) triples that break:
+
+    * b_k is the k-th iterate of make_alpha's operator upward from the empty
+      relation, so it implies the least and hence the greatest fixpoint; a
+      positive designated literal negates both and turns the implication round;
+    * when the clause has no recursion slot the operator is constant, so for
+      k >= 1 the two are equal.
+
+    They need not be equal in general: the depth k is justified by the clauses
+    alive after the step, and on models that falsify those the unfolding of a
+    recursive clause goes deeper (p01_d2, step 1: no B edges, X everywhere)."""
+    bad = []
+    for i, step in enumerate(d.steps):
+        if step.rule != "purdel":
+            continue
+        p = PointedClause(d.clauses[step.args[0]], step.args[1])
+        got = find_acyclic(p, d.alive_clauses(i + 1))
+        if not isinstance(got, Acyclic):
+            continue
+        neg = p.designated.pos
+        g = gfp_pred_expr(p)
+        if neg:
+            g = PredExpr(g.params, FNot(g.body))
+        b = b_k(p, got.k).to_pred_expr(negate=neg)
+        flat = got.k >= 1 and not any(l.same_kind(p.designated.dual()) for l in p.rest)
+        sig = signature_of(formulas=[g.body, b.body])
+        for n in (1, 2):
+            if model_count(sig, n) > 4096:
+                break
+            for m in models(sig, n):
+                for t in itertools.product(range(n), repeat=len(g.params)):
+                    gv = eval_formula(m, g.body, dict(zip(g.params, t)))
+                    bv = eval_formula(m, b.body, dict(zip(b.params, t)))
+                    lo, hi = (gv, bv) if neg else (bv, gv)
+                    if (lo and not hi) or (flat and gv != bv):
+                        bad.append((i + 1, m.describe(), t))
+    return bad
+
+
+@pytest.mark.parametrize("problem,trace", CORPUS_RUNS, ids=lambda x: x or "search")
+def test_gfp_predicate_and_certificate_on_corpus_derivations(problem, trace, monkeypatch):
+    # fresh names share one counter; restarting it gives the fresh names
+    # their lowest numbers, which are the ones canonical clause variables
+    # (u0, u1, ...) also take, whichever tests ran before
+    monkeypatch.setattr(logic, "_counter", itertools.count())
+    _, d = corpus_derivation(problem, trace)
+    assert gfp_certificate_breaks(d) == []
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_gfp_predicate_and_certificate_on_random_derivations(n):
+    rng = random.Random(n)
+    clauses = [random_clause(rng) for _ in range(rng.randrange(1, 5))]
+    d = next(iter(search(clauses, {"X": 1}, SearchLimits(max_steps=20))), None)
+    if d is not None:
+        assert gfp_certificate_breaks(d) == []
