@@ -30,14 +30,12 @@ from .subsumption import _velim_candidates, subsumes_L_velim
 def constraint_resolve(p: PointedClause, q: PointedClause) -> Clause:
     """Resolvent of two pointed clauses on their designated literals.
 
-    The designated literals must be predicate-variable literals with the same
-    head and opposite polarity; their argument tuples turn into disequation
-    constraints.  Premises are renamed apart.
+    The designated literals must have the same head and arity and opposite
+    polarity; their argument tuples turn into disequation constraints.
+    Premises are renamed apart.
     """
     dp, dq = p.designated, q.designated
-    if not (dp.pvar and dq.pvar):
-        raise ValueError("resolution is on predicate-variable literals")
-    if dp.head != dq.head or len(dp.args) != len(dq.args):
+    if dp.head != dq.head or dp.pvar != dq.pvar or len(dp.args) != len(dq.args):
         raise ValueError(f"designated literals disagree: {dp} vs {dq}")
     if dp.pos == dq.pos:
         raise ValueError(f"designated literals must have opposite polarity: {dp} vs {dq}")
@@ -149,7 +147,6 @@ def paramodulant(
     c2: Clause,
     lit_index: int,
     path: tuple[int, ...],
-    into_vars: bool = False,
 ) -> Optional[Clause]:
     """Paramodulate the equation literal `eq_index` of c1 (oriented "lr" or
     "rl") into the subterm of c2 at literal `lit_index`, argument path `path`
@@ -170,9 +167,7 @@ def paramodulant(
     if path[0] >= len(target.args):
         return None
     r = _subterm_at(target.args[path[0]], path[1:])
-    if r is None:
-        return None
-    if isinstance(r, Var) and not into_vars:
+    if r is None or isinstance(r, Var):
         return None
     sigma = mgu([(s, r)])
     if sigma is None:
@@ -193,7 +188,7 @@ def _positions(t: Term, here: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...]
 
 
 def all_paramodulants(
-    c1: Clause, c2: Clause, into_vars: bool = False
+    c1: Clause, c2: Clause
 ) -> Iterator[tuple[Clause, int, str, int, tuple[int, ...]]]:
     """Every paramodulant from an equation of c1 into c2, with its descriptor
     (eq literal, orientation, target literal, argument path)."""
@@ -204,9 +199,9 @@ def all_paramodulants(
             for li, lit in enumerate(c2.lits):
                 for ai, arg in enumerate(lit.args):
                     for sub, r in _positions(arg, ()):
-                        if isinstance(r, Var) and not into_vars:
+                        if isinstance(r, Var):
                             continue
-                        got = paramodulant(c1, ei, orient, c2, li, (ai,) + sub, into_vars)
+                        got = paramodulant(c1, ei, orient, c2, li, (ai,) + sub)
                         if got is not None:
                             yield got, ei, orient, li, (ai,) + sub
 
@@ -223,23 +218,22 @@ def resolution_partners(p: PointedClause, c: Clause) -> Iterator[PointedClause]:
             yield pointed(c, i)
 
 
-def is_purified(p: PointedClause, n: frozenset[Clause]) -> Optional[dict]:
-    """Check that every one-step resolvent of p against n is covered by n
-    modulo constraint unfolding (with injective matching on the literals that
-    resolve with p's designated one).
-
-    Returns a certificate mapping (partner clause, literal index) to the
-    covering clause, or None when some resolvent is uncovered.
-    """
+def resolvent_covers(
+    p: PointedClause, n: frozenset[Clause]
+) -> Iterator[tuple[Clause, int, Iterator[Clause]]]:
+    """For each partner clause in n and literal index that resolves with p:
+    the clauses of n that cover the resolvent modulo constraint unfolding
+    (with injective matching on the literals like the partner's), in
+    `sorted(n, key=str)` order.  A cover iterator reads the current
+    resolvent, so consume it before taking the next one."""
     like = p.designated.dual()
-    cert: dict[tuple[Clause, int], Clause] = {}
-    for c in sorted(n, key=str):
+    order = sorted(n, key=str)
+    for c in order:
         for q in resolution_partners(p, c):
             r = constraint_resolve(p, q)
-            cover = next(
-                (s for s in sorted(n, key=str) if subsumes_L_velim(s, r, like)), None
-            )
-            if cover is None:
-                return None
-            cert[(c, q.index)] = cover
-    return cert
+            yield c, q.index, (s for s in order if subsumes_L_velim(s, r, like))
+
+
+def is_purified(p: PointedClause, n: frozenset[Clause]) -> bool:
+    """Is every one-step resolvent of p against n covered by a clause of n?"""
+    return all(next(covers, None) is not None for _, _, covers in resolvent_covers(p, n))

@@ -868,11 +868,6 @@ def canonical_pred_expr(pe: PredExpr) -> PredExpr:
     counter = 0
     pcounter = 0
 
-    def rename_term(t: Term, env: Mapping[str, str]) -> Term:
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name))
-        return App(t.fn, tuple(rename_term(a, env) for a in t.args))
-
     def fresh() -> str:
         nonlocal counter
         name = f"u{counter}"
@@ -883,21 +878,21 @@ def canonical_pred_expr(pe: PredExpr) -> PredExpr:
         nonlocal pcounter
         if isinstance(f, FAtom):
             head = penv.get(f.head, f.head) if f.pvar else f.head
-            return FAtom(head, tuple(rename_term(a, env) for a in f.args), f.pvar)
+            return FAtom(head, tuple(subst_term(a, env) for a in f.args), f.pvar)
         if isinstance(f, (FAll, FEx)):
             new = fresh()
-            return type(f)(new, walk(f.sub, {**env, f.var: new}, penv))
+            return type(f)(new, walk(f.sub, {**env, f.var: Var(new)}, penv))
         if isinstance(f, FGfp):
-            args = tuple(rename_term(a, env) for a in f.args)
+            args = tuple(subst_term(a, env) for a in f.args)
             newp = f"Y{pcounter}"
             pcounter += 1
             newparams = tuple(fresh() for _ in f.params)
-            body = walk(f.body, {**env, **dict(zip(f.params, newparams))}, {**penv, f.pvar: newp})
-            return FGfp(newp, newparams, body, args)
+            inner = {**env, **{u: Var(v) for u, v in zip(f.params, newparams)}}
+            return FGfp(newp, newparams, walk(f.body, inner, {**penv, f.pvar: newp}), args)
         return map_children(f, lambda g: walk(g, env, penv))
 
     params = tuple(fresh() for _ in pe.params)
-    return PredExpr(params, walk(pe.body, dict(zip(pe.params, params)), {}))
+    return PredExpr(params, walk(pe.body, {u: Var(v) for u, v in zip(pe.params, params)}, {}))
 
 
 # ---------------------------------------------------------------------------

@@ -402,7 +402,13 @@ def parse_problem(text: str, origin: str = "text") -> Problem:
     for p in lines:
         if p.at("eof"):  # a directive, already read
             continue
-        is_theory = p.accept("ident", "theory")
+        # `theory` is the directive only before what can begin a literal, so
+        # `theory(a)`, `theory = a` and `theory | X(a)` are clauses
+        is_theory = p.at("ident", "theory") and (
+            p.toks[p.i + 1].kind in ("ident", "var") or p.toks[p.i + 1].text == "~"
+        )
+        if is_theory:
+            p.next()
         c = _parse_clause_line(p, sig)
         if not p.at("eof"):
             raise p.error("trailing input after clause")

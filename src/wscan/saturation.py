@@ -187,7 +187,9 @@ def _need_lit(c: Clause, i: int, k: int) -> Lit:
 
 def _res(st: _State, i1: int, k1: int, i2: int, k2: int) -> Step:
     c1, c2 = _need(st, i1), _need(st, i2)
-    _need_lit(c1, i1, k1), _need_lit(c2, i2, k2)
+    l1, l2 = _need_lit(c1, i1, k1), _need_lit(c2, i2, k2)
+    if not (l1.pvar and l2.pvar):
+        raise _Rejected("resolution is on predicate-variable literals")
     try:
         r = constraint_resolve(pointed(c1, k1), pointed(c2, k2))
     except ValueError as e:
@@ -253,7 +255,7 @@ def _purdel(st: _State, i: int, k: int) -> Step:
     c = _need(st, i)
     if not _need_lit(c, i, k).pvar:
         raise _Rejected(f"literal {i}.{k + 1} is not a predicate-variable literal")
-    if is_purified(pointed(c, k), st.alive_clauses(without=i)) is None:
+    if not is_purified(pointed(c, k), st.alive_clauses(without=i)):
         raise _Rejected(f"{i}.{k + 1} is not purified in the current set")
     return Step("purdel", (i, k), (i,))
 

@@ -18,6 +18,7 @@ from .calculus import (
     all_paramodulants,
     constraint_eliminate,
     constraint_factor,
+    constraint_resolve,
     paramodulant,
     variable_eliminate,
 )
@@ -51,6 +52,7 @@ from .logic import (
     fresh_name,
     lit_to_formula,
     map_children,
+    pointed,
     rename_clause_apart,
     simplify,
     subst_formula,
@@ -303,22 +305,20 @@ def signature_of(clauses: Sequence[Clause] = (), formulas: Sequence[Formula] = (
     return sig
 
 
-def model_count(sig: Signature, n: int, with_pvars: bool = True) -> int:
+def model_count(sig: Signature, n: int) -> int:
     total = 1
     for (_, k) in sig.funcs:
         total *= n ** (n**k)
-    rels = list(sig.rels) + (list(sig.pvars) if with_pvars else [])
-    for (_, k) in rels:
+    for (_, k) in list(sig.rels) + list(sig.pvars):
         total *= 2 ** (n**k)
     return total
 
 
-def models(sig: Signature, n: int, with_pvars: bool = True) -> Iterator[FiniteModel]:
+def models(sig: Signature, n: int) -> Iterator[FiniteModel]:
     """All models of size n over the signature, deterministically ordered.
-    Free predicate variables are enumerated as ordinary relations unless
-    with_pvars is false."""
+    Free predicate variables are enumerated as ordinary relations."""
     fkeys = sorted(sig.funcs)
-    rkeys = sorted(sig.rels) + (sorted(sig.pvars) if with_pvars else [])
+    rkeys = sorted(sig.rels) + sorted(sig.pvars)
     fdomains = []
     for (_, k) in fkeys:
         points = list(itertools.product(range(n), repeat=k))
@@ -342,6 +342,26 @@ def models(sig: Signature, n: int, with_pvars: bool = True) -> Iterator[FiniteMo
 def fn_cap_ok(sig: Signature) -> bool:
     heavy = [(f, k) for (f, k) in sig.funcs if k >= 1]
     return len(heavy) <= 2 and all(k <= 2 for _, k in heavy)
+
+
+def small_models(sig: Signature, deadline: float, notes: list[str]) -> Iterator[FiniteModel]:
+    """The models of sizes 1-3 over sig, smallest first, within the deadline
+    and the enumeration caps; notes each size skipped or cut short."""
+    for size in range(1, 4):
+        if time.monotonic() > deadline:
+            notes.append(f"model check stopped before size {size} (timeout)")
+            return
+        if size == 3 and not fn_cap_ok(sig):
+            notes.append("size-3 models skipped (function enumeration cap)")
+            return
+        if model_count(sig, size) > 300_000:
+            notes.append(f"size-{size} models skipped (too many interpretations)")
+            continue
+        for m in models(sig, size):
+            if time.monotonic() > deadline:
+                notes.append(f"model check interrupted at size {size} (timeout)")
+                return
+            yield m
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +471,7 @@ def _redundant(s: Clause, c: Clause) -> bool:
 
 
 def _resolvents(c1: Clause, c2: Clause) -> Iterator[tuple[Clause, int, int]]:
+    # renamed apart once per pair, so constraint_resolve's renaming is a no-op
     c2r = rename_clause_apart(c2, c1.vars)
     for i, l1 in enumerate(c1.lits):
         for j, l2 in enumerate(c2r.lits):
@@ -461,11 +482,7 @@ def _resolvents(c1: Clause, c2: Clause) -> Iterator[tuple[Clause, int, int]]:
                 or l1.pos == l2.pos
             ):
                 continue
-            constraints = tuple(Lit(False, EQ, (a, b)) for a, b in zip(l1.args, l2.args))
-            rest = tuple(l for k, l in enumerate(c1.lits) if k != i) + tuple(
-                l for k, l in enumerate(c2r.lits) if k != j
-            )
-            yield Clause.make(constraints + rest), i, j
+            yield constraint_resolve(pointed(c1, i), pointed(c2r, j)), i, j
 
 
 class _Prover:
@@ -599,23 +616,11 @@ class _Prover:
                 self._admit(r, "constrelim", (gid,), (sel,))
 
 
-def find_model(
-    clauses: Sequence[Clause], max_size: int = 3, deadline: Optional[float] = None
-) -> Optional[FiniteModel]:
+def find_model(clauses: Sequence[Clause], deadline: float = float("inf")) -> Optional[FiniteModel]:
     """A finite model of all the clauses (free predicate variables enumerated
     as relations), or None within the size/effort bounds."""
-    sig = signature_of(clauses)
-    for n in range(1, max_size + 1):
-        if n == 3 and not fn_cap_ok(sig):
-            break
-        if model_count(sig, n) > 300_000:
-            break
-        for m in models(sig, n):
-            if deadline is not None and time.monotonic() > deadline:
-                return None
-            if all(eval_clause(m, c) for c in clauses):
-                return m
-    return None
+    candidates = small_models(signature_of(clauses), deadline, [])
+    return next((m for m in candidates if all(eval_clause(m, c) for c in clauses)), None)
 
 
 def prove(
@@ -642,30 +647,28 @@ def prove(
     return Unknown("saturation budget exhausted without refutation or countermodel")
 
 
+# each prover rule's conclusion, rebuilt by the calculus from the premise
+# clauses followed by the step's data
+_REBUILD = {
+    "velim": lambda c: variable_eliminate(c)[0],
+    "res": lambda c1, c2, i, j: constraint_resolve(pointed(c1, i), pointed(c2, j)),
+    "fac": constraint_factor,
+    "constrelim": constraint_eliminate,
+    "parmod": lambda c1, c2, ei, orient, li, path: paramodulant(c1, ei, orient, c2, li, path),
+}
+
+
 def replay_refutation(steps: Sequence[ProofRec]) -> bool:
     """Re-derive every non-input step with the calculus rules and compare the
-    recorded conclusions."""
+    recorded conclusions; a step that names an unknown rule, a missing premise
+    or data the rule rejects fails the replay."""
     table = {r.id: r.clause for r in steps}
     for r in steps:
         if r.rule == "input":
             continue
-        if r.rule == "velim":
-            got, _ = variable_eliminate(table[r.premises[0]])
-        elif r.rule == "res":
-            i, j = r.data
-            found = [
-                rr for rr, a, b in _resolvents(table[r.premises[0]], table[r.premises[1]])
-                if (a, b) == (i, j)
-            ]
-            got = found[0] if found else None
-        elif r.rule == "fac":
-            got = constraint_factor(table[r.premises[0]], *r.data)
-        elif r.rule == "constrelim":
-            got = constraint_eliminate(table[r.premises[0]], r.data[0])
-        elif r.rule == "parmod":
-            ei, orient, li, path = r.data
-            got = paramodulant(table[r.premises[0]], ei, orient, table[r.premises[1]], li, path)
-        else:
+        try:
+            got = _REBUILD[r.rule](*(table[i] for i in r.premises), *r.data)
+        except (KeyError, IndexError, TypeError, ValueError):
             return False
         if got != r.clause:
             return False
@@ -723,40 +726,22 @@ def check_witness(
                 prover_results.append((i, "unknown"))
     sig = signature_of(list(n) + list(conclusion), goals)
     sig.pvars = {k: None for k in sig.pvars if k[0] not in xars}
-    for x, k in xars.items():
-        sig.pvars.pop((x, k), None)
     checked = 0
-    for size in range(1, 4):
-        if time.monotonic() > deadline:
-            notes.append(f"model check stopped before size {size} (timeout)")
+    for m in small_models(sig, deadline, notes):
+        try:
+            lhs = soqe_holds(m, n, xars)
+        except EnumerationTooLarge as e:
+            notes.append(f"soqe enumeration skipped: {e}")
             break
-        if size == 3 and not fn_cap_ok(sig):
-            notes.append("size-3 models skipped (function enumeration cap)")
-            break
-        if model_count(sig, size) > 300_000:
-            notes.append(f"size-{size} models skipped (too many interpretations)")
-            continue
-        for m in models(sig, size):
-            if time.monotonic() > deadline:
-                notes.append(f"model check interrupted at size {size} (timeout)")
+        rhs = all(eval_formula(m, g) for g in goals)
+        checked += 1
+        if lhs != rhs:
+            failures.append(
+                f"model disagreement ({m.describe()}): solvable={lhs}, witness gives {rhs}"
+            )
+            if sum(1 for s in failures if s.startswith("model disagreement")) >= 5:
+                notes.append("model check stopped after 5 disagreements")
                 break
-            try:
-                lhs = soqe_holds(m, n, xars)
-            except EnumerationTooLarge as e:
-                notes.append(f"soqe enumeration skipped: {e}")
-                break
-            rhs = all(eval_formula(m, g) for g in goals)
-            checked += 1
-            if lhs != rhs:
-                failures.append(
-                    f"model disagreement ({m.describe()}): solvable={lhs}, witness gives {rhs}"
-                )
-                if sum(1 for s in failures if s.startswith("model disagreement")) >= 5:
-                    notes.append("model check stopped after 5 disagreements")
-                    break
-        else:
-            continue
-        break
-    completed = checked + sum(1 for _, r in prover_results if r == "proved")
-    passed = not failures and completed > 0
-    return CheckReport(passed, tuple(prover_results), checked, tuple(failures), tuple(notes))
+    rep = CheckReport(False, tuple(prover_results), checked, tuple(failures), tuple(notes))
+    rep.passed = not failures and rep.completed() > 0
+    return rep

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .calculus import constraint_resolve, resolution_partners, variable_eliminate
+from .calculus import constraint_resolve, resolution_partners, resolvent_covers, variable_eliminate
 from .logic import (
     EQ,
     FALSE,
@@ -45,7 +45,7 @@ from .logic import (
     compose_pred_subst,
 )
 from .saturation import Derivation
-from .subsumption import subsumes, subsumes_L_velim
+from .subsumption import subsumes
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +212,9 @@ def _instantiate(r: Clause, consts: tuple[str, ...], args: tuple) -> list[Lit]:
 
 @dataclass(frozen=True)
 class Acyclic:
-    """A choice of covering clause per resolvable pointed clause whose induced
-    graph (partner -> cover) is acyclic, with the minimal longest path."""
+    """Some choice of covering clause per resolvable pointed clause induces an
+    acyclic graph (partner -> cover); k is the minimal longest path."""
 
-    s: tuple[tuple[tuple[Clause, int], Clause], ...]
-    edges: tuple[tuple[Clause, Clause], ...]
     k: int
 
 
@@ -239,33 +237,24 @@ def find_acyclic(
 ) -> Union[Acyclic, ProvenCyclic, AnalysisBudget]:
     """Search for an acyclic assignment of covering clauses with minimal
     longest-path length; the pointed clause must be purified in n."""
-    like = p.designated.dual()
-    order = sorted(n, key=str)
-    keys: list[tuple[Clause, int]] = []
-    cands: list[list[Clause]] = []
+    rows: list[tuple[Clause, list[Clause]]] = []  # (partner, its candidate covers)
     capped = False
-    for c in order:
-        for q in resolution_partners(p, c):
-            r = constraint_resolve(p, q)
-            covers = [s for s in order if subsumes_L_velim(s, r, like)]
-            if not covers:
-                raise ValueError("pointed clause is not purified in n")
-            if len(covers) > _CANDIDATE_CAP:
-                covers = covers[:_CANDIDATE_CAP]
-                capped = True
-            keys.append((c, q.index))
-            cands.append(covers)
-    if not keys:
-        return Acyclic((), (), 0)
+    for c, _, covers in resolvent_covers(p, n):
+        got = list(itertools.islice(covers, _CANDIDATE_CAP + 1))
+        if not got:
+            raise ValueError("pointed clause is not purified in n")
+        if len(got) > _CANDIDATE_CAP:
+            got.pop()
+            capped = True
+        rows.append((c, got))
+    if not rows:
+        return Acyclic(0)
 
-    best: Optional[tuple[int, tuple[Clause, ...]]] = None
+    best: Optional[int] = None
     combos = 0
     budget = False
 
-    def longest(edges: set[tuple[Clause, Clause]]) -> int:
-        adj: dict[Clause, set[Clause]] = {}
-        for a, b in edges:
-            adj.setdefault(a, set()).add(b)
+    def longest(adj: dict[Clause, set[Clause]]) -> int:
         memo: dict[Clause, int] = {}
 
         def depth(v: Clause) -> int:
@@ -287,34 +276,29 @@ def find_acyclic(
             stack.extend(adj.get(v, ()))
         return False
 
-    def go(i: int, edges: set[tuple[Clause, Clause]], choice: tuple[Clause, ...]):
+    def go(i: int, edges: set[tuple[Clause, Clause]]):
         nonlocal best, combos, budget
-        if budget or (best is not None and best[0] == 1):
+        if budget or best == 1:
             return
-        if i == len(keys):
-            k = longest(edges)
-            if best is None or k < best[0]:
-                best = (k, choice)
-            return
-        src = keys[i][0]
         adj: dict[Clause, set[Clause]] = {}
         for a, b in edges:
             adj.setdefault(a, set()).add(b)
-        for cover in cands[i]:
+        if i == len(rows):
+            best = longest(adj) if best is None else min(best, longest(adj))
+            return
+        src, covers = rows[i]
+        for cover in covers:
             combos += 1
             if combos > _COMBO_CAP:
                 budget = True
                 return
             if cover == src or reaches(adj, cover, src):
                 continue
-            go(i + 1, edges | {(src, cover)}, choice + (cover,))
+            go(i + 1, edges | {(src, cover)})
 
-    go(0, set(), ())
+    go(0, set())
     if best is not None:
-        _, choice = best
-        s = tuple(zip(keys, choice))
-        edges = tuple((k[0], c) for k, c in zip(keys, choice))
-        return Acyclic(s, edges, best[0])
+        return Acyclic(best)
     if budget or capped:
         return AnalysisBudget()
     return ProvenCyclic()

@@ -164,7 +164,7 @@ def test_criterion_05_purity_rejects_the_uncovered_tautology_case():
     ]
     clauses = [cl(t) for t in texts]
     p = _pointed(clauses[0], pos=False)
-    assert is_purified(p, frozenset(clauses[1:])) is None
+    assert not is_purified(p, frozenset(clauses[1:]))
     with pytest.raises(ReplayError):
         replay(clauses, {"X": 1}, f"purdel 1.{p.index + 1}")
     # the four-element structure separating the set from a covering resolvent
@@ -196,9 +196,10 @@ def test_criterion_06_recursive_deletion_gets_a_fixpoint_witness():
     assert w.has_gfp()
     goals = [simplify(apply_pred_subst_clause(c, w.psub)) for c in prob.clauses]
     sig = signature_of(prob.clauses)
+    sig.pvars.clear()
     checked = 0
     for size in (1, 2, 3):
-        for m in models(sig, size, with_pvars=False):
+        for m in models(sig, size):
             lhs = soqe_holds(m, list(prob.clauses), prob.xvars)
             rhs = all(eval_formula(m, g) for g in goals)
             assert lhs == rhs, m.describe()
@@ -237,7 +238,7 @@ def test_criterion_08_one_sided_deletions_are_acyclic_at_depth_one():
     done = 0
     while done < 200:
         p, n = make_one_sided(rng)
-        if is_purified(p, n) is None:
+        if not is_purified(p, n):
             continue
         assert isinstance(find_acyclic(p, n), Acyclic)
         assert b_k(p, 1).same_up_to_consts(lres(p))

@@ -134,8 +134,6 @@ def test_paramodulation_var_positions_excluded_by_default():
     c1 = cl("a = b")
     c2 = cl("B(?u)")
     assert all(r != cl("B(b)") for r, *_ in all_paramodulants(c1, c2))
-    with_vars = {r for r, *_ in all_paramodulants(c1, c2, into_vars=True)}
-    assert cl("B(b)") in with_vars
 
 
 def test_paramodulation_carries_side_literals():
@@ -151,11 +149,11 @@ def test_paramodulation_carries_side_literals():
 def test_is_purified_accepts_covered_resolvents():
     n = frozenset(clauses_of("X(a)\nB(a)"))
     p = pointed("~X(?u) | B(?u)", pos=False)
-    assert is_purified(p, n) is not None
+    assert is_purified(p, n)
 
 
 def test_is_purified_rejects_missing_cover():
     n = frozenset(clauses_of("X(a)\nC(a, a)"))
     p = pointed("~X(?u) | B(?u)", pos=False)
-    assert is_purified(p, n) is None
+    assert not is_purified(p, n)
 

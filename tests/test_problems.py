@@ -65,6 +65,23 @@ def test_parse_theory_marking():
     assert set(merged.clauses) == set(p.clauses)
 
 
+@pytest.mark.parametrize(
+    "line,printed",
+    [("theory(a)", "theory(a)"), ("theory = a", "a = theory"), ("theory | X(a)", "theory | X(a)")],
+)
+def test_leading_theory_is_a_clause_unless_a_literal_follows(line, printed):
+    p = parse_problem(f"exists X/1.\n{line}\nX(a)\n", origin="t")
+    assert p.theory == frozenset()
+    assert [str(c) for c in p.clauses] == [printed, "X(a)"]
+
+
+def test_theory_named_clauses_print_back_with_their_marks():
+    p = parse_problem("exists X/1.\ntheory(a)\ntheory theory(b)\nX(a)\n", origin="t")
+    assert p.theory == frozenset({1})
+    q = parse_problem(print_problem(p))
+    assert (q.clauses, q.theory) == (p.clauses, p.theory)
+
+
 def test_theory_clause_may_not_use_second_order_variables():
     with pytest.raises(ParseError):
         parse_problem("exists X/1.\ntheory X(a)\n", origin="t")

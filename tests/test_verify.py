@@ -1,6 +1,7 @@
 """Clausification, finite-model evaluation, the refutation prover, and the
 end-to-end witness checker."""
 
+import dataclasses
 import itertools
 import random
 
@@ -18,6 +19,7 @@ from wscan.logic import (
     FImp,
     FNot,
     FOr,
+    FTrue,
     PredExpr,
     Var,
     const,
@@ -156,8 +158,9 @@ def brute_soqe(m, clauses, xars):
 def test_soqe_holds_matches_brute_force():
     clauses = clauses_of("X(a)\n~X(?u) | B(?u)")
     sig = signature_of(clauses)
+    sig.pvars.clear()
     for n in (1, 2):
-        for m in models(sig, n, with_pvars=False):
+        for m in models(sig, n):
             assert soqe_holds(m, clauses, {"X": 1}) == brute_soqe(m, clauses, {"X": 1})
 
 
@@ -169,9 +172,10 @@ def test_soqe_holds_random_agreement():
     while agree < 40:
         clauses = [random_clause(rng, max_lits=2) for _ in range(2)]
         sig = signature_of(clauses)
+        sig.pvars.clear()
         if not fn_cap_ok(sig):
             continue
-        for m in models(sig, 2, with_pvars=False):
+        for m in models(sig, 2):
             assert soqe_holds(m, clauses, {"X": 1}) == brute_soqe(m, clauses, {"X": 1})
             agree += 1
 
@@ -290,3 +294,44 @@ def test_check_report_counts_completed_routes():
     w = Witness({"X": PredExpr(("z",), FAtom("=", (a, Var("z"))))}, ())
     rep = check_witness(clauses, {"X": 1}, d.conclusion(), w, timeout=20.0)
     assert rep.completed() >= 1
+
+
+# -- model-check notes --------------------------------------------------------
+
+
+def notes_for(text, timeout=20.0):
+    """check_witness's notes for X := true on the clauses of `text`."""
+    w = Witness({"X": PredExpr(("z",), FTrue())}, ())
+    return check_witness(clauses_of(text), {"X": 1}, [], w, timeout=timeout).notes
+
+
+def test_model_check_notes_the_function_enumeration_cap():
+    notes = notes_for("X(f(?u, ?v)) | ~X(g(?u, ?v))\nX(h(?u, ?v))")
+    assert notes == ("size-3 models skipped (function enumeration cap)",)
+
+
+def test_model_check_notes_too_many_interpretations():
+    notes = notes_for("B(?u, ?v, ?w, ?x, ?y) | X(?u)")
+    assert "size-2 models skipped (too many interpretations)" in notes
+
+
+def test_model_check_notes_a_timeout_before_the_first_size():
+    assert notes_for("X(a)", timeout=0.0) == ("model check stopped before size 1 (timeout)",)
+
+
+# -- proof replay rejects tampered proofs --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"clause": cl("B(a)")}, {"data": (0, "rl", 0, (0,))}, {"rule": "superpose"}],
+    ids=["swapped-clause", "changed-data", "unknown-rule"],
+)
+def test_replay_refutation_rejects_a_tampered_step(changes):
+    r = prove(clauses_of("a = b\nB(a)\n~B(b)"))
+    assert isinstance(r, Proved) and replay_refutation(r.steps)
+    # the paramodulation step rewrites B(a) to B(b) with a = b, left to right
+    step = next(s for s in r.steps if s.rule == "parmod")
+    assert step.data == (0, "lr", 0, (0,)) and step.clause == cl("B(b)")
+    tampered = [dataclasses.replace(s, **changes) if s is step else s for s in r.steps]
+    assert not replay_refutation(tampered)

@@ -251,7 +251,7 @@ def test_one_sided_pairs_are_acyclic_and_level_one():
     done = 0
     while done < 60:
         p, n = make_one_sided(rng)
-        if is_purified(p, n) is None:
+        if not is_purified(p, n):
             continue
         res = find_acyclic(p, n)
         assert isinstance(res, Acyclic)
