@@ -61,6 +61,15 @@ def constraint_factor(c: Clause, i: int, j: int) -> Clause:
     return Clause.make(constraints + rest)
 
 
+def factor_pairs(c: Clause) -> Iterator[tuple[int, int]]:
+    """The ordered pairs (i, j) of literals of c that `constraint_factor`
+    accepts: distinct predicate literals of the same kind."""
+    for i, li in enumerate(c.lits):
+        for j, lj in enumerate(c.lits):
+            if j != i and not li.is_eq and li.same_kind(lj):
+                yield i, j
+
+
 def constraint_eliminate(c: Clause, selection=None) -> Optional[Clause]:
     """Unify a block of disequation constraints of c and drop them.
 

@@ -16,15 +16,16 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Iterator, Optional, Sequence
 
 from .calculus import (
     constraint_eliminate,
     constraint_factor,
     constraint_resolve,
+    factor_pairs,
     is_purified,
     paramodulant,
+    resolution_partners,
     variable_eliminate,
 )
 from .logic import Clause, Lit, PointedClause, pointed
@@ -82,13 +83,16 @@ class Derivation:
 class SearchLimits:
     max_steps: int = 50
     timeout: float = 10.0
-    purify_budget: int = 100
     max_branches: int = 64
 
     def __post_init__(self):
         # `not > 0` also rejects a nan timeout, which no deadline would pass
-        if min(self.max_steps, self.purify_budget, self.max_branches) <= 0 or not self.timeout > 0:
+        if min(self.max_steps, self.max_branches) <= 0 or not self.timeout > 0:
             raise ValueError("limits must be positive")
+
+
+# resolvents one purification may add before it gives up
+PURIFY_BUDGET = 100
 
 
 class ReplayError(Exception):
@@ -368,21 +372,18 @@ def _clause_pass(st: _State, rule: Callable[..., Step]) -> bool:
 
 def _subsumption_pass(st: _State, protect: frozenset[int] = frozenset()) -> bool:
     """Delete clauses subsumed by another live clause, largest first, one at a
-    time (mutually subsuming pairs keep the canonically smaller member)."""
+    time (mutually subsuming pairs keep the canonically smaller member).  One
+    visit per clause suffices: a deletion only shrinks the set of subsumers,
+    so a clause kept once stays kept."""
     changed = False
-    while (step := _subsumption_step(st, protect)) is not None:
-        st.apply(step)
-        changed = True
-    return changed
-
-
-def _subsumption_step(st: _State, protect: frozenset[int]) -> Optional[Step]:
     for i in sorted(set(st.alive) - protect, key=lambda i: (str(st.clauses[i]), i), reverse=True):
         for j in sorted(st.alive):
             step = _attempt(_subsumed, st, i, j)
             if step is not None:
-                return step
-    return None
+                st.apply(step)
+                changed = True
+                break
+    return changed
 
 
 def _extpurdel_pass(st: _State) -> bool:
@@ -408,12 +409,11 @@ def _deletion_fixpoint(st: _State) -> None:
 def _factor_pass(st: _State) -> bool:
     added = False
     for i in sorted(st.alive):
-        for a, b in permutations(range(len(st.clauses[i].lits)), 2):
-            step = _attempt(_fac, st, i, a, b)
-            if step is None or any(subsumes(s, step.added) for s in st.alive_clauses()):
-                continue
-            st.apply(step)
-            added = True
+        for a, b in factor_pairs(st.clauses[i]):
+            step = _fac(st, i, a, b)
+            if not any(subsumes(s, step.added) for s in st.alive_clauses()):
+                st.apply(step)
+                added = True
     return added
 
 
@@ -431,13 +431,12 @@ def preprocess(st: _State) -> None:
 
 
 def _partner_positions(st: _State, p: PointedClause, skip: int) -> Iterator[tuple[int, int]]:
-    want = p.designated.dual()
+    """The (id, literal) positions of the live clauses other than `skip`
+    that resolve with p, ids ascending."""
     for i in sorted(st.alive):
-        if i == skip:
-            continue
-        for k, l in enumerate(st.clauses[i].lits):
-            if l.same_kind(want):
-                yield i, k
+        if i != skip:
+            for q in resolution_partners(p, st.clauses[i]):
+                yield i, q.index
 
 
 def purify(st: _State, p_id: int, p_idx: int) -> bool:
@@ -457,7 +456,7 @@ def purify(st: _State, p_id: int, p_idx: int) -> bool:
             if step is not None:
                 st.apply(step)
                 return True
-            if spent >= st.limits.purify_budget:
+            if spent >= PURIFY_BUDGET:
                 return False
             for cid, k in _partner_positions(st, p, skip=p_id):
                 step = _res(st, p_id, p_idx, cid, k)

@@ -3,12 +3,14 @@ calculus, finite-model enumeration with gfp evaluation, and witness checking.
 
 The prover is deliberately plain -- given-clause, smallest first, plain
 subsumption -- which is enough for the desk-scale goals produced by witness
-checking.  The finite-model evaluator is the independent oracle: it knows
-nothing about the calculus.
+checking.  It takes resolution partners and factor pairs from `calculus` and
+tries each inference site once.  The finite-model evaluator is the
+independent oracle: it knows nothing about the calculus.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -19,7 +21,9 @@ from .calculus import (
     constraint_eliminate,
     constraint_factor,
     constraint_resolve,
+    factor_pairs,
     paramodulant,
+    resolution_partners,
     variable_eliminate,
 )
 from .logic import (
@@ -470,30 +474,18 @@ def _redundant(s: Clause, c: Clause) -> bool:
     return subsumes(s, c) and not subsumes(c, s)
 
 
-def _resolvents(c1: Clause, c2: Clause) -> Iterator[tuple[Clause, int, int]]:
-    # renamed apart once per pair, so constraint_resolve's renaming is a no-op
-    c2r = rename_clause_apart(c2, c1.vars)
-    for i, l1 in enumerate(c1.lits):
-        for j, l2 in enumerate(c2r.lits):
-            if (
-                l1.head != l2.head
-                or l1.pvar != l2.pvar
-                or len(l1.args) != len(l2.args)
-                or l1.pos == l2.pos
-            ):
-                continue
-            yield constraint_resolve(pointed(c1, i), pointed(c2r, j)), i, j
+# inferences one prover run may try before it gives up
+MAX_INFERENCES = 20_000
 
 
 class _Prover:
-    def __init__(self, clauses: Sequence[Clause], deadline: float, max_inferences: int):
+    def __init__(self, clauses: Sequence[Clause], deadline: float):
         self.deadline = deadline
-        self.max_inferences = max_inferences
         self.inferences = 0
         self.recs: dict[int, ProofRec] = {}
         self.next_id = 1
         self.active: list[tuple[int, Clause]] = []
-        self.passive: list[tuple[int, int, int]] = []  # (size, age, id)
+        self.passive: list[tuple[int, int]] = []  # (size, id)
         self.dead: set[int] = set()
         self.seen: set[Clause] = set()
         self.empty_id: Optional[int] = None
@@ -533,83 +525,63 @@ class _Prover:
         for i, a in self.active:
             if i not in self.dead and _redundant(c, a):
                 self.dead.add(i)
-        self.passive.append((c.size, cid, cid))
+        self.passive.append((c.size, cid))
 
     def _spend(self) -> bool:
         self.inferences += 1
-        return self.inferences <= self.max_inferences and time.monotonic() <= self.deadline
+        return self.inferences <= MAX_INFERENCES and time.monotonic() <= self.deadline
 
     def run(self) -> Optional[Proved]:
-        import heapq
-
         heapq.heapify(self.passive)
-        while self.passive:
-            if self.empty_id is not None:
-                break
-            if time.monotonic() > self.deadline or self.inferences > self.max_inferences:
+        while self.passive and self.empty_id is None:
+            if time.monotonic() > self.deadline or self.inferences > MAX_INFERENCES:
                 return None
-            _, _, gid = heapq.heappop(self.passive)
-            if gid in self.dead or gid not in self.recs:
-                continue
+            _, gid = heapq.heappop(self.passive)
             g = self.recs[gid].clause
-            if any(i != gid and i not in self.dead and _redundant(a, g) for i, a in self.active):
+            if any(i not in self.dead and _redundant(a, g) for i, a in self.active):
                 continue
             self.active.append((gid, g))
             self._generate(gid, g)
         if self.empty_id is None:
             return None
-        # walk the ancestry of the empty clause
-        keep: list[ProofRec] = []
-        stack = [self.empty_id]
-        got = set()
-        while stack:
-            i = stack.pop()
-            if i in got:
-                continue
-            got.add(i)
-            keep.append(self.recs[i])
-            stack.extend(self.recs[i].premises)
-        keep.sort(key=lambda r: r.id)
-        return Proved(tuple(keep))
+        # premises have smaller ids than their conclusions, so one pass down
+        # the ids collects the ancestry of the empty clause
+        need = {self.empty_id}
+        for i in range(self.empty_id, 0, -1):
+            if i in need:
+                need.update(self.recs[i].premises)
+        return Proved(tuple(self.recs[i] for i in sorted(need)))
 
     def _generate(self, gid: int, g: Clause) -> None:
+        """Every inference between g and an active clause, each site once:
+        resolution only with g's literal first (the other order builds the
+        same clauses), paramodulation both ways between distinct clauses."""
         for hid, h in list(self.active):
             if self.empty_id is not None:
                 return
             if hid in self.dead:
                 continue
-            for r, i, j in _resolvents(g, h):
-                if not self._spend():
-                    return
-                self._admit(r, "res", (gid, hid), (i, j))
-            if hid != gid:
-                for r, i, j in _resolvents(h, g):
+            # renamed apart once per pair, so constraint_resolve's renaming is a no-op
+            hr = rename_clause_apart(h, g.vars)
+            for i in range(len(g.lits)):
+                p = pointed(g, i)
+                for q in resolution_partners(p, hr):
                     if not self._spend():
                         return
-                    self._admit(r, "res", (hid, gid), (i, j))
-            for (c1, c1id, c2, c2id) in ((g, gid, h, hid), (h, hid, g, gid)):
+                    self._admit(constraint_resolve(p, q), "res", (gid, hid), (i, q.index))
+            sides = ((g, gid, h, hid), (h, hid, g, gid))
+            for c1, c1id, c2, c2id in sides[: 1 if hid == gid else 2]:
                 for r, ei, orient, li, path in all_paramodulants(c1, c2):
                     if not self._spend():
                         return
                     self._admit(r, "parmod", (c1id, c2id), (ei, orient, li, path))
         # unary rules on the given clause
-        for i in range(len(g.lits)):
-            for j in range(len(g.lits)):
-                if i == j:
-                    continue
-                li, lj = g.lits[i], g.lits[j]
-                if li.is_eq or not li.same_kind(lj):
-                    continue
-                if not self._spend():
-                    return
-                self._admit(constraint_factor(g, i, j), "fac", (gid,), (i, j))
-        outs: list[tuple[Optional[tuple[int, ...]], Optional[Clause]]] = [
-            (None, constraint_eliminate(g))
-        ]
-        for i, l in enumerate(g.lits):
-            if l.is_constraint:
-                outs.append(((i,), constraint_eliminate(g, (i,))))
-        for sel, r in outs:
+        for i, j in factor_pairs(g):
+            if not self._spend():
+                return
+            self._admit(constraint_factor(g, i, j), "fac", (gid,), (i, j))
+        for sel in [None] + [(i,) for i, l in enumerate(g.lits) if l.is_constraint]:
+            r = constraint_eliminate(g, sel)
             if r is not None:
                 if not self._spend():
                     return
@@ -627,7 +599,6 @@ def prove(
     premises: Sequence[Clause],
     goal: Optional[Formula] = None,
     timeout: float = 5.0,
-    max_inferences: int = 20_000,
 ) -> ProverResult:
     """Refute premises + the negated goal.  Proved carries the refutation;
     Disproved carries a countermodel found by finite-model search; Unknown
@@ -635,8 +606,7 @@ def prove(
     deadline = time.monotonic() + timeout
     neg = clausify(FNot(goal)) if goal is not None else []
     try:
-        prover = _Prover(list(premises) + neg, deadline, max_inferences)
-        got = prover.run()
+        got = _Prover(list(premises) + neg, deadline).run()
     except RecursionError:  # pathological nesting; treat as budget
         got = None
     if got is not None:
@@ -660,18 +630,22 @@ _REBUILD = {
 
 def replay_refutation(steps: Sequence[ProofRec]) -> bool:
     """Re-derive every non-input step with the calculus rules and compare the
-    recorded conclusions; a step that names an unknown rule, a missing premise
-    or data the rule rejects fails the replay."""
-    table = {r.id: r.clause for r in steps}
+    recorded conclusions.  Ids must increase, every premise must name an
+    earlier step and the last step must derive the empty clause; a step that
+    names an unknown rule or carries data the rule rejects fails the replay."""
+    ids = [r.id for r in steps]
+    if not steps or steps[-1].clause.lits or ids != sorted(set(ids)):
+        return False
+    table: dict[int, Clause] = {}
     for r in steps:
-        if r.rule == "input":
-            continue
-        try:
-            got = _REBUILD[r.rule](*(table[i] for i in r.premises), *r.data)
-        except (KeyError, IndexError, TypeError, ValueError):
-            return False
-        if got != r.clause:
-            return False
+        if r.rule != "input":
+            try:
+                got = _REBUILD[r.rule](*(table[i] for i in r.premises), *r.data)
+            except (KeyError, IndexError, TypeError, ValueError):
+                return False
+            if got != r.clause:
+                return False
+        table[r.id] = r.clause
     return True
 
 

@@ -140,9 +140,10 @@ def lres(p: PointedClause, budget: int = 512) -> ClausePredicate:
 
 
 def _slots_and_rest(p: PointedClause) -> tuple[list[Lit], list[Lit]]:
-    dual = p.designated.dual()
-    slots = [l for l in p.rest if l.same_kind(dual)]
-    rest = [l for l in p.rest if not l.same_kind(dual)]
+    """The recursion slots of p (the literals of its own clause that resolve
+    with its designated literal) and the rest, each in clause order."""
+    slots = [q.designated for q in resolution_partners(p, p.clause)]
+    rest = [l for l in p.rest if l not in slots]
     return slots, rest
 
 

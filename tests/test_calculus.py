@@ -1,6 +1,9 @@
 """Inference rules: constraint resolution, factoring, constraint handling,
 variable elimination, paramodulation, and the purity checks."""
 
+import itertools
+import random
+
 import pytest
 
 from wscan.calculus import (
@@ -8,13 +11,15 @@ from wscan.calculus import (
     constraint_eliminate,
     constraint_factor,
     constraint_resolve,
+    factor_pairs,
     is_purified,
     paramodulant,
+    resolution_partners,
     variable_eliminate,
 )
 from wscan.logic import Clause, PointedClause, Var, const
 
-from conftest import cl, clauses_of
+from conftest import cl, clauses_of, random_clause
 
 
 def pointed(text, head="X", pos=None, header="X/1"):
@@ -157,3 +162,41 @@ def test_is_purified_rejects_missing_cover():
     p = pointed("~X(?u) | B(?u)", pos=False)
     assert not is_purified(p, n)
 
+
+
+# -- each site enumerator lists exactly the sites its rule accepts -------------
+
+
+def _accepts(rule, *args) -> bool:
+    try:
+        rule(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def test_resolution_partners_are_the_sites_constraint_resolve_accepts():
+    rng = random.Random(409)
+    found = 0
+    for _ in range(300):
+        c, d = random_clause(rng), random_clause(rng)
+        for i in range(len(c.lits)):
+            p = PointedClause(c, i)
+            got = [q.index for q in resolution_partners(p, d)]
+            want = [j for j in range(len(d.lits))
+                    if _accepts(constraint_resolve, p, PointedClause(d, j))]
+            assert got == want, (p, d)
+            found += len(got)
+    assert found > 50
+
+
+def test_factor_pairs_are_the_pairs_constraint_factor_accepts():
+    rng = random.Random(410)
+    found = 0
+    for _ in range(300):
+        c = random_clause(rng, max_lits=5)
+        pairs = itertools.product(range(len(c.lits)), repeat=2)
+        want = [(i, j) for i, j in pairs if _accepts(constraint_factor, c, i, j)]
+        assert list(factor_pairs(c)) == want, c
+        found += len(want)
+    assert found > 50

@@ -4,6 +4,7 @@ end-to-end witness checker."""
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
@@ -28,7 +29,9 @@ from wscan.verify import (
     ClausifyError,
     Disproved,
     FiniteModel,
+    ProofRec,
     Proved,
+    _Prover,
     check_witness,
     clausify,
     eval_clause,
@@ -223,7 +226,7 @@ def test_prover_disproves_with_countermodel():
 def test_prover_unknown_on_hard_satisfiable_set():
     # satisfiable with only infinite-ish structure under the step budget;
     # at the very least this must not claim a proof
-    r = prove(clauses_of("B(?u, f(?u))\n~B(?u, ?u)"), timeout=1.5, max_inferences=300)
+    r = prove(clauses_of("B(?u, f(?u))\n~B(?u, ?u)"), timeout=1.5)
     assert not isinstance(r, Proved)
 
 
@@ -335,3 +338,30 @@ def test_replay_refutation_rejects_a_tampered_step(changes):
     assert step.data == (0, "lr", 0, (0,)) and step.clause == cl("B(b)")
     tampered = [dataclasses.replace(s, **changes) if s is step else s for s in r.steps]
     assert not replay_refutation(tampered)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [ProofRec("velim", (1,), (), 1, Clause())],
+        [ProofRec("input", (), (), 1, cl("B(a)"))],
+    ],
+    ids=["own-premise", "no-empty-clause"],
+)
+def test_replay_refutation_rejects_a_proof_that_proves_nothing(steps):
+    assert not replay_refutation(steps)
+
+
+# -- the prover tries each inference site once ---------------------------------
+
+
+def test_prover_tries_each_site_once():
+    prover = _Prover(clauses_of("f(a) = a\nB(f(f(a))) | C(a, a)\n~B(a)\n~C(?u, ?u)"),
+                     time.monotonic() + 5.0)
+    assert prover.run() is not None
+    recs = list(prover.recs.values())
+    res = {r.premises for r in recs if r.rule == "res"}
+    assert res and not any((j, i) in res for i, j in res if i != j)
+    self_parmods = [(r.premises, r.data) for r in recs
+                    if r.rule == "parmod" and r.premises[0] == r.premises[1]]
+    assert self_parmods and len(self_parmods) == len(set(self_parmods))
