@@ -1,11 +1,13 @@
 """Semantic backend: clausification, a refutation prover over the constraint
 calculus, finite-model enumeration with gfp evaluation, and witness checking.
 
-The prover is deliberately plain -- given-clause, smallest first, plain
-subsumption -- which is enough for the desk-scale goals produced by witness
-checking.  It takes resolution partners and factor pairs from `calculus` and
-tries each inference site once.  The finite-model evaluator is the
-independent oracle: it knows nothing about the calculus.
+The prover is deliberately plain -- given-clause, smallest first (the
+passive clauses are a heap on size), plain subsumption -- which is enough for
+the desk-scale goals produced by witness checking.  It takes resolution
+partners and factor pairs from `calculus` and tries each inference site once.
+The finite-model evaluator is the independent oracle: it knows nothing about
+the calculus.  It compiles each formula once into closures over variable
+slots, and grounds a clause set once per assignment of function tables.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .calculus import (
     all_paramodulants,
@@ -51,6 +54,8 @@ from .logic import (
     apply_pred_subst_clause,
     children,
     clause_to_formula,
+    formula_free_pvars,
+    formula_free_vars,
     formula_has_gfp,
     formula_to_lit,
     fresh_name,
@@ -176,15 +181,220 @@ class FiniteModel:
         return f"|M|={self.size}; {fs}; {rs}"
 
 
-def eval_term(m: FiniteModel, t: Term, venv: Mapping[str, int]) -> int:
-    if isinstance(t, Var):
-        if t.name not in venv:
-            raise KeyError(f"unbound variable {t.name}")
-        return venv[t.name]
-    table = m.funcs.get((t.fn, len(t.args)))
-    if table is None:
-        raise KeyError(f"uninterpreted function {t.fn}/{len(t.args)}")
-    return table[tuple(eval_term(m, a, venv) for a in t.args)]
+# A formula is compiled once into closures over one list of slots.  Every
+# variable, every predicate variable bound by a gfp or given by the caller,
+# and every constant has its own slot, so evaluation builds no environments.
+# Function and relation symbols become indices into tables that `load` points
+# at the current model.
+
+
+def _tables(tables: Mapping, keys: Iterable[tuple[str, int]], what: str) -> list:
+    try:
+        return [tables[k] for k in keys]
+    except KeyError as e:
+        ((name, arity),) = e.args
+        raise KeyError(f"uninterpreted {what} {name}/{arity}") from None
+
+
+def _index(symbols: dict[tuple[str, int], int], key: tuple[str, int]) -> int:
+    """The position of key among the symbols, which gains it if it is new."""
+    return symbols.setdefault(key, len(symbols))
+
+
+class _Compiler:
+    """Compiles formulas and terms that share one slot list and one set of
+    model tables."""
+
+    def __init__(self) -> None:
+        self.nslots = 0
+        self.funcs: dict[tuple[str, int], int] = {}  # symbol -> index into F
+        self.rels: dict[tuple[str, int], int] = {}  # symbol -> index into R
+        self.consts: dict[str, int] = {}  # constant -> its slot
+        self.const_loads: list[tuple[int, int]] = []  # (slot, index into F)
+        self.F: list = []
+        self.R: list = []
+        self.D: list[int] = []  # the domain
+        self.gfp_caches: list[dict] = []
+        self.loaded: Optional[tuple] = None  # (size, function tables) of `e`
+        self.e: list = []
+
+    def slot(self) -> int:
+        self.nslots += 1
+        return self.nslots - 1
+
+    def load(self, m: FiniteModel) -> list:
+        """Point the tables at m and return the slot list, which holds the
+        constants; both are rebuilt only when the function tables change."""
+        if self.loaded != (m.size, m.funcs):
+            F = self.F
+            F[:] = _tables(m.funcs, self.funcs, "function")
+            self.D[:] = range(m.size)
+            self.e = [None] * self.nslots
+            for s, i in self.const_loads:
+                self.e[s] = F[i][()]
+            self.loaded = (m.size, m.funcs)
+        self.R[:] = _tables(m.rels, self.rels, "predicate")
+        for cache in self.gfp_caches:
+            cache.clear()
+        return self.e
+
+    # -- terms ---------------------------------------------------------------
+
+    def _slot_of(self, t: Term, vs: Mapping[str, int]) -> Optional[int]:
+        if isinstance(t, Var):
+            if t.name not in vs:
+                raise KeyError(f"unbound variable {t.name}")
+            return vs[t.name]
+        if t.args:
+            return None
+        if t.fn not in self.consts:
+            self.consts[t.fn] = self.slot()
+            self.const_loads.append((self.consts[t.fn], _index(self.funcs, (t.fn, 0))))
+        return self.consts[t.fn]
+
+    def term(self, t: Term, vs: Mapping[str, int]) -> Callable[[list], int]:
+        s = self._slot_of(t, vs)
+        if s is not None:
+            return lambda e: e[s]
+        F, i = self.F, _index(self.funcs, (t.fn, len(t.args)))
+        args = self.args(t.args, vs)
+        return lambda e: F[i][args(e)]
+
+    def args(self, ts: Sequence[Term], vs: Mapping[str, int]) -> Callable[[list], tuple]:
+        slots = [self._slot_of(t, vs) for t in ts]
+        if None not in slots:
+            if len(slots) >= 2:
+                return itemgetter(*slots)
+            if slots:
+                (s,) = slots
+                return lambda e: (e[s],)
+            return lambda e: ()
+        gs = [self.term(t, vs) for t in ts]
+        return lambda e: tuple([g(e) for g in gs])
+
+    # -- formulas ------------------------------------------------------------
+
+    def formula(self, f: Formula, vs: Mapping[str, int], ps: Mapping[str, int]) -> Callable[[list], bool]:
+        """f as a test on a slot list; vs and ps give the slots of the
+        variables and predicate variables in scope."""
+        if isinstance(f, (FTrue, FFalse)):
+            value = isinstance(f, FTrue)
+            return lambda e: value
+        if isinstance(f, FAtom):
+            return self._atom(f, vs, ps)
+        if isinstance(f, FNot):
+            sub = self.formula(f.sub, vs, ps)
+            return lambda e: not sub(e)
+        if isinstance(f, (FAnd, FOr)):
+            subs = [self.formula(s, vs, ps) for s in f.subs]
+            return _junction(subs, isinstance(f, FAnd))
+        if isinstance(f, (FImp, FIff)):
+            lhs, rhs = self.formula(f.lhs, vs, ps), self.formula(f.rhs, vs, ps)
+            if isinstance(f, FImp):
+                return lambda e: not lhs(e) or rhs(e)
+            return lambda e: lhs(e) == rhs(e)
+        if isinstance(f, (FAll, FEx)):
+            s = self.slot()
+            sub = self.formula(f.sub, {**vs, f.var: s}, ps)
+            return _quantifier(s, sub, self.D, isinstance(f, FAll))
+        if isinstance(f, FGfp):
+            return self._gfp(f, vs, ps)
+        raise TypeError(f)
+
+    def _atom(self, f: FAtom, vs: Mapping[str, int], ps: Mapping[str, int]) -> Callable[[list], bool]:
+        if f.head == EQ and not f.pvar:
+            lhs, rhs = (self.term(t, vs) for t in f.args)
+            return lambda e: lhs(e) == rhs(e)
+        args = self.args(f.args, vs)
+        if f.pvar and f.head in ps:
+            s = ps[f.head]
+            return lambda e: args(e) in e[s]
+        R, i = self.R, _index(self.rels, (f.head, len(f.args)))
+        return lambda e: args(e) in R[i]
+
+    def _gfp(self, f: FGfp, vs: Mapping[str, int], ps: Mapping[str, int]) -> Callable[[list], bool]:
+        """Downward iteration of the body operator from the full relation; on
+        a finite lattice this reaches the greatest fixpoint of a monotone
+        operator.  The relation is kept per model and per values of the
+        body's free variables and predicate variables."""
+        k = len(f.params)
+        rslot = self.slot()
+        first = self.nslots  # the parameters take consecutive slots
+        body = self.formula(
+            f.body,
+            {**vs, **{p: self.slot() for p in f.params}},
+            {**ps, f.pvar: rslot},
+        )
+        free = [vs[v] for v in sorted(formula_free_vars(f.body) - set(f.params))]
+        free += [ps[p] for p in sorted(formula_free_pvars(f.body) - {f.pvar}) if p in ps]
+        key = itemgetter(*free) if free else (lambda e: ())
+        args = self.args(f.args, vs)
+        D, cache = self.D, {}
+        self.gfp_caches.append(cache)
+
+        def holds(e: list) -> bool:
+            kv = key(e)
+            rel = cache.get(kv)
+            if rel is None:
+                tuples = list(itertools.product(D, repeat=k))
+                rel = frozenset(tuples)
+                while True:
+                    e[rslot] = rel
+                    nxt = []
+                    for t in tuples:
+                        e[first : first + k] = t
+                        if body(e):
+                            nxt.append(t)
+                    nxt = frozenset(nxt)
+                    if nxt == rel:
+                        break
+                    rel = nxt
+                cache[kv] = rel
+            return args(e) in rel
+
+        return holds
+
+
+def _junction(subs: list, conj: bool) -> Callable[[list], bool]:
+    def holds(e: list) -> bool:
+        for sub in subs:
+            if sub(e) != conj:
+                return not conj
+        return conj
+
+    return holds
+
+
+def _quantifier(s: int, sub: Callable[[list], bool], D: list, univ: bool) -> Callable[[list], bool]:
+    def holds(e: list) -> bool:
+        for v in D:
+            e[s] = v
+            if sub(e) != univ:
+                return not univ
+        return univ
+
+    return holds
+
+
+def _compile(
+    f: Formula, free: Sequence[str] = (), pfree: Sequence[str] = ()
+) -> Callable[..., bool]:
+    """f compiled once.  The result evaluates f on a model, given the values
+    of the variables `free` and then the relations of the predicate
+    variables `pfree`, as positional arguments."""
+    comp = _Compiler()
+    slots = [comp.slot() for _ in (*free, *pfree)]
+    width = len(slots)
+    ev = comp.formula(f, dict(zip(free, slots)), dict(zip(pfree, slots[len(free) :])))
+
+    def holds(m: FiniteModel, *values) -> bool:
+        if len(values) != width:
+            raise TypeError(f"expected {width} values, got {len(values)}")
+        e = comp.load(m)
+        e[:width] = values
+        return ev(e)
+
+    return holds
 
 
 def eval_formula(
@@ -195,68 +405,7 @@ def eval_formula(
 ) -> bool:
     venv = venv or {}
     penv = penv or {}
-    if isinstance(f, FTrue):
-        return True
-    if isinstance(f, FFalse):
-        return False
-    if isinstance(f, FAtom):
-        vals = tuple(eval_term(m, a, venv) for a in f.args)
-        if f.head == EQ and not f.pvar:
-            return vals[0] == vals[1]
-        if f.pvar and f.head in penv:
-            return vals in penv[f.head]
-        rel = m.rels.get((f.head, len(f.args)))
-        if rel is None:
-            raise KeyError(f"uninterpreted predicate {f.head}/{len(f.args)}")
-        return vals in rel
-    if isinstance(f, FNot):
-        return not eval_formula(m, f.sub, venv, penv)
-    if isinstance(f, FAnd):
-        return all(eval_formula(m, s, venv, penv) for s in f.subs)
-    if isinstance(f, FOr):
-        return any(eval_formula(m, s, venv, penv) for s in f.subs)
-    if isinstance(f, FImp):
-        return (not eval_formula(m, f.lhs, venv, penv)) or eval_formula(m, f.rhs, venv, penv)
-    if isinstance(f, FIff):
-        return eval_formula(m, f.lhs, venv, penv) == eval_formula(m, f.rhs, venv, penv)
-    if isinstance(f, FAll):
-        return all(
-            eval_formula(m, f.sub, {**venv, f.var: e}, penv) for e in range(m.size)
-        )
-    if isinstance(f, FEx):
-        return any(
-            eval_formula(m, f.sub, {**venv, f.var: e}, penv) for e in range(m.size)
-        )
-    if isinstance(f, FGfp):
-        rel = gfp_relation(m, f, venv, penv)
-        vals = tuple(eval_term(m, a, venv) for a in f.args)
-        return vals in rel
-    raise TypeError(f)
-
-
-def gfp_relation(
-    m: FiniteModel, f: FGfp, venv: Mapping[str, int], penv: Mapping[str, frozenset]
-) -> frozenset:
-    """Downward iteration of the body operator from the full relation; on a
-    finite lattice this reaches the greatest fixpoint of a monotone operator."""
-    k = len(f.params)
-    tuples = list(itertools.product(range(m.size), repeat=k))
-    rel = frozenset(tuples)
-    while True:
-        nxt = frozenset(
-            t
-            for t in tuples
-            if eval_formula(
-                m, f.body, {**venv, **dict(zip(f.params, t))}, {**penv, f.pvar: rel}
-            )
-        )
-        if nxt == rel:
-            return rel
-        rel = nxt
-
-
-def eval_clause(m: FiniteModel, c: Clause, penv: Optional[Mapping] = None) -> bool:
-    return eval_formula(m, clause_to_formula(c), {}, penv)
+    return _compile(f, tuple(venv), tuple(penv))(m, *venv.values(), *penv.values())
 
 
 # ---------------------------------------------------------------------------
@@ -372,34 +521,96 @@ def small_models(sig: Signature, deadline: float, notes: list[str]) -> Iterator[
 # second-order satisfaction on a fixed model
 
 
+class _Soqe:
+    """soqe_holds for one clause set on model after model.  The clauses are
+    ground once per assignment of function tables: that settles the equality
+    literals and every argument tuple, so each relation assignment only tests
+    tuples against its relations and runs DPLL over what is left."""
+
+    def __init__(self, n: Sequence[Clause], xars: Mapping[str, int]):
+        self.xars = dict(xars)
+        self.comp = _Compiler()
+        self.rels: dict[tuple[str, int], int] = {}
+        # per clause: the clause, its first variable slot, its variable count
+        # and its literals as (kind, pos, symbol, argument tuple getter)
+        self.clauses = []
+        for c in n:
+            first, cvars = self.comp.nslots, sorted(c.vars)
+            vs = {v: self.comp.slot() for v in cvars}
+            lits = []
+            for l in c.lits:
+                args = self.comp.args(l.args, vs)
+                if l.pvar and l.head in xars:
+                    lits.append(("pvar", l.pos, l.head, args))
+                elif l.is_eq:
+                    lits.append(("eq", l.pos, None, args))
+                else:
+                    lits.append(("rel", l.pos, _index(self.rels, (l.head, len(l.args))), args))
+            self.clauses.append((c, first, len(cvars), lits))
+        self.ground_for: Optional[tuple] = None  # (size, function tables)
+        self.ground: list[tuple[tuple, frozenset]] = []
+        self.too_large: Optional[str] = None
+        self.solved: dict[tuple, bool] = {}  # DPLL's answer per ground clause set
+
+    def _ground(self, m: FiniteModel) -> None:
+        """The ground instances that no equality literal satisfies, each as its
+        relation tests (index, tuple, polarity) and its predicate-variable
+        atoms, without repeats and in order; stops at the first clause with too
+        many instances."""
+        e = self.comp.load(m)
+        ground: dict[tuple[tuple, frozenset], None] = {}
+        self.too_large = None
+        for c, first, k, lits in self.clauses:
+            if m.size**k > 3**6:
+                self.too_large = f"too many ground instances of {c}"
+                break
+            for vals in itertools.product(range(m.size), repeat=k):
+                e[first : first + k] = vals
+                tests, atoms = [], []
+                for kind, pos, sym, args in lits:
+                    t = args(e)
+                    if kind == "eq":
+                        if (t[0] == t[1]) == pos:
+                            break
+                    elif kind == "rel":
+                        tests.append((sym, t, pos))
+                    else:
+                        atoms.append((pos, sym, t))
+                else:
+                    ground.setdefault((tuple(tests), frozenset(atoms)))
+        self.ground = list(ground)
+        self.solved = {}
+
+    def holds(self, m: FiniteModel) -> bool:
+        for x, k in self.xars.items():
+            if m.size**k > 9:
+                raise EnumerationTooLarge(f"{x}/{k} over domain size {m.size}")
+        if self.ground_for != (m.size, m.funcs):
+            self._ground(m)
+            self.ground_for = (m.size, m.funcs)
+        R = _tables(m.rels, self.rels, "predicate")
+        cnf = []
+        for tests, atoms in self.ground:
+            for i, t, pos in tests:
+                if (t in R[i]) == pos:
+                    break
+            else:
+                if not atoms:
+                    return False
+                cnf.append(atoms)
+        if self.too_large is not None:
+            raise EnumerationTooLarge(self.too_large)
+        key = tuple(cnf)
+        got = self.solved.get(key)
+        if got is None:
+            got = self.solved[key] = _dpll(cnf, {})
+        return got
+
+
 def soqe_holds(m: FiniteModel, n: Sequence[Clause], xars: Mapping[str, int]) -> bool:
     """Does some assignment of relations to the predicate variables satisfy
     every clause of n on m?  Ground the clauses and run DPLL over the atoms."""
-    for x, k in xars.items():
-        if m.size**k > 9:
-            raise EnumerationTooLarge(f"{x}/{k} over domain size {m.size}")
-    cnf: list[frozenset[tuple[bool, str, tuple[int, ...]]]] = []
-    for c in n:
-        cvars = sorted(c.vars)
-        if m.size ** len(cvars) > 3**6:
-            raise EnumerationTooLarge(f"too many ground instances of {c}")
-        for vals in itertools.product(range(m.size), repeat=len(cvars)):
-            venv = dict(zip(cvars, vals))
-            sat = False
-            atoms = []
-            for l in c.lits:
-                if l.pvar and l.head in xars:
-                    atoms.append((l.pos, l.head, tuple(eval_term(m, a, venv) for a in l.args)))
-                    continue
-                if eval_formula(m, lit_to_formula(l), venv):
-                    sat = True
-                    break
-            if sat:
-                continue
-            if not atoms:
-                return False
-            cnf.append(frozenset(atoms))
-    return _dpll(cnf, {})
+    return _Soqe(n, xars).holds(m)
 
 
 def _dpll(clauses: list[frozenset], assign: dict) -> bool:
@@ -525,14 +736,13 @@ class _Prover:
         for i, a in self.active:
             if i not in self.dead and _redundant(c, a):
                 self.dead.add(i)
-        self.passive.append((c.size, cid))
+        heapq.heappush(self.passive, (c.size, cid))
 
     def _spend(self) -> bool:
         self.inferences += 1
         return self.inferences <= MAX_INFERENCES and time.monotonic() <= self.deadline
 
     def run(self) -> Optional[Proved]:
-        heapq.heapify(self.passive)
         while self.passive and self.empty_id is None:
             if time.monotonic() > self.deadline or self.inferences > MAX_INFERENCES:
                 return None
@@ -591,8 +801,9 @@ class _Prover:
 def find_model(clauses: Sequence[Clause], deadline: float = float("inf")) -> Optional[FiniteModel]:
     """A finite model of all the clauses (free predicate variables enumerated
     as relations), or None within the size/effort bounds."""
+    holds = _compile(FAnd(tuple(clause_to_formula(c) for c in clauses)))
     candidates = small_models(signature_of(clauses), deadline, [])
-    return next((m for m in candidates if all(eval_clause(m, c) for c in clauses)), None)
+    return next((m for m in candidates if holds(m)), None)
 
 
 def prove(
@@ -700,14 +911,15 @@ def check_witness(
                 prover_results.append((i, "unknown"))
     sig = signature_of(list(n) + list(conclusion), goals)
     sig.pvars = {k: None for k in sig.pvars if k[0] not in xars}
+    solvable, under_w = _Soqe(n, xars), _compile(FAnd(tuple(goals)))
     checked = 0
     for m in small_models(sig, deadline, notes):
         try:
-            lhs = soqe_holds(m, n, xars)
+            lhs = solvable.holds(m)
         except EnumerationTooLarge as e:
             notes.append(f"soqe enumeration skipped: {e}")
             break
-        rhs = all(eval_formula(m, g) for g in goals)
+        rhs = under_w(m)
         checked += 1
         if lhs != rhs:
             failures.append(

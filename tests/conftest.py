@@ -3,15 +3,29 @@
 The oracles here deliberately avoid the library's own matching code.
 Subsumption is decided by enumerating every substitution whose range is a
 subterm of the target clause, and the constraint-unfolding closure is
-recomputed from its one-step definition.
+recomputed from its one-step definition.  The reference evaluator walks the
+formula tree with a fresh environment per binder, the definition the compiled
+evaluator in `verify` must agree with.
 """
 
 import itertools
 import pathlib
 
 from wscan.logic import (
+    EQ,
     App,
     Clause,
+    FAll,
+    FAnd,
+    FAtom,
+    FEx,
+    FFalse,
+    FGfp,
+    FIff,
+    FImp,
+    FNot,
+    FOr,
+    FTrue,
     Lit,
     Var,
     is_proper_subterm_var,
@@ -202,3 +216,68 @@ def random_lit(rng, with_x=True):
 def random_clause(rng, max_lits=4, with_x=True):
     n = rng.randrange(1, max_lits + 1)
     return Clause.make(random_lit(rng, with_x) for _ in range(n))
+
+
+# -- reference evaluator ------------------------------------------------------
+
+
+def ref_eval_term(m, t, venv):
+    if isinstance(t, Var):
+        if t.name not in venv:
+            raise KeyError(f"unbound variable {t.name}")
+        return venv[t.name]
+    table = m.funcs.get((t.fn, len(t.args)))
+    if table is None:
+        raise KeyError(f"uninterpreted function {t.fn}/{len(t.args)}")
+    return table[tuple(ref_eval_term(m, a, venv) for a in t.args)]
+
+
+def ref_eval_formula(m, f, venv=None, penv=None):
+    venv = venv or {}
+    penv = penv or {}
+    if isinstance(f, FTrue):
+        return True
+    if isinstance(f, FFalse):
+        return False
+    if isinstance(f, FAtom):
+        vals = tuple(ref_eval_term(m, a, venv) for a in f.args)
+        if f.head == EQ and not f.pvar:
+            return vals[0] == vals[1]
+        if f.pvar and f.head in penv:
+            return vals in penv[f.head]
+        rel = m.rels.get((f.head, len(f.args)))
+        if rel is None:
+            raise KeyError(f"uninterpreted predicate {f.head}/{len(f.args)}")
+        return vals in rel
+    if isinstance(f, FNot):
+        return not ref_eval_formula(m, f.sub, venv, penv)
+    if isinstance(f, FAnd):
+        return all(ref_eval_formula(m, s, venv, penv) for s in f.subs)
+    if isinstance(f, FOr):
+        return any(ref_eval_formula(m, s, venv, penv) for s in f.subs)
+    if isinstance(f, FImp):
+        return (not ref_eval_formula(m, f.lhs, venv, penv)) or ref_eval_formula(m, f.rhs, venv, penv)
+    if isinstance(f, FIff):
+        return ref_eval_formula(m, f.lhs, venv, penv) == ref_eval_formula(m, f.rhs, venv, penv)
+    if isinstance(f, (FAll, FEx)):
+        quant = all if isinstance(f, FAll) else any
+        return quant(ref_eval_formula(m, f.sub, {**venv, f.var: e}, penv) for e in range(m.size))
+    if isinstance(f, FGfp):
+        rel = ref_gfp_relation(m, f, venv, penv)
+        return tuple(ref_eval_term(m, a, venv) for a in f.args) in rel
+    raise TypeError(f)
+
+
+def ref_gfp_relation(m, f, venv, penv):
+    """Downward iteration of the body operator from the full relation."""
+    tuples = list(itertools.product(range(m.size), repeat=len(f.params)))
+    rel = frozenset(tuples)
+    while True:
+        nxt = frozenset(
+            t
+            for t in tuples
+            if ref_eval_formula(m, f.body, {**venv, **dict(zip(f.params, t))}, {**penv, f.pvar: rel})
+        )
+        if nxt == rel:
+            return rel
+        rel = nxt

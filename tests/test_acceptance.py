@@ -34,6 +34,7 @@ from wscan.logic import (
     PredExpr,
     Var,
     apply_pred_subst_clause,
+    clause_to_formula,
     fand,
     pred_expr_str,
     simplify,
@@ -44,8 +45,8 @@ from wscan.subsumption import subsumes, subsumes_L, subsumes_L_velim
 from wscan.verify import (
     FiniteModel,
     Proved,
+    _compile,
     check_witness,
-    eval_clause,
     eval_formula,
     models,
     prove,
@@ -178,9 +179,10 @@ def test_criterion_05_purity_rejects_the_uncovered_tautology_case():
         },
         {("B", 1): frozenset({(1,)})},
     )
-    r = {"X": frozenset({(0,), (1,)})}
-    assert all(eval_clause(m, c, r) for c in clauses[1:])
-    assert not eval_clause(m, cl("X(f(f(a))) | B(f(a)) | B(a)"), r)
+    x = frozenset({(0,), (1,)})
+    assert all(_compile(clause_to_formula(c), pfree=("X",))(m, x) for c in clauses[1:])
+    resolvent = clause_to_formula(cl("X(f(f(a))) | B(f(a)) | B(a)"))
+    assert not _compile(resolvent, pfree=("X",))(m, x)
 
 
 # -- 6: a deletion with no bounded certificate --------------------------------
@@ -295,7 +297,7 @@ def _steps_from(rng, c1, c2):
 
 
 _MODELS_BY_SIG: dict = {}
-_CLAUSE_EVALS: dict = {}
+_TRUTH: dict = {}
 
 
 def _entails_everywhere(premises, conclusion) -> bool:
@@ -304,17 +306,17 @@ def _entails_everywhere(premises, conclusion) -> bool:
     if key not in _MODELS_BY_SIG:
         _MODELS_BY_SIG[key] = [m for n in (1, 2, 3) for m in models(sig, n)]
 
-    def ev(c, idx, m):
-        got = _CLAUSE_EVALS.get((c, key, idx))
+    def truth(c):
+        """c's truth value in each model of the signature, compiled once."""
+        got = _TRUTH.get((c, key))
         if got is None:
-            got = eval_clause(m, c)
-            _CLAUSE_EVALS[(c, key, idx)] = got
+            holds = _compile(clause_to_formula(c))
+            got = _TRUTH[(c, key)] = [holds(m) for m in _MODELS_BY_SIG[key]]
         return got
 
-    for idx, m in enumerate(_MODELS_BY_SIG[key]):
-        if all(ev(c, idx, m) for c in premises) and not ev(conclusion, idx, m):
-            return False
-    return True
+    return not any(
+        all(ps) and not concl for *ps, concl in zip(*map(truth, premises), truth(conclusion))
+    )
 
 
 def test_criterion_09_random_inference_steps_are_sound_in_small_models():

@@ -23,6 +23,7 @@ from wscan.logic import (
     FTrue,
     PredExpr,
     Var,
+    clause_to_formula,
     const,
 )
 from wscan.verify import (
@@ -31,10 +32,10 @@ from wscan.verify import (
     FiniteModel,
     ProofRec,
     Proved,
+    _compile,
     _Prover,
     check_witness,
     clausify,
-    eval_clause,
     eval_formula,
     find_model,
     fn_cap_ok,
@@ -113,12 +114,16 @@ def test_eval_gfp_greatest_fixpoint():
     assert not eval_formula(m=m, f=guarded, venv={"w": 0})
 
 
+def clause_holds(m, c):
+    return _compile(clause_to_formula(c))(m)
+
+
 def test_eval_clause_universal_closure():
     m = FiniteModel(2, {}, {("B", 1): frozenset({(0,), (1,)})})
-    assert eval_clause(m, cl("B(?u)"))
+    assert clause_holds(m, cl("B(?u)"))
     m2 = FiniteModel(2, {}, {("B", 1): frozenset({(0,)})})
-    assert not eval_clause(m2, cl("B(?u)"))
-    assert eval_clause(m2, cl("B(?u) | ~B(?u)"))
+    assert not clause_holds(m2, cl("B(?u)"))
+    assert clause_holds(m2, cl("B(?u) | ~B(?u)"))
 
 
 def test_model_count_and_enumeration_agree():
@@ -142,6 +147,7 @@ def test_fn_cap_guards_binary_functions():
 
 def brute_soqe(m, clauses, xars):
     """Try every interpretation of the second-order variables outright."""
+    holds = _compile(FAnd(tuple(clause_to_formula(c) for c in clauses)))
     names = sorted(xars)
     spaces = []
     for x in names:
@@ -153,7 +159,7 @@ def brute_soqe(m, clauses, xars):
         for x, rel in zip(names, combo):
             rels[(x, xars[x])] = rel
         m2 = FiniteModel(m.size, m.funcs, rels)
-        if all(eval_clause(m2, c) for c in clauses):
+        if holds(m2):
             return True
     return False
 
@@ -365,3 +371,131 @@ def test_prover_tries_each_site_once():
     self_parmods = [(r.premises, r.data) for r in recs
                     if r.rule == "parmod" and r.premises[0] == r.premises[1]]
     assert self_parmods and len(self_parmods) == len(set(self_parmods))
+
+
+# -- the compiled evaluator against the reference walker ------------------------
+
+
+def random_formula(rng, depth, vs, ps, pos_only=()):
+    """A random formula over B/1, C/2, a, b, f/1 and equality, with the
+    variables vs and the predicate variables ps (all of arity 1) in scope.
+    The predicate variables in pos_only are bound by an enclosing gfp and
+    occur only positively, so every gfp body is monotone."""
+
+    def term(d):
+        roll = rng.random()
+        if d > 0 and roll < 0.25:
+            return App("f", (term(d - 1),))
+        if vs and roll < 0.7:
+            return Var(rng.choice(vs))
+        return const(rng.choice("ab"))
+
+    def atom():
+        usable = [p for p in ps if p not in pos_only] + list(pos_only)
+        roll = rng.random()
+        if usable and roll < 0.3:
+            return FAtom(rng.choice(usable), (term(1),), True)
+        if roll < 0.5:
+            return FAtom("=", (term(1), term(1)))
+        if roll < 0.75:
+            return FAtom("C", (term(1), term(1)))
+        return B(term(1))
+
+    if depth == 0:
+        return atom()
+    neg = [p for p in ps if p not in pos_only]  # allowed under negation
+    kind = rng.choice(["atom", "not", "and", "or", "imp", "iff", "all", "ex", "gfp"])
+    if kind == "atom":
+        return atom()
+    if kind == "not":
+        return FNot(random_formula(rng, depth - 1, vs, neg))
+    if kind in ("and", "or"):
+        subs = tuple(random_formula(rng, depth - 1, vs, ps, pos_only) for _ in range(rng.randint(0, 3)))
+        return (FAnd if kind == "and" else FOr)(subs)
+    if kind == "imp":
+        return FImp(random_formula(rng, depth - 1, vs, neg), random_formula(rng, depth - 1, vs, ps, pos_only))
+    if kind == "iff":
+        return FIff(random_formula(rng, depth - 1, vs, neg), random_formula(rng, depth - 1, vs, neg))
+    var = rng.choice("uvw")
+    if kind in ("all", "ex"):
+        sub = random_formula(rng, depth - 1, vs + [var], ps, pos_only)
+        return (FAll if kind == "all" else FEx)(var, sub)
+    # a gfp whose body may also read the variables and predicate variables in
+    # scope, applied to a random term
+    y = f"Y{depth}"
+    body = random_formula(rng, depth - 1, vs + [var], ps + [y], tuple(pos_only) + (y,))
+    term_arg = Var(rng.choice(vs)) if vs else const("a")
+    return FGfp(y, (var,), body, (term_arg,))
+
+
+def test_compiled_evaluator_agrees_with_the_reference_walker():
+    from conftest import ref_eval_formula
+
+    rng = random.Random(1010)
+    formulas = compared = 0
+    while formulas < 150:
+        f = random_formula(rng, 3, ["w"], ["P"])
+        sig = signature_of(formulas=[f])
+        sig.pvars.clear()
+        if model_count(sig, 2) > 256:
+            continue
+        formulas += 1
+        for n in (1, 2):
+            subsets = [frozenset(s) for r in range(n + 1)
+                       for s in itertools.combinations([(e,) for e in range(n)], r)]
+            for m in models(sig, n):
+                for w in range(n):
+                    for p in subsets:
+                        venv, penv = {"w": w}, {"P": p}
+                        assert eval_formula(m, f, venv, penv) == ref_eval_formula(m, f, venv, penv), (
+                            f, m.describe(), venv, penv)
+                        compared += 1
+    assert compared > 10_000
+
+
+# -- the model route stops where the parent's did -----------------------------
+
+
+@pytest.mark.parametrize(
+    "text, header, checked, note",
+    [
+        # X/3 has 27 tuples at size 3, so the first size-3 model stops the route
+        ("B(a)\nX(a, a, ?u) | ~X(?u, a, a)", "X/3", 10,
+         "soqe enumeration skipped: X/3 over domain size 3"),
+        # the 7-variable clause has too many instances at size 3, but the first
+        # four size-3 models falsify B(a) before the route reaches it
+        ("B(a)\nX(?u) | B(?v) | B(?w) | B(?x) | B(?y) | B(?z) | ~B(?s)", "X/1", 14,
+         "soqe enumeration skipped: too many ground instances of "
+         "~B(?u0) | B(?u1) | B(?u2) | B(?u3) | B(?u4) | B(?u5) | X(?u6)"),
+    ],
+    ids=["pvar-arity-3", "clause-with-7-variables"],
+)
+def test_model_check_stops_where_the_enumeration_is_too_large(text, header, checked, note):
+    k = int(header[-1])
+    w = Witness({"X": PredExpr(tuple(f"z{i}" for i in range(k)), FTrue())}, ())
+    rep = check_witness(clauses_of(text, header), {"X": k}, [], w, timeout=20.0)
+    assert rep.models_checked == checked
+    assert rep.notes == (note,)
+
+
+# -- the prover pops its smallest passive clause --------------------------------
+
+
+def test_prover_pops_its_smallest_passive_clause(monkeypatch):
+    import heapq
+
+    pops = []
+    real_pop = heapq.heappop
+
+    def checked_pop(heap):
+        smallest = min(heap)
+        got = real_pop(heap)
+        pops.append(got == smallest)
+        return got
+
+    monkeypatch.setattr(heapq, "heappop", checked_pop)
+    prover = _Prover(clauses_of("f(a) = a\nB(f(f(a))) | C(a, a)\n~B(a)\n~C(?u, ?u)"),
+                     time.monotonic() + 5.0)
+    proof = prover.run()
+    assert proof is not None and replay_refutation(proof.steps)
+    assert pops and all(pops)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wscan import logic
 from wscan.logic import FNot, PointedClause, PredExpr, pred_expr_str, simplify_pred_expr
 from wscan.saturation import SearchLimits, replay, search
-from wscan.verify import check_witness, eval_formula, model_count, models, signature_of
+from wscan.verify import _compile, check_witness, eval_formula, model_count, models, signature_of
 from wscan.witness import (
     Acyclic,
     LresBudgetExceeded,
@@ -292,13 +292,13 @@ def gfp_certificate_breaks(d):
         b = b_k(p, got.k).to_pred_expr(negate=neg)
         flat = got.k >= 1 and not any(l.same_kind(p.designated.dual()) for l in p.rest)
         sig = signature_of(formulas=[g.body, b.body])
+        g_holds, b_holds = _compile(g.body, g.params), _compile(b.body, b.params)
         for n in (1, 2):
             if model_count(sig, n) > 4096:
                 break
             for m in models(sig, n):
                 for t in itertools.product(range(n), repeat=len(g.params)):
-                    gv = eval_formula(m, g.body, dict(zip(g.params, t)))
-                    bv = eval_formula(m, b.body, dict(zip(b.params, t)))
+                    gv, bv = g_holds(m, *t), b_holds(m, *t)
                     lo, hi = (gv, bv) if neg else (bv, gv)
                     if (lo and not hi) or (flat and gv != bv):
                         bad.append((i + 1, m.describe(), t))
