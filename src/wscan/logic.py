@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 EQ = "="
@@ -195,6 +196,11 @@ class Lit:
 
     def dual(self) -> "Lit":
         return Lit(not self.pos, self.head, self.args, self.pvar)
+
+    @property
+    def kind(self) -> tuple[bool, str, bool, int]:
+        """``(pos, head, pvar, arity)``: the fields ``same_kind`` compares."""
+        return (self.pos, self.head, self.pvar, len(self.args))
 
     def same_kind(self, other: "Lit") -> bool:
         """Same head and polarity (the 'L-literal' relation)."""
@@ -389,6 +395,30 @@ class Clause:
     @property
     def size(self) -> int:
         return sum(lit_size(l) for l in self.lits)
+
+    # Subsumption features, computed once per clause object.  A cached
+    # property lives in the instance dict, so equality and hashing (which
+    # read only ``lits``) are unaffected.
+
+    @cached_property
+    def lits_by_kind(self) -> dict[tuple, tuple[int, ...]]:
+        """Literal indices grouped by ``Lit.kind``."""
+        out: dict[tuple, list[int]] = {}
+        for i, l in enumerate(self.lits):
+            out.setdefault(l.kind, []).append(i)
+        return {k: tuple(ix) for k, ix in out.items()}
+
+    @cached_property
+    def fn_symbols(self) -> frozenset[tuple[str, int]]:
+        """Every function symbol (constants included) as ``(name, arity)``."""
+        out = set()
+        todo = [t for l in self.lits for t in l.args]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, App):
+                out.add((t.fn, len(t.args)))
+                todo.extend(t.args)
+        return frozenset(out)
 
     def __str__(self) -> str:
         if not self.lits:

@@ -8,6 +8,17 @@ Three gradations are used by the solver:
 * the same relation modulo constraint unfolding on the subsumed side:
   S subsumes C if S injectively subsumes some C'' reachable from C by
   eliminating disequation constraints  v != t | C  ~>  C[v <- t].
+
+All three go through one backtracking matcher.  Before it matches anything,
+it rejects a pair (S, C) on clause features that every subsumer must share
+with C (Schulz, "Simple and Efficient Clause Subsumption with Feature Vector
+Indexing", 2013): S may have no literal kind (polarity, head, predicate
+variable or not, arity) and no function symbol that C lacks, and in the
+injective case no more literals of the marked kind than C has.  Plain
+subsumption may map two literals of S onto one of C, so it compares no
+counts.  The features are computed once per clause (``Clause.lits_by_kind``,
+``Clause.fn_symbols``).  The search then tries the literals of S with the
+fewest candidates in C, the literals of C of their kind, first.
 """
 
 from __future__ import annotations
@@ -45,9 +56,9 @@ def has_reflexive_equation(c: Clause) -> bool:
     return any(l.is_eq and l.pos and l.args[0] == l.args[1] for l in c.lits)
 
 
-def _match_lit(pat: Lit, tgt: Lit, base) -> Iterator[dict]:
-    if pat.pos != tgt.pos or pat.head != tgt.head or pat.pvar != tgt.pvar:
-        return
+def _lit_matches(pat: Lit, tgt: Lit, base: dict) -> Iterator[dict]:
+    """Each extension of `base` that maps `pat` onto `tgt`, a literal of the
+    same kind."""
     got = match_terms(pat.args, tgt.args, base)
     if got is not None:
         yield got
@@ -62,27 +73,32 @@ def _match_lit(pat: Lit, tgt: Lit, base) -> Iterator[dict]:
 def _subsumes(s: Clause, c: Clause, like: Optional[Lit]) -> bool:
     """Backtracking matcher; when `like` is given, the literals of s of that
     kind must map onto pairwise distinct literals of c."""
-    pats = sorted(
-        range(len(s.lits)),
-        key=lambda i: sum(1 for m in c.lits if any(True for _ in _match_lit(s.lits[i], m, {}))),
-    )
-    inj = [like is not None and s.lits[i].same_kind(like) for i in range(len(s.lits))]
-    if like is not None and sum(inj) > sum(1 for m in c.lits if m.same_kind(like)):
+    sk, ck = s.lits_by_kind, c.lits_by_kind
+    if not sk.keys() <= ck.keys() or not s.fn_symbols <= c.fn_symbols:
         return False
+    lk = None if like is None else like.kind
+    if lk in sk and len(sk[lk]) > len(ck[lk]):
+        return False
+    # (pattern, candidate target indices, injective), fewest candidates first
+    pats = sorted(
+        ((s.lits[i], ck[k], k == lk) for k, ix in sk.items() for i in ix),
+        key=lambda p: len(p[1]),
+    )
+    tgt = c.lits
 
-    def go(k: int, sigma: dict, used: frozenset) -> bool:
+    def go(k: int, sigma: dict, used: int) -> bool:
         if k == len(pats):
             return True
-        i = pats[k]
-        for j, m in enumerate(c.lits):
-            if inj[i] and j in used:
+        pat, cands, inj = pats[k]
+        for j in cands:
+            if inj and used >> j & 1:
                 continue
-            for got in _match_lit(s.lits[i], m, sigma):
-                if go(k + 1, got, used | {j} if inj[i] else used):
+            for got in _lit_matches(pat, tgt[j], sigma):
+                if go(k + 1, got, used | 1 << j if inj else used):
                     return True
         return False
 
-    return go(0, {}, frozenset())
+    return go(0, {}, 0)
 
 
 def subsumes(s: Clause, c: Clause) -> bool:

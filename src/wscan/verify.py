@@ -488,8 +488,11 @@ def models(sig: Signature, n: int) -> Iterator[FiniteModel]:
             ]
         )
     for ftables in itertools.product(*fdomains):
+        # one dict per assignment of function tables, shared by its models,
+        # so a consumer sees that the tables did not change by identity
+        funcs = dict(zip(fkeys, ftables))
         for rsets in itertools.product(*rdomains):
-            yield FiniteModel(n, dict(zip(fkeys, ftables)), dict(zip(rkeys, rsets)))
+            yield FiniteModel(n, funcs, dict(zip(rkeys, rsets)))
 
 
 def fn_cap_ok(sig: Signature) -> bool:

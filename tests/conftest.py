@@ -1,11 +1,13 @@
 """Shared helpers: tiny clause DSL plus independent brute-force oracles.
 
-The oracles here deliberately avoid the library's own matching code.
+The brute-force oracles deliberately avoid the library's own matching code.
 Subsumption is decided by enumerating every substitution whose range is a
 subterm of the target clause, and the constraint-unfolding closure is
-recomputed from its one-step definition.  The reference evaluator walks the
-formula tree with a fresh environment per binder, the definition the compiled
-evaluator in `verify` must agree with.
+recomputed from its one-step definition.  The reference matcher is the
+library's backtracking search as it was before the feature prefilter, the
+definition the filtered matcher in `subsumption` must agree with.  The
+reference evaluator walks the formula tree with a fresh environment per
+binder, the definition the compiled evaluator in `verify` must agree with.
 """
 
 import itertools
@@ -29,6 +31,7 @@ from wscan.logic import (
     Lit,
     Var,
     is_proper_subterm_var,
+    match_terms,
     subst_lit,
 )
 from wscan.problems import merge_theory, parse_problem
@@ -123,8 +126,13 @@ def brute_subsumes(s, c, like=None):
 
     for combo in itertools.product(cands, repeat=len(vs)):
         sigma = dict(zip(vs, combo))
-        image = [subst_lit(l, sigma) for l in s.lits]
-        if not all(present(m) for m in image):
+        image = []
+        for l in s.lits:
+            m = subst_lit(l, sigma)
+            if not present(m):
+                break
+            image.append(m)
+        if len(image) < len(s.lits):
             continue
         if like is None:
             return True
@@ -132,6 +140,46 @@ def brute_subsumes(s, c, like=None):
         if len(set(marked)) == len(marked):
             return True
     return False
+
+
+def _ref_match_lit(pat, tgt, base):
+    if pat.pos != tgt.pos or pat.head != tgt.head or pat.pvar != tgt.pvar:
+        return
+    got = match_terms(pat.args, tgt.args, base)
+    if got is not None:
+        yield got
+    if pat.is_eq:
+        swapped = match_terms((pat.args[1], pat.args[0]), tgt.args, base)
+        if swapped is not None and swapped != got:
+            yield swapped
+
+
+def ref_subsumes(s, c, like=None):
+    """Reference backtracking matcher, without the feature prefilter: patterns
+    are ordered by how many target literals each matches on its own, and
+    every pair goes to the search.  When `like` is given, the literals of s of
+    that kind must map onto pairwise distinct literals of c."""
+    pats = sorted(
+        range(len(s.lits)),
+        key=lambda i: sum(1 for m in c.lits if any(True for _ in _ref_match_lit(s.lits[i], m, {}))),
+    )
+    inj = [like is not None and s.lits[i].same_kind(like) for i in range(len(s.lits))]
+    if like is not None and sum(inj) > sum(1 for m in c.lits if m.same_kind(like)):
+        return False
+
+    def go(k, sigma, used):
+        if k == len(pats):
+            return True
+        i = pats[k]
+        for j, m in enumerate(c.lits):
+            if inj[i] and j in used:
+                continue
+            for got in _ref_match_lit(s.lits[i], m, sigma):
+                if go(k + 1, got, used | {j} if inj[i] else used):
+                    return True
+        return False
+
+    return go(0, {}, frozenset())
 
 
 def brute_velim_closure(c):

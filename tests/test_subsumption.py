@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wscan.logic import Clause, Lit, Var
+from wscan.logic import App, Clause, Lit, Var, match_terms
 from wscan.subsumption import (
     has_reflexive_equation,
     is_tautology,
@@ -20,7 +20,10 @@ from conftest import (
     brute_velim_closure,
     cl,
     random_clause,
+    random_lit,
+    random_term,
     reduction_subsumes_L,
+    ref_subsumes,
 )
 
 POS_X = Lit(True, "X", (Var("z"),), True)
@@ -113,3 +116,108 @@ def test_injective_subsumption_against_fresh_predicate_reduction():
         c = random_clause(rng, max_lits=4)
         like = rng.choice([POS_X, NEG_X])
         assert subsumes_L(s, c, like) == reduction_subsumes_L(s, c, like)
+
+
+# -- the feature prefilter and pattern order against the reference matcher ----
+
+
+def _random_diff_clause(rng, max_lits):
+    """A random clause that may also hold positive equations and terms of a
+    binary function symbol."""
+    lits = []
+    for _ in range(rng.randrange(1, max_lits + 1)):
+        roll = rng.random()
+        if roll < 0.15:
+            lits.append(Lit(True, "=", (random_term(rng), random_term(rng)), False))
+        elif roll < 0.25:
+            pair = App("h", (random_term(rng, 1), random_term(rng, 1)))
+            lits.append(Lit(rng.random() < 0.5, "B", (pair,)))
+        else:
+            lits.append(random_lit(rng))
+    return Clause.make(lits)
+
+
+def _generalization(rng, c):
+    """Some literals of c with some arguments replaced by variables, often a
+    subsumer of c, so that the pair reaches the backtracking search.  A
+    literal picked twice gives two literals that may collapse onto one.  The
+    new variables are named like the (canonical) variables of c, so s has at
+    most three and the brute-force oracle stays small."""
+    names = ("u0", "u1", "u2")
+    picked = [l for l in c.lits if rng.random() < 0.6] or [c.lits[0]]
+    lits = []
+    for l in picked:
+        args = tuple(Var(rng.choice(names)) if rng.random() < 0.4 else a for a in l.args)
+        if l.is_eq and rng.random() < 0.5:
+            args = args[::-1]
+        lits.append(Lit(l.pos, l.head, args, l.pvar))
+    if rng.random() < 0.5:
+        l = rng.choice([l for l in picked if l.pvar] or picked)
+        lits.append(Lit(l.pos, l.head, tuple(Var(rng.choice(names)) for _ in l.args), l.pvar))
+    return Clause.make(lits)
+
+
+def _ref_subsumes_velim(s, c, like):
+    return ref_subsumes(s, c, like) or any(ref_subsumes(s, e, like) for e in velim_closure(c))
+
+
+def test_filtered_matcher_agrees_with_reference_and_brute_force():
+    rng = random.Random(4111)
+    hits = {"plain": 0, "injective": 0, "velim": 0, "collapsed": 0}
+    for k in range(1000):
+        c = _random_diff_clause(rng, max_lits=4)
+        s = _generalization(rng, c) if k % 2 else _random_diff_clause(rng, max_lits=3)
+        like = (POS_X, NEG_X)[k // 2 % 2]
+        plain = subsumes(s, c)
+        assert plain == ref_subsumes(s, c) == brute_subsumes(s, c), (s, c)
+        injective = subsumes_L(s, c, like)
+        assert injective == ref_subsumes(s, c, like) == brute_subsumes(s, c, like), (s, c, like)
+        velim = subsumes_L_velim(s, c, like)
+        assert velim == _ref_subsumes_velim(s, c, like) == brute_subsumes_velim(s, c, like), (s, c, like)
+        hits["plain"] += plain
+        hits["injective"] += injective
+        hits["velim"] += velim
+        hits["collapsed"] += plain and not injective
+    # the generalizations make the comparison cover accepted pairs, and pairs
+    # that only plain subsumption accepts
+    assert min(hits["plain"], hits["injective"], hits["velim"]) > 200, hits
+    assert hits["collapsed"] > 10, hits
+
+
+def test_collapsing_literals_subsume_plainly_but_not_injectively():
+    s, c = cl("X(?u) | X(?v)"), cl("X(a)")
+    assert subsumes(s, c) and ref_subsumes(s, c)
+    assert not subsumes_L(s, c, POS_X) and not ref_subsumes(s, c, POS_X)
+    assert not brute_subsumes(s, c, POS_X)
+    # as many X-literals on each side, but only a collapsing match exists
+    s, c = cl("X(?u) | X(?v) | C(?u, ?v)"), cl("X(a) | X(b) | C(a, a)")
+    assert subsumes(s, c) and brute_subsumes(s, c)
+    assert not subsumes_L(s, c, POS_X) and not brute_subsumes(s, c, POS_X)
+
+
+def test_swapped_equation_is_matched():
+    s, c = cl("?u = b | B(?u)"), cl("f(a) = b | B(f(a))")
+    (eq_s,) = [l for l in s.lits if l.is_eq]
+    (eq_c,) = [l for l in c.lits if l.is_eq]
+    # both sides are stored with their arguments ordered by shape, so only the
+    # swapped pattern matches
+    assert match_terms(eq_s.args, eq_c.args) is None
+    assert subsumes(s, c) and ref_subsumes(s, c) and brute_subsumes(s, c)
+
+
+def test_missing_function_symbol_rejects_the_pair():
+    s, c = cl("B(g(?u))"), cl("B(f(a)) | C(a, b) | B(?v)")
+    assert ("g", 1) in s.fn_symbols and ("g", 1) not in c.fn_symbols
+    assert not subsumes(s, c)
+    assert not subsumes_L(s, c, POS_X)
+    assert not ref_subsumes(s, c) and not brute_subsumes(s, c)
+
+
+def test_empty_clause_subsumes_every_clause():
+    empty = Clause.make([])
+    rng = random.Random(5)
+    for _ in range(40):
+        c = _random_diff_clause(rng, max_lits=4)
+        for like in (POS_X, NEG_X):
+            assert subsumes(empty, c) and subsumes_L(empty, c, like) and subsumes_L_velim(empty, c, like)
+            assert ref_subsumes(empty, c, like)
