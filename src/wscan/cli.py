@@ -4,7 +4,9 @@ prove, with text and JSON output.
 Exit codes for the pipeline commands: 0 solved and verified (or verification
 not requested), 1 verification failed, 2 no derivation within the limits,
 3 input error.  `prove`: 0 proved, 1 disproved, 2 unknown, 3 input error.
-The WSCAN_TIMEOUT environment variable sets the default --timeout.
+An input error is anything wrong with the command line or the files it names;
+it prints one `error: ...` line.  The WSCAN_TIMEOUT environment variable sets
+the default --timeout.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .problems import (
     print_problem,
 )
 from .saturation import Derivation, ReplayError, SearchLimits, replay, search
-from .verify import CheckReport, Disproved, Proved, Unknown, check_witness, prove
+from .verify import CheckReport, ClausifyError, Disproved, Proved, Unknown, check_witness, prove
 from .witness import FirstOrderUnavailable, LresBudgetExceeded, Witness, extract_witness
 
 
@@ -188,14 +190,9 @@ def _extract(args, d: Derivation) -> Witness:
 
 
 def cmd_solve(args) -> int:
-    try:
-        prob = _load_problem(args.problem)
-        limits = _limits(args)
-    except (ParseError, OSError, ValueError) as e:
-        _err(str(e))
-        return 3
+    prob = _load_problem(args.problem)
     found: list[Derivation] = []
-    for d in search(prob.clauses, prob.xvars, limits):
+    for d in search(prob.clauses, prob.xvars, _limits(args)):
         found.append(d)
         if len(found) >= args.all:
             break
@@ -230,17 +227,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        prob = _load_problem(args.problem)
-        trace = Path(args.trace_file).read_text()
-    except (ParseError, OSError, ValueError) as e:
-        _err(str(e))
-        return 3
-    try:
-        d = replay(prob.clauses, prob.xvars, trace)
-    except ReplayError as e:
-        _err(f"invalid trace: {e}")
-        return 3
+    prob = _load_problem(args.problem)
+    d = replay(prob.clauses, prob.xvars, Path(args.trace_file).read_text())
     try:
         w = _extract(args, d)
     except (FirstOrderUnavailable, LresBudgetExceeded, ValueError) as e:
@@ -257,19 +245,14 @@ def cmd_replay(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        prob = _load_problem(args.problem)
-        psub = parse_witness(Path(args.witness_file).read_text(), prob.xvars)
-        missing = [x for x in prob.xvars if x not in psub]
-        if missing:
-            raise ParseError(f"witness has no binding for {', '.join(missing)}", 1, 1)
-        conclusion = None
-        if args.conclusion:
-            conclusion = parse_problem(Path(args.conclusion).read_text()).clauses
-    except (ParseError, OSError, ValueError) as e:
-        _err(str(e))
-        return 3
-    if conclusion is None:
+    prob = _load_problem(args.problem)
+    psub = parse_witness(Path(args.witness_file).read_text(), prob.xvars)
+    missing = [x for x in prob.xvars if x not in psub]
+    if missing:
+        raise ParseError(f"witness has no binding for {', '.join(missing)}", 1, 1)
+    if args.conclusion:
+        conclusion = parse_problem(Path(args.conclusion).read_text()).clauses
+    else:
         d = next(iter(search(prob.clauses, prob.xvars, _limits(args))), None)
         if d is None:
             _emit(args, ["no derivation within limits"], {"solved": False})
@@ -288,22 +271,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_encode_graph(args) -> int:
-    try:
-        g = parse_graph(Path(args.graph).read_text())
-    except (ParseError, OSError) as e:
-        _err(str(e))
-        return 3
+    g = parse_graph(Path(args.graph).read_text())
     sys.stdout.write(print_problem(encode_graph(g)))
     return 0
 
 
 def cmd_prove(args) -> int:
-    try:
-        prob = parse_problem(Path(args.premises).read_text())
-        goal = parse_formula(Path(args.goal).read_text(), prob.xvars)
-    except (ParseError, OSError) as e:
-        _err(str(e))
-        return 3
+    prob = parse_problem(Path(args.premises).read_text())
+    goal = parse_formula(Path(args.goal).read_text(), prob.xvars)
     got = prove(prob.clauses, goal, timeout=args.timeout)
     if isinstance(got, Proved):
         lines = ["proved"]
@@ -428,82 +403,85 @@ def cmd_bench(args) -> int:
 # argument parsing
 
 
-def _add_common(sp, timeout: float) -> None:
-    sp.add_argument("--max-steps", type=int, default=50)
-    sp.add_argument("--timeout", type=float, default=timeout)
-    sp.add_argument(
-        "--witness-mode",
-        choices=["auto", "first-order", "fixpoint", "resolution"],
-        default="auto",
-    )
-    sp.add_argument("--fo-k", type=int, default=None)
-    sp.add_argument("--lres-budget", type=int, default=512)
-    sp.add_argument("--verify", action="store_true")
-    sp.add_argument("--verify-timeout", type=float, default=30.0)
-    sp.add_argument("--format", choices=["text", "json"], default="text")
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises on a usage error, so that `main` reports it as an input error."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
 
 
 def build_parser(timeout: float) -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="wscan", description=__doc__)
+    spec = {
+        "--max-steps": dict(type=int, default=50),
+        "--timeout": dict(type=float, default=timeout),
+        "--witness-mode": dict(
+            choices=["auto", "first-order", "fixpoint", "resolution"], default="auto"
+        ),
+        "--fo-k": dict(type=int, default=None),
+        "--lres-budget": dict(type=int, default=512),
+        "--verify": dict(action="store_true"),
+        "--verify-timeout": dict(type=float, default=30.0),
+        "--format": dict(choices=["text", "json"], default="text"),
+        "--trace": dict(action="store_true"),
+        "--all": dict(type=int, default=1, metavar="N"),
+        "--jobs": dict(type=int, default=1),
+        "conclusion": dict(nargs="?"),
+    }
+    searching = ["--max-steps", "--timeout"]
+    extracting = ["--witness-mode", "--fo-k", "--lres-budget", "--verify"]
+    reporting = ["--verify-timeout", "--format"]
+    # each subcommand takes exactly the arguments it reads
+    commands = {
+        "solve": (cmd_solve, "eliminate the declared predicate variables",
+                  ["problem", *searching, *extracting, *reporting, "--trace", "--all"]),
+        "replay": (cmd_replay, "replay a recorded trace and extract its witness",
+                   ["problem", "trace_file", *extracting, *reporting, "--trace"]),
+        "check": (cmd_check, "check a witness file against a problem",
+                  ["problem", "witness_file", "conclusion", *searching, *reporting]),
+        "encode-graph": (cmd_encode_graph, "encode a graph reachability spec as a problem",
+                         ["graph"]),
+        "prove": (cmd_prove, "run the refutation prover on premises and a goal",
+                  ["premises", "goal", "--timeout", "--format"]),
+        "bench": (cmd_bench, "run every *.wscan problem in a directory",
+                  ["directory", *searching, *extracting, *reporting, "--jobs"]),
+    }
+    # no abbreviations: `check --verify` must not read as `--verify-timeout`
+    ap = _ArgumentParser(prog="wscan", description=__doc__, allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("solve", help="eliminate the declared predicate variables")
-    sp.add_argument("problem")
-    sp.add_argument("--trace", action="store_true")
-    sp.add_argument("--all", type=int, default=1, metavar="N")
-    _add_common(sp, timeout)
-    sp.set_defaults(fn=cmd_solve)
-
-    sp = sub.add_parser("replay", help="replay a recorded trace and extract its witness")
-    sp.add_argument("problem")
-    sp.add_argument("trace_file")
-    sp.add_argument("--trace", action="store_true")
-    _add_common(sp, timeout)
-    sp.set_defaults(fn=cmd_replay)
-
-    sp = sub.add_parser("check", help="check a witness file against a problem")
-    sp.add_argument("problem")
-    sp.add_argument("witness_file")
-    sp.add_argument("conclusion", nargs="?", default=None)
-    _add_common(sp, timeout)
-    sp.set_defaults(fn=cmd_check)
-
-    sp = sub.add_parser("encode-graph", help="encode a graph reachability spec as a problem")
-    sp.add_argument("graph")
-    sp.set_defaults(fn=cmd_encode_graph)
-
-    sp = sub.add_parser("prove", help="run the refutation prover on premises and a goal")
-    sp.add_argument("premises")
-    sp.add_argument("goal")
-    sp.add_argument("--timeout", type=float, default=timeout)
-    sp.add_argument("--format", choices=["text", "json"], default="text")
-    sp.set_defaults(fn=cmd_prove)
-
-    sp = sub.add_parser("bench", help="run every *.wscan problem in a directory")
-    sp.add_argument("directory")
-    sp.add_argument("--jobs", type=int, default=1)
-    _add_common(sp, timeout)
-    sp.set_defaults(fn=cmd_bench)
-
+    for name, (fn, summary, arguments) in commands.items():
+        sp = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for arg in arguments:
+            sp.add_argument(arg, **spec.get(arg, {}))
+        sp.set_defaults(fn=fn)
     return ap
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    raw = os.environ.get("WSCAN_TIMEOUT", "10")
+    """Run one command.  This is the one place that turns bad input into an
+    `error: ...` line and exit code 3; `--help` still exits 0."""
     try:
-        timeout = float(raw)
-    except ValueError:
-        timeout = 0.0
-    if not timeout > 0:  # also false for nan
-        _err(f"WSCAN_TIMEOUT must be a positive number of seconds, got {raw!r}")
-        return 3
-    args = build_parser(timeout).parse_args(argv)
-    for name in ("max_steps", "timeout", "verify_timeout"):
-        value = getattr(args, name, 1)  # not every command has every budget
-        if not value > 0:
-            _err(f"--{name.replace('_', '-')} must be positive, got {value}")
-            return 3
-    return args.fn(args)
+        raw = os.environ.get("WSCAN_TIMEOUT", "10")
+        try:
+            timeout = float(raw)
+        except ValueError:
+            timeout = 0.0
+        if not timeout > 0:  # also false for nan
+            raise argparse.ArgumentError(
+                None, f"WSCAN_TIMEOUT must be a positive number of seconds, got {raw!r}"
+            )
+        args = build_parser(timeout).parse_args(argv)
+        for name in ("max_steps", "timeout", "verify_timeout"):
+            value = getattr(args, name, 1)  # not every command has every budget
+            if not value > 0:
+                raise argparse.ArgumentError(
+                    None, f"--{name.replace('_', '-')} must be positive, got {value}"
+                )
+        return args.fn(args)
+    except ReplayError as e:
+        _err(f"invalid trace: {e}")
+    except (argparse.ArgumentError, ClausifyError, OSError, ParseError, UnicodeDecodeError) as e:
+        _err(str(e))
+    return 3
 
 
 if __name__ == "__main__":

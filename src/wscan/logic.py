@@ -171,10 +171,6 @@ def fresh_name(prefix: str) -> str:
     return f"{prefix}{next(_counter)}"
 
 
-def fresh_vars(n: int) -> tuple[Var, ...]:
-    return tuple(Var(fresh_name("v")) for _ in range(n))
-
-
 # ---------------------------------------------------------------------------
 # literals
 

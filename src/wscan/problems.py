@@ -1,4 +1,4 @@
-"""Problem files, graph encodings, witness files, and the Ackermann fast path.
+"""Problem files, graph encodings, and witness files.
 
 File format (line-oriented, `#` comments):
 
@@ -15,14 +15,16 @@ conflicts are rejected.
 
 Clause literals, prover goals and witness bodies share one recursive-descent
 grammar for terms and atoms; a clause literal is an optional `~` followed by
-a formula atom.  Errors carry the line and column of the offending token.
+a formula atom.  Terms and formulas nest at most MAX_NESTING levels deep.
+Errors carry the line and column of the offending token.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .logic import (
     EQ,
@@ -44,15 +46,8 @@ from .logic import (
     PredExpr,
     Term,
     Var,
-    canonical_pred_expr,
-    forall,
-    for_,
     formula_to_lit,
-    lit_to_formula,
-    lit_vars,
-    simplify_pred_expr,
 )
-from .witness import Witness
 
 
 class ParseError(Exception):
@@ -106,10 +101,16 @@ def _tokens(text: str, line: int = 1) -> list[_Tok]:
     return out
 
 
+# how deep terms and formulas may nest; the parser and the recursive passes
+# over what it returns stay well inside Python's recursion limit
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -141,6 +142,15 @@ class _Parser:
     def error(self, msg: str) -> ParseError:
         t = self.peek()
         return ParseError(msg, t.line, t.col)
+
+    @contextmanager
+    def nested(self, levels: int = 1) -> Iterator[None]:
+        """Parse the block `levels` deeper; deeper than MAX_NESTING is an error."""
+        self.depth += levels
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nested more than {MAX_NESTING} deep")
+        yield
+        self.depth -= levels
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +205,11 @@ def _parse_args(
     """`( t, … )`; with `empty`, also `()`."""
     p.expect("sym", "(")
     args: list[Term] = []
-    if not (empty and p.at("sym", ")")):
-        args.append(_parse_term(p, sig, bound))
-        while p.accept("sym", ","):
+    with p.nested():
+        if not (empty and p.at("sym", ")")):
             args.append(_parse_term(p, sig, bound))
+            while p.accept("sym", ","):
+                args.append(_parse_term(p, sig, bound))
     p.expect("sym", ")")
     return tuple(args)
 
@@ -255,15 +266,19 @@ def _parse_binders(p: _Parser, blank: bool = False) -> tuple[str, ...]:
 
 def _parse_formula(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
     lhs = _parse_imp(p, sig, bound)
+    chain = 0
     while p.accept("sym", "<->"):
-        lhs = FIff(lhs, _parse_imp(p, sig, bound))
+        chain += 1  # each `<->` nests the chain so far one level deeper
+        with p.nested(chain):
+            lhs = FIff(lhs, _parse_imp(p, sig, bound))
     return lhs
 
 
 def _parse_imp(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
     lhs = _parse_or(p, sig, bound)
     if p.accept("sym", "->"):
-        return FImp(lhs, _parse_imp(p, sig, bound))
+        with p.nested():
+            return FImp(lhs, _parse_imp(p, sig, bound))
     return lhs
 
 
@@ -283,11 +298,13 @@ def _parse_and(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
 
 def _parse_unary(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
     if p.accept("sym", "~"):
-        return FNot(_parse_unary(p, sig, bound))
+        with p.nested():
+            return FNot(_parse_unary(p, sig, bound))
     if p.at("ident", "forall") or p.at("ident", "exists"):
         ctor = FAll if p.next().text == "forall" else FEx
         names = _parse_binders(p)
-        body = _parse_formula(p, sig, bound + names)
+        with p.nested(len(names)):
+            body = _parse_formula(p, sig, bound + names)
         for n in reversed(names):
             body = ctor(n, body)
         return body
@@ -304,7 +321,8 @@ def _parse_unary(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
             if p.accept("sym", "@"):  # application args follow the closing paren
                 return replace(g, args=_parse_args(p, sig, bound, empty=True))
             return g
-        f = _parse_formula(p, sig, bound)
+        with p.nested():
+            f = _parse_formula(p, sig, bound)
         p.expect("sym", ")")
         return f
     return _parse_atom(p, sig, bound)
@@ -316,7 +334,8 @@ def _parse_gfp(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> FGfp:
     params = _parse_binders(p)
     inner = _SigCheck({**sig.xvars, yname: len(params)})
     inner.funcs, inner.preds = sig.funcs, sig.preds  # share tables
-    body = _parse_formula(p, inner, bound + params)
+    with p.nested():
+        body = _parse_formula(p, inner, bound + params)
     return FGfp(yname, params, body, ())
 
 
@@ -525,48 +544,6 @@ def encode_graph(g: GraphSpec) -> Problem:
     )
     funcs = {f"a{i}": 0 for i in range(1, g.nodes + 1)}
     return Problem(tuple(clauses), {"X": 1}, theory, funcs, {"E": 2}, origin="graph")
-
-
-# ---------------------------------------------------------------------------
-# Ackermann fast path
-
-
-def ackermann_witness(p: Problem, x: str) -> Optional[Witness]:
-    """When exactly one clause hosts x with a single negative occurrence over
-    pairwise-distinct variable arguments and every other occurrence of x is
-    positive, the direct substitution [x <- lambda u-bar. C] is a witness (dual
-    for the flipped polarities).  Returns None when the pattern does not apply."""
-    if x not in p.xvars:
-        return None
-    for wanted in (False, True):
-        host: Optional[Clause] = None
-        ok = True
-        for c in p.clauses:
-            xlits = [l for l in c.lits if l.pvar and l.head == x]
-            bad = [l for l in xlits if l.pos == wanted]
-            if not bad:
-                continue
-            if host is not None or len(bad) > 1 or len(xlits) > 1:
-                ok = False
-                break
-            host = c
-        if not ok or host is None:
-            continue
-        xlit = next(l for l in host.lits if l.pvar and l.head == x)
-        if not all(isinstance(t, Var) for t in xlit.args):
-            continue
-        if len({t.name for t in xlit.args}) != len(xlit.args):
-            continue
-        rest = [l for l in host.lits if l != xlit]
-        if any(l.pvar and l.head == x for l in rest):
-            continue
-        params = tuple(t.name for t in xlit.args)
-        extra = sorted(set().union(*[set(lit_vars(l)) for l in rest]) - set(params))
-        body: Formula = forall(extra, for_(*[lit_to_formula(l) for l in rest]))
-        if wanted:  # single positive occurrence: the least admissible relation
-            body = FNot(body)
-        return Witness({x: canonical_pred_expr(simplify_pred_expr(PredExpr(params, body)))}, ())
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -504,11 +504,12 @@ def search(
 ) -> Iterator[Derivation]:
     """Depth-first backtracking over pointed-clause choices, alternating
     preprocessing and purification; yields eliminating derivations lazily.
-    The search is deterministic: all tie-breaking is canonical.
+    The search is deterministic: all tie-breaking is canonical.  No trace is
+    yielded twice, since sibling branches begin by purifying different
+    literals, which their first `purdel` or `res` step names.
     """
     limits = limits or SearchLimits()
     branches = [0]
-    seen: set[tuple[str, ...]] = set()
 
     def rec(st: _State) -> Iterator[Derivation]:
         try:
@@ -516,11 +517,7 @@ def search(
         except _Budget:
             return
         if not any(l.pvar for c in st.alive_clauses() for l in c.lits):
-            d = st.freeze()
-            key = tuple(d.trace_lines())
-            if key not in seen:
-                seen.add(key)
-                yield d
+            yield st.freeze()
             return
         for (i, k) in _candidates(st):
             if time.monotonic() > st.deadline or branches[0] >= limits.max_branches:

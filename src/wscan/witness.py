@@ -60,15 +60,6 @@ class ClausePredicate:
     consts: tuple[str, ...]
     clauses: frozenset[Clause]
 
-    def _normalized(self) -> frozenset[Clause]:
-        m = {c: Var(f"@{i}") for i, c in enumerate(self.consts)}
-        return frozenset(
-            Clause.make(_lit_subst_consts(l, m) for l in c.lits) for c in self.clauses
-        )
-
-    def same_up_to_consts(self, other: "ClausePredicate") -> bool:
-        return len(self.consts) == len(other.consts) and self._normalized() == other._normalized()
-
     def to_pred_expr(self, negate: bool = False) -> PredExpr:
         # not `u`: canonical clause variables are u0, u1, ..., and a parameter
         # of that name would be captured by the clause's quantifier

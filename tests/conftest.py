@@ -8,6 +8,8 @@ library's backtracking search as it was before the feature prefilter, the
 definition the filtered matcher in `subsumption` must agree with.  The
 reference evaluator walks the formula tree with a fresh environment per
 binder, the definition the compiled evaluator in `verify` must agree with.
+The Ackermann witness is a second witness oracle: a closed-form witness for
+the single-occurrence pattern, built without any derivation.
 """
 
 import itertools
@@ -29,14 +31,23 @@ from wscan.logic import (
     FOr,
     FTrue,
     Lit,
+    PredExpr,
     Var,
+    canonical_pred_expr,
+    for_,
+    forall,
     is_proper_subterm_var,
+    lit_to_formula,
+    lit_vars,
     match_terms,
+    simplify_pred_expr,
+    subst_consts,
     subst_lit,
 )
 from wscan.problems import merge_theory, parse_problem
 from wscan.saturation import replay, search
 from wscan.subsumption import subsumes
+from wscan.witness import Witness
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "wscan" / "corpus"
 
@@ -68,6 +79,23 @@ def clauses_of(text, header="X/1"):
 def cl(line, header="X/1"):
     (c,) = clauses_of(line, header)
     return c
+
+
+def same_up_to_consts(p, q):
+    """Whether two clause predicates are equal once their handle constants
+    are renamed positionally."""
+
+    def normalized(cp):
+        m = {c: Var(f"@{i}") for i, c in enumerate(cp.consts)}
+        return frozenset(
+            Clause.make(
+                Lit(l.pos, l.head, tuple(subst_consts(a, m) for a in l.args), l.pvar)
+                for l in c.lits
+            )
+            for c in cp.clauses
+        )
+
+    return len(p.consts) == len(q.consts) and normalized(p) == normalized(q)
 
 
 def _subterms(t):
@@ -329,3 +357,44 @@ def ref_gfp_relation(m, f, venv, penv):
         if nxt == rel:
             return rel
         rel = nxt
+
+
+# -- second witness oracle ----------------------------------------------------
+
+
+def ackermann_witness(p, x):
+    """When exactly one clause hosts x with a single negative occurrence over
+    pairwise-distinct variable arguments and every other occurrence of x is
+    positive, the direct substitution [x <- lambda u-bar. C] is a witness (dual
+    for the flipped polarities).  Returns None when the pattern does not apply."""
+    if x not in p.xvars:
+        return None
+    for wanted in (False, True):
+        host = None
+        ok = True
+        for c in p.clauses:
+            xlits = [l for l in c.lits if l.pvar and l.head == x]
+            bad = [l for l in xlits if l.pos == wanted]
+            if not bad:
+                continue
+            if host is not None or len(bad) > 1 or len(xlits) > 1:
+                ok = False
+                break
+            host = c
+        if not ok or host is None:
+            continue
+        xlit = next(l for l in host.lits if l.pvar and l.head == x)
+        if not all(isinstance(t, Var) for t in xlit.args):
+            continue
+        if len({t.name for t in xlit.args}) != len(xlit.args):
+            continue
+        rest = [l for l in host.lits if l != xlit]
+        if any(l.pvar and l.head == x for l in rest):
+            continue
+        params = tuple(t.name for t in xlit.args)
+        extra = sorted(set().union(*[set(lit_vars(l)) for l in rest]) - set(params))
+        body = forall(extra, for_(*[lit_to_formula(l) for l in rest]))
+        if wanted:  # single positive occurrence: the least admissible relation
+            body = FNot(body)
+        return Witness({x: canonical_pred_expr(simplify_pred_expr(PredExpr(params, body)))}, ())
+    return None

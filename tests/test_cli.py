@@ -9,6 +9,7 @@ import time
 import pytest
 
 from wscan.cli import main
+from wscan.problems import MAX_NESTING
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "wscan" / "corpus"
 
@@ -191,11 +192,11 @@ def test_invalid_env_timeout_is_an_input_error(capsys, tmp_path, monkeypatch, co
         ["solve", MAIN, "--timeout", "nan"],
         ["check", MAIN, "w.txt", "--timeout", "0"],
         ["check", MAIN, "w.txt", "--verify-timeout", "nan"],
-        ["replay", MAIN, TRACE, "--max-steps", "0"],
+        ["solve", MAIN, "--max-steps", "0"],
         ["prove", MAIN, "goal.txt", "--timeout", "-1"],
         ["bench", CORPUS, "--verify-timeout", "0"],
     ],
-    ids=["solve-timeout", "check-timeout", "check-verify-timeout", "replay-max-steps",
+    ids=["solve-timeout", "check-timeout", "check-verify-timeout", "solve-max-steps",
          "prove-timeout", "bench-verify-timeout"],
 )
 def test_invalid_budget_flag_is_an_input_error(capsys, argv):
@@ -246,9 +247,80 @@ def test_bench_json(capsys):
     assert len(solved) >= 10
 
 
-def test_unknown_subcommand_fails():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+def test_unknown_subcommand_fails(capsys):
+    code, out, err = run(capsys, "frobnicate")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "invalid choice: 'frobnicate'" in err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["solve", "--help"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 0
+        assert "usage: wscan" in capsys.readouterr().out
+
+
+def _deep_term(n):
+    return "f(" * n + "a" + ")" * n
+
+
+BAD_INPUTS = {
+    "gfp-goal": ("prove", "premises.wscan", "gfp.txt"),
+    "non-utf8-graph": ("encode-graph", "latin1.bin"),
+    "non-utf8-premises": ("prove", "latin1.bin", "goal.txt"),
+    "non-numeric-timeout": ("solve", MAIN, "--timeout", "abc"),
+    "unknown-option": ("solve", MAIN, "--bogus"),
+    "missing-positional": ("solve",),
+    "missing-file": ("replay", MAIN, "missing.trace"),
+    "deep-term": ("solve", "deep.wscan"),
+    "deep-goal": ("prove", "premises.wscan", "deep_goal.txt"),
+    "deep-witness": ("check", MAIN, "deep_witness.txt"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_three_with_one_error_line(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "premises.wscan").write_text("exists X/1.\nB(a)\n")
+    (tmp_path / "goal.txt").write_text("B(a)\n")
+    (tmp_path / "gfp.txt").write_text("gfp Y u. Y(u)\n")
+    (tmp_path / "latin1.bin").write_bytes("nodes 2 # caf\u00e9\n".encode("latin-1"))
+    (tmp_path / "deep.wscan").write_text(f"exists X/1.\nX(a)\n~X(?u) | B({_deep_term(3000)})\n")
+    (tmp_path / "deep_goal.txt").write_text("~" * 3000 + "B(a)\n")
+    (tmp_path / "deep_witness.txt").write_text(f"X := lambda u. B({_deep_term(3000)})\n")
+    code, out, err = run(capsys, *BAD_INPUTS[case])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", MAIN, "w.txt", flag, "1"] for flag in ("--fo-k", "--lres-budget")]
+    + [["check", MAIN, "w.txt", "--witness-mode", "auto"], ["check", MAIN, "w.txt", "--verify"]]
+    + [["replay", MAIN, TRACE, flag, "1"] for flag in ("--max-steps", "--timeout")],
+    ids=lambda argv: f"{argv[0]}{argv[3]}",
+)
+def test_options_a_command_does_not_read_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: unrecognized arguments: --")
+
+
+def test_term_at_the_nesting_limit_solves_and_verifies(capsys, tmp_path):
+    # the atom's argument list is one level, so X(f^(n-1)(a)) is n deep
+    f = tmp_path / "deep.wscan"
+    f.write_text(f"exists X/1.\nX({_deep_term(MAX_NESTING - 1)})\n~X(?u) | B(?u)\n")
+    code, out, _ = run(capsys, "solve", f, "--verify")
+    assert code == 0
+    assert "verification: PASS" in out
+    f.write_text(f"exists X/1.\nX({_deep_term(MAX_NESTING)})\n~X(?u) | B(?u)\n")
+    code, _, err = run(capsys, "solve", f, "--verify")
+    assert code == 3
+    assert err == f"error: line 2, col {2 * MAX_NESTING + 3}: nested more than {MAX_NESTING} deep\n"
 
 
 def test_json_encoder_shape_of_every_node_kind():

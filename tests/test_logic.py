@@ -33,7 +33,7 @@ from wscan.logic import (
     formula_free_vars,
     formula_size,
     formula_str,
-    fresh_vars,
+    fresh_name,
     lit_size,
     lit_str,
     lit_vars,
@@ -86,7 +86,7 @@ def test_match_is_one_way():
 
 @given(st.integers(0, 3))
 def test_fresh_vars_are_distinct(n):
-    vs = fresh_vars(n)
+    vs = [Var(fresh_name("v")) for _ in range(n)]
     assert len(set(vs)) == n
 
 

@@ -1,5 +1,5 @@
-"""Problem text format, graph encoding, and the direct single-occurrence
-substitution shortcut."""
+"""Problem text format, graph encoding, and the single-occurrence witness
+oracle of conftest."""
 
 import random
 
@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from wscan.logic import App, Clause, Lit, pred_expr_str
 from wscan.problems import (
+    MAX_NESTING,
     GraphSpec,
     ParseError,
     Problem,
-    ackermann_witness,
     encode_graph,
     merge_theory,
     parse_formula,
@@ -23,7 +23,7 @@ from wscan.problems import (
 from wscan.verify import FiniteModel, check_witness, soqe_holds
 from wscan.witness import extract_witness
 
-from conftest import CORPUS, CORPUS_RUNS, corpus_derivation, random_clause
+from conftest import CORPUS, CORPUS_RUNS, ackermann_witness, corpus_derivation, random_clause
 
 
 def test_parse_round_trip_is_identity():
@@ -212,7 +212,7 @@ def test_graph_encoding_matches_reachability(nodes):
         assert soqe_holds(m, list(prob.clauses), prob.xvars) == expected
 
 
-# -- the single-occurrence shortcut -------------------------------------------
+# -- the single-occurrence witness oracle ------------------------------------
 
 
 def test_ackermann_unary():
@@ -281,6 +281,34 @@ def test_parse_witness_rejects_wrong_arity():
 def test_parse_witness_nullary():
     w = parse_witness("X := lambda _. false\n", xvars={"X": 0})
     assert pred_expr_str(w["X"]) == "lambda _. false"
+
+
+# each builds a goal nested n deep through one construct
+NESTED = {
+    "term": lambda n: "B(" + "f(" * (n - 1) + "a" + ")" * n,
+    "not": lambda n: "~" * n + "B",
+    "parens": lambda n: "(" * n + "B" + ")" * n,
+    "imp": lambda n: "B -> " * n + "B",
+    "iff": lambda n: "B <-> " * n + "B",
+    "binders": lambda n: "forall " + " ".join(f"x{i}" for i in range(n)) + ". B",
+    "gfp": lambda n: "gfp Y u. " * n + "B",
+}
+
+
+@pytest.mark.parametrize("construct", NESTED)
+def test_nesting_beyond_the_limit_is_a_parse_error(construct):
+    parse_formula(NESTED[construct](MAX_NESTING))
+    for n in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError, match=f"line 1, col \\d+: nested more than {MAX_NESTING}"):
+            parse_formula(NESTED[construct](n))
+
+
+def test_nesting_limit_applies_to_problem_and_witness_files():
+    deep = "f(" * 3000 + "a" + ")" * 3000
+    with pytest.raises(ParseError, match="line 3, col 212: nested"):
+        parse_problem(f"exists X/1.\nX(a)\n~X(?u) | B({deep})\n")
+    with pytest.raises(ParseError, match="line 2, col 117: nested"):
+        parse_witness(f"\nX := lambda u. {'~' * 3000}u = a\n", xvars={"X": 1})
 
 
 # resolution-mode extraction does not finish on two traces
