@@ -52,7 +52,7 @@ from .problems import (
     print_problem,
 )
 from .saturation import Derivation, ReplayError, SearchLimits, replay, search
-from .verify import CheckReport, ClausifyError, Disproved, Proved, Unknown, check_witness, prove
+from .verify import CheckReport, ClausifyError, Disproved, Proved, Rejected, Unknown, check_witness, prove
 from .witness import FirstOrderUnavailable, LresBudgetExceeded, Witness, extract_witness
 
 
@@ -104,6 +104,7 @@ def report_to_json(rep: CheckReport):
         "passed": rep.passed,
         "prover": [{"clause": i + 1, "result": r} for i, r in rep.prover],
         "models_checked": rep.models_checked,
+        "models_evaluated": rep.models_evaluated,
         "failures": list(rep.failures),
         "notes": list(rep.notes),
     }
@@ -299,6 +300,10 @@ def cmd_prove(args) -> int:
         }
         _emit(args, lines, blob)
         return 0
+    if isinstance(got, Rejected):
+        note = "the prover's refutation does not replay through the calculus"
+        _emit(args, [f"rejected: {note}"], {"result": "rejected", "note": note})
+        return 1
     if isinstance(got, Disproved):
         _emit(
             args,

@@ -7,13 +7,15 @@ the desk-scale goals produced by witness checking.  It takes resolution
 partners and factor pairs from `calculus` and tries each inference site once.
 The finite-model evaluator is the independent oracle: it knows nothing about
 the calculus.  It compiles each formula once into closures over variable
-slots, and grounds a clause set once per assignment of function tables.
+slots, grounds a clause set once per assignment of function tables, and
+enumerates constants only up to a permutation of the domain.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -78,6 +80,18 @@ class ClausifyError(Exception):
     pass
 
 
+# the most clauses `_cnf` builds for one formula.  Distribution multiplies
+# the clauses of the two sides of each `<->`, so their number grows doubly
+# exponentially along a chain: 5 chained `<->` give about 2,600 clauses, and
+# 8 would take gigabytes.
+MAX_CNF_CLAUSES = 10_000
+
+
+def _within_cap(count: int) -> None:
+    if count > MAX_CNF_CLAUSES:
+        raise ClausifyError(f"clausal form has more than {MAX_CNF_CLAUSES} clauses")
+
+
 def _nnf(f: Formula, pos: bool) -> Formula:
     if isinstance(f, FTrue):
         return TRUE if pos else FALSE
@@ -136,11 +150,14 @@ def _cnf(f: Formula) -> list[tuple[Lit, ...]]:
         out = []
         for s in f.subs:
             out.extend(_cnf(s))
+            _within_cap(len(out))
         return out
     if isinstance(f, FOr):
         acc: list[tuple[Lit, ...]] = [()]
         for s in f.subs:
-            acc = [a + b for a in acc for b in _cnf(s)]
+            cnf = _cnf(s)
+            _within_cap(len(acc) * len(cnf))
+            acc = [a + b for a in acc for b in cnf]
         return acc
     raise TypeError(f)
 
@@ -467,9 +484,35 @@ def model_count(sig: Signature, n: int) -> int:
     return total
 
 
-def models(sig: Signature, n: int) -> Iterator[FiniteModel]:
-    """All models of size n over the signature, deterministically ordered.
-    Free predicate variables are enumerated as ordinary relations."""
+def _function_tables(
+    domains: Sequence[list], consts: Sequence[bool], full: bool, used: int = 0
+) -> Iterator[tuple[tuple, int]]:
+    """Every choice of one table per domain, in lexicographic order, with one
+    above the largest constant value in it: for a canonical constant vector,
+    its number of distinct values.  A constant's domain lists its tables by
+    value; unless full, a constant takes a value at most one above the
+    largest value of the constants before it."""
+    if not domains:
+        yield (), used
+        return
+    head = domains[0][: used + 1] if consts[0] and not full else domains[0]
+    for v, table in enumerate(head):
+        for rest, top in _function_tables(
+            domains[1:], consts[1:], full, max(used, v + 1) if consts[0] else used
+        ):
+            yield (table, *rest), top
+
+
+def models(sig: Signature, n: int, full: bool = False) -> Iterator[tuple[FiniteModel, int]]:
+    """The models of size n over the signature, deterministically ordered,
+    each with its weight.  Free predicate variables are enumerated as
+    ordinary relations.  Each constant takes a value at most one above the
+    largest value of the constants before it, so the constant vector stands
+    for its orbit under permutations of the domain: the n*(n-1)*...*(n-b+1)
+    vectors with its pattern of equal values (b distinct ones).  Every model
+    with a vector in the orbit is isomorphic to one with this vector.  The
+    orbit's size is the weight, so the weights add up to model_count.  With
+    full, every vector comes, each with weight 1, in the same order."""
     fkeys = sorted(sig.funcs)
     rkeys = sorted(sig.rels) + sorted(sig.pvars)
     fdomains = []
@@ -487,12 +530,14 @@ def models(sig: Signature, n: int) -> Iterator[FiniteModel]:
                 for mask in itertools.product((False, True), repeat=len(points))
             ]
         )
-    for ftables in itertools.product(*fdomains):
+    consts = [k == 0 for _, k in fkeys]
+    for ftables, used in _function_tables(fdomains, consts, full):
+        weight = 1 if full else math.perm(n, used)
         # one dict per assignment of function tables, shared by its models,
         # so a consumer sees that the tables did not change by identity
         funcs = dict(zip(fkeys, ftables))
         for rsets in itertools.product(*rdomains):
-            yield FiniteModel(n, funcs, dict(zip(rkeys, rsets)))
+            yield FiniteModel(n, funcs, dict(zip(rkeys, rsets))), weight
 
 
 def fn_cap_ok(sig: Signature) -> bool:
@@ -500,9 +545,16 @@ def fn_cap_ok(sig: Signature) -> bool:
     return len(heavy) <= 2 and all(k <= 2 for _, k in heavy)
 
 
-def small_models(sig: Signature, deadline: float, notes: list[str]) -> Iterator[FiniteModel]:
-    """The models of sizes 1-3 over sig, smallest first, within the deadline
-    and the enumeration caps; notes each size skipped or cut short."""
+def small_models(
+    sig: Signature,
+    deadline: float,
+    notes: list[str],
+    full: Callable[[int], bool] = lambda size: False,
+) -> Iterator[tuple[FiniteModel, int]]:
+    """The models of sizes 1-3 over sig with their weights (see `models`),
+    smallest first, within the deadline and the enumeration caps; notes each
+    size skipped or cut short.  A size for which full is true is enumerated
+    in full."""
     for size in range(1, 4):
         if time.monotonic() > deadline:
             notes.append(f"model check stopped before size {size} (timeout)")
@@ -513,15 +565,19 @@ def small_models(sig: Signature, deadline: float, notes: list[str]) -> Iterator[
         if model_count(sig, size) > 300_000:
             notes.append(f"size-{size} models skipped (too many interpretations)")
             continue
-        for m in models(sig, size):
+        for m, weight in models(sig, size, full(size)):
             if time.monotonic() > deadline:
                 notes.append(f"model check interrupted at size {size} (timeout)")
                 return
-            yield m
+            yield m, weight
 
 
 # ---------------------------------------------------------------------------
 # second-order satisfaction on a fixed model
+
+
+# the most ground instances `_Soqe` takes of one clause
+MAX_GROUND_INSTANCES = 3**6
 
 
 class _Soqe:
@@ -555,6 +611,12 @@ class _Soqe:
         self.too_large: Optional[str] = None
         self.solved: dict[tuple, bool] = {}  # DPLL's answer per ground clause set
 
+    def order_matters(self, size: int) -> bool:
+        """Can `holds` stop on a model of this size after answering False on
+        others?  It can when a clause has too many ground instances, and
+        where it stops then depends on the order of the models."""
+        return any(size**k > MAX_GROUND_INSTANCES for _, _, k, _ in self.clauses)
+
     def _ground(self, m: FiniteModel) -> None:
         """The ground instances that no equality literal satisfies, each as its
         relation tests (index, tuple, polarity) and its predicate-variable
@@ -564,7 +626,7 @@ class _Soqe:
         ground: dict[tuple[tuple, frozenset], None] = {}
         self.too_large = None
         for c, first, k, lits in self.clauses:
-            if m.size**k > 3**6:
+            if m.size**k > MAX_GROUND_INSTANCES:
                 self.too_large = f"too many ground instances of {c}"
                 break
             for vals in itertools.product(range(m.size), repeat=k):
@@ -669,6 +731,13 @@ class Proved:
 
 
 @dataclass(frozen=True)
+class Rejected:
+    """A refutation that does not replay through the calculus."""
+
+    steps: tuple[ProofRec, ...]
+
+
+@dataclass(frozen=True)
 class Disproved:
     model: FiniteModel
 
@@ -678,7 +747,7 @@ class Unknown:
     note: str
 
 
-ProverResult = Union[Proved, Disproved, Unknown]
+ProverResult = Union[Proved, Rejected, Disproved, Unknown]
 
 
 def _redundant(s: Clause, c: Clause) -> bool:
@@ -806,7 +875,7 @@ def find_model(clauses: Sequence[Clause], deadline: float = float("inf")) -> Opt
     as relations), or None within the size/effort bounds."""
     holds = _compile(FAnd(tuple(clause_to_formula(c) for c in clauses)))
     candidates = small_models(signature_of(clauses), deadline, [])
-    return next((m for m in candidates if holds(m)), None)
+    return next((m for m, _ in candidates if holds(m)), None)
 
 
 def prove(
@@ -814,9 +883,10 @@ def prove(
     goal: Optional[Formula] = None,
     timeout: float = 5.0,
 ) -> ProverResult:
-    """Refute premises + the negated goal.  Proved carries the refutation;
-    Disproved carries a countermodel found by finite-model search; Unknown
-    reports the exhausted budget."""
+    """Refute premises + the negated goal.  Proved carries a refutation that
+    replays through the calculus, Rejected one that does not; Disproved
+    carries a countermodel found by finite-model search; Unknown reports the
+    exhausted budget."""
     deadline = time.monotonic() + timeout
     neg = clausify(FNot(goal)) if goal is not None else []
     try:
@@ -824,7 +894,7 @@ def prove(
     except RecursionError:  # pathological nesting; treat as budget
         got = None
     if got is not None:
-        return got
+        return got if replay_refutation(got.steps) else Rejected(got.steps)
     m = find_model(list(premises) + neg, deadline=deadline + 2.0)
     if m is not None:
         return Disproved(m)
@@ -870,8 +940,10 @@ def replay_refutation(steps: Sequence[ProofRec]) -> bool:
 @dataclass
 class CheckReport:
     passed: bool
-    prover: tuple[tuple[int, str], ...]  # (input clause index, proved/unknown/disproved/skipped)
-    models_checked: int
+    # (input clause index, proved/rejected/disproved/unknown/skipped)
+    prover: tuple[tuple[int, str], ...]
+    models_checked: int  # the models covered: each evaluated one counts its weight
+    models_evaluated: int
     failures: tuple[str, ...]
     notes: tuple[str, ...]
 
@@ -889,7 +961,9 @@ def check_witness(
     """Two independent checks that w witnesses the elimination: the conclusion
     must entail every clause of n under w (refutation prover; skipped for gfp
     witnesses), and on every small model, solvability of n for the predicate
-    variables must coincide with truth of n under w."""
+    variables must coincide with truth of n under w.  Both sides are
+    invariant under isomorphism, so the model route evaluates one model per
+    orbit of constant vectors and counts it by the orbit's size."""
     deadline = time.monotonic() + timeout
     goals = [simplify(apply_pred_subst_clause(c, w.psub)) for c in n]
     failures: list[str] = []
@@ -901,9 +975,18 @@ def check_witness(
     else:
         budget = max(0.5, (deadline - time.monotonic()) * 0.6 / max(1, len(goals)))
         for i, g in enumerate(goals):
-            got = prove(conclusion, g, timeout=budget)
+            try:
+                got = prove(conclusion, g, timeout=budget)
+            except ClausifyError as e:
+                got = Unknown(str(e))
+                notes.append(f"clause {i + 1} under the witness was not clausified: {e}")
             if isinstance(got, Proved):
                 prover_results.append((i, "proved"))
+            elif isinstance(got, Rejected):
+                prover_results.append((i, "rejected"))
+                failures.append(
+                    f"clause {i + 1} under the witness: the prover's refutation does not replay"
+                )
             elif isinstance(got, Disproved):
                 prover_results.append((i, "disproved"))
                 failures.append(
@@ -915,15 +998,16 @@ def check_witness(
     sig = signature_of(list(n) + list(conclusion), goals)
     sig.pvars = {k: None for k in sig.pvars if k[0] not in xars}
     solvable, under_w = _Soqe(n, xars), _compile(FAnd(tuple(goals)))
-    checked = 0
-    for m in small_models(sig, deadline, notes):
+    checked = evaluated = 0
+    for m, weight in small_models(sig, deadline, notes, solvable.order_matters):
         try:
             lhs = solvable.holds(m)
         except EnumerationTooLarge as e:
             notes.append(f"soqe enumeration skipped: {e}")
             break
         rhs = under_w(m)
-        checked += 1
+        checked += weight
+        evaluated += 1
         if lhs != rhs:
             failures.append(
                 f"model disagreement ({m.describe()}): solvable={lhs}, witness gives {rhs}"
@@ -931,6 +1015,8 @@ def check_witness(
             if sum(1 for s in failures if s.startswith("model disagreement")) >= 5:
                 notes.append("model check stopped after 5 disagreements")
                 break
-    rep = CheckReport(False, tuple(prover_results), checked, tuple(failures), tuple(notes))
+    rep = CheckReport(
+        False, tuple(prover_results), checked, evaluated, tuple(failures), tuple(notes)
+    )
     rep.passed = not failures and rep.completed() > 0
     return rep

@@ -8,6 +8,8 @@ library's backtracking search as it was before the feature prefilter, the
 definition the filtered matcher in `subsumption` must agree with.  The
 reference evaluator walks the formula tree with a fresh environment per
 binder, the definition the compiled evaluator in `verify` must agree with.
+The reference model enumerator yields every interpretation, the full set
+that `verify.models` covers with one model per orbit of constant vectors.
 The Ackermann witness is a second witness oracle: a closed-form witness for
 the single-occurrence pattern, built without any derivation.
 """
@@ -47,6 +49,7 @@ from wscan.logic import (
 from wscan.problems import merge_theory, parse_problem
 from wscan.saturation import replay, search
 from wscan.subsumption import subsumes
+from wscan.verify import FiniteModel
 from wscan.witness import Witness
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "wscan" / "corpus"
@@ -357,6 +360,35 @@ def ref_gfp_relation(m, f, venv, penv):
         if nxt == rel:
             return rel
         rel = nxt
+
+
+# -- reference model enumerator -----------------------------------------------
+
+
+def ref_models(sig, n):
+    """Every model of size n over the signature, one per interpretation, in the
+    order of the relations innermost and the symbols in sorted order."""
+    fkeys = sorted(sig.funcs)
+    rkeys = sorted(sig.rels) + sorted(sig.pvars)
+    fdomains = []
+    for (_, k) in fkeys:
+        points = list(itertools.product(range(n), repeat=k))
+        fdomains.append(
+            [dict(zip(points, vals)) for vals in itertools.product(range(n), repeat=len(points))]
+        )
+    rdomains = []
+    for (_, k) in rkeys:
+        points = list(itertools.product(range(n), repeat=k))
+        rdomains.append(
+            [
+                frozenset(p for p, keep in zip(points, mask) if keep)
+                for mask in itertools.product((False, True), repeat=len(points))
+            ]
+        )
+    for ftables in itertools.product(*fdomains):
+        funcs = dict(zip(fkeys, ftables))
+        for rsets in itertools.product(*rdomains):
+            yield FiniteModel(n, funcs, dict(zip(rkeys, rsets)))
 
 
 # -- second witness oracle ----------------------------------------------------

@@ -48,7 +48,6 @@ from wscan.verify import (
     _compile,
     check_witness,
     eval_formula,
-    models,
     prove,
     signature_of,
     soqe_holds,
@@ -71,6 +70,7 @@ from conftest import (
     brute_subsumes_velim,
     cl,
     random_clause,
+    ref_models,
     same_up_to_consts,
 )
 from test_witness import make_one_sided
@@ -149,7 +149,7 @@ def test_criterion_04_bounded_iterates_match_pins_and_are_monotone():
     pes = [b_k(p, k).to_pred_expr() for k in range(5)]
     sig = signature_of(formulas=[pe.body for pe in pes])
     for n in (1, 2, 3):
-        for m in models(sig, n):
+        for m in ref_models(sig, n):
             for e in range(n):
                 held = [
                     pe.params == () or eval_formula(m, pe.body, {pe.params[0]: e})
@@ -208,7 +208,7 @@ def test_criterion_06_recursive_deletion_gets_a_fixpoint_witness():
     sig.pvars.clear()
     checked = 0
     for size in (1, 2, 3):
-        for m in models(sig, size):
+        for m in ref_models(sig, size):
             lhs = soqe_holds(m, list(prob.clauses), prob.xvars)
             rhs = all(eval_formula(m, g) for g in goals)
             assert lhs == rhs, m.describe()
@@ -311,7 +311,7 @@ def _entails_everywhere(premises, conclusion) -> bool:
     sig = signature_of(list(premises) + [conclusion])
     key = (tuple(sorted(sig.funcs)), tuple(sorted(sig.rels)), tuple(sorted(sig.pvars)))
     if key not in _MODELS_BY_SIG:
-        _MODELS_BY_SIG[key] = [m for n in (1, 2, 3) for m in models(sig, n)]
+        _MODELS_BY_SIG[key] = [m for n in (1, 2, 3) for m in ref_models(sig, n)]
 
     def truth(c):
         """c's truth value in each model of the signature, compiled once."""

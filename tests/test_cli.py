@@ -48,6 +48,8 @@ def test_solve_json_parses_back(capsys):
     (block,) = doc["derivations"]
     assert block["witness"]["bindings"]["X"]["type"] == "lambda"
     assert block["verification"]["passed"] is True
+    # one model per orbit of constant vectors covers several
+    assert 0 < block["verification"]["models_evaluated"] < block["verification"]["models_checked"]
     assert isinstance(block["trace"], list) and block["trace"]
 
 
@@ -214,6 +216,32 @@ def test_prove_disproved_shows_countermodel(capsys, tmp_path):
     code, out, _ = run(capsys, "prove", prem, goal)
     assert code == 1
     assert "disproved" in out.lower()
+
+
+def test_prove_rejects_a_proof_that_does_not_replay(capsys, tmp_path, monkeypatch):
+    from test_verify import tamper_proofs
+
+    tamper_proofs(monkeypatch)
+    prem = tmp_path / "p.wscan"
+    prem.write_text("exists X/1.\nB(a)\n~B(?u) | C(?u, ?u)\n")
+    goal = tmp_path / "goal.txt"
+    goal.write_text("C(a, a)\n")
+    code, out, _ = run(capsys, "prove", prem, goal)
+    assert code == 1
+    assert out == "rejected: the prover's refutation does not replay through the calculus\n"
+
+
+def test_prove_refuses_a_goal_whose_clausal_form_is_too_large(capsys, tmp_path):
+    prem = tmp_path / "p.wscan"
+    prem.write_text("exists X/1.\nB(a)\n~B(?u) | C(?u, ?u)\n")
+    goal = tmp_path / "goal.txt"
+    goal.write_text(" <-> ".join(["C(a, a)"] * 9) + "\n")
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "prove", prem, goal, "--timeout", "1")
+    assert time.monotonic() - t0 < 2.0
+    assert code == 3
+    assert out == ""
+    assert err == "error: clausal form has more than 10000 clauses\n"
 
 
 def test_prove_unknown_exits_two(capsys, tmp_path):

@@ -17,7 +17,6 @@ SRC = ROOT / "src" / "wscan"
 ALLOWED = {
     ("cli", "main"): "the console-script entry point",
     ("logic", "formula_str"): "the public formula printer",
-    ("verify", "replay_refutation"): "proof checking that the prover does not run yet",
     ("logic", "_lit_key"): "the canonical literal order that test_logic compares against",
     ("logic", "_term_key"): "the canonical term order that test_logic compares against",
 }

@@ -5,9 +5,11 @@ import dataclasses
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
+import wscan.verify as verify_module
 from wscan.logic import (
     App,
     Clause,
@@ -32,6 +34,8 @@ from wscan.verify import (
     FiniteModel,
     ProofRec,
     Proved,
+    Signature,
+    Unknown,
     _compile,
     _Prover,
     check_witness,
@@ -48,7 +52,7 @@ from wscan.verify import (
 )
 from wscan.witness import Witness
 
-from conftest import cl, clauses_of
+from conftest import cl, clauses_of, random_clause, ref_models
 
 a, b, c = const("a"), const("b"), const("c")
 u, v = Var("u"), Var("v")
@@ -130,13 +134,14 @@ def test_model_count_and_enumeration_agree():
     sig = signature_of(clauses_of("B(a) | X(f(?u))"))
     for n in (1, 2):
         expected = model_count(sig, n)
-        assert expected == sum(1 for _ in models(sig, n))
+        assert expected == sum(1 for _ in ref_models(sig, n))
+        assert expected == sum(weight for _, weight in models(sig, n))
 
 
 def test_models_are_deterministic():
     sig = signature_of(clauses_of("B(a) | X(?u)"))
-    first = [m.describe() for m in models(sig, 2)]
-    second = [m.describe() for m in models(sig, 2)]
+    first = [(m.describe(), weight) for m, weight in models(sig, 2)]
+    second = [(m.describe(), weight) for m, weight in models(sig, 2)]
     assert first == second
 
 
@@ -169,7 +174,7 @@ def test_soqe_holds_matches_brute_force():
     sig = signature_of(clauses)
     sig.pvars.clear()
     for n in (1, 2):
-        for m in models(sig, n):
+        for m in ref_models(sig, n):
             assert soqe_holds(m, clauses, {"X": 1}) == brute_soqe(m, clauses, {"X": 1})
 
 
@@ -184,7 +189,7 @@ def test_soqe_holds_random_agreement():
         sig.pvars.clear()
         if not fn_cap_ok(sig):
             continue
-        for m in models(sig, 2):
+        for m in ref_models(sig, 2):
             assert soqe_holds(m, clauses, {"X": 1}) == brute_soqe(m, clauses, {"X": 1})
             agree += 1
 
@@ -443,7 +448,7 @@ def test_compiled_evaluator_agrees_with_the_reference_walker():
         for n in (1, 2):
             subsets = [frozenset(s) for r in range(n + 1)
                        for s in itertools.combinations([(e,) for e in range(n)], r)]
-            for m in models(sig, n):
+            for m in ref_models(sig, n):
                 for w in range(n):
                     for p in subsets:
                         venv, penv = {"w": w}, {"P": p}
@@ -499,3 +504,189 @@ def test_prover_pops_its_smallest_passive_clause(monkeypatch):
     proof = prover.run()
     assert proof is not None and replay_refutation(proof.steps)
     assert pops and all(pops)
+
+
+# -- proofs replay before they count --------------------------------------------
+
+
+def tamper_proofs(monkeypatch):
+    """Make the prover return its proofs with the clause of their first
+    inference step (or of their last step) replaced."""
+    real_run = _Prover.run
+
+    def run(self):
+        proof = real_run(self)
+        if proof is None:
+            return None
+        step = next((s for s in proof.steps if s.rule != "input"), proof.steps[-1])
+        return Proved(tuple(dataclasses.replace(s, clause=cl("B(c)")) if s is step else s
+                            for s in proof.steps))
+
+    monkeypatch.setattr(_Prover, "run", run)
+
+
+def test_a_proof_that_does_not_replay_fails_the_check(monkeypatch):
+    clauses, d = main_pieces()
+    w = Witness({"X": PredExpr(("z",), FAtom("=", (a, Var("z"))))}, ())
+    assert check_witness(clauses, {"X": 1}, d.conclusion(), w, timeout=20.0).passed
+    tamper_proofs(monkeypatch)
+    rep = check_witness(clauses, {"X": 1}, d.conclusion(), w, timeout=20.0)
+    assert not rep.passed
+    assert {r for _, r in rep.prover} == {"rejected"}
+    assert rep.failures[0] == "clause 1 under the witness: the prover's refutation does not replay"
+
+
+# -- clausification is bounded ---------------------------------------------------
+
+
+def iff_chain(atoms):
+    return atoms[0] if len(atoms) == 1 else FIff(atoms[0], iff_chain(atoms[1:]))
+
+
+def test_clausify_refuses_a_clausal_form_past_the_cap():
+    t0 = time.monotonic()
+    with pytest.raises(ClausifyError, match="more than 10000 clauses"):
+        clausify(FNot(iff_chain([FAtom("C", (a, a))] * 9)))
+    assert time.monotonic() - t0 < 2.0
+
+
+def test_check_witness_records_a_goal_past_the_clause_cap_as_unknown():
+    chain = iff_chain([B(Var("z")), FAtom("C", (Var("z"), Var("z")))] * 4 + [B(Var("z"))])
+    w = Witness({"X": PredExpr(("z",), chain)}, ())
+    t0 = time.monotonic()
+    rep = check_witness(clauses_of("X(a)"), {"X": 1}, [], w, timeout=20.0)
+    assert time.monotonic() - t0 < 2.0
+    assert rep.prover == ((0, "unknown"),)
+    assert rep.notes[0] == (
+        "clause 1 under the witness was not clausified: clausal form has more than 10000 clauses"
+    )
+
+
+# -- the model route up to permutations of the constants ------------------------
+
+
+def model_key(m):
+    """m as a hashable value that does not depend on the order of its tables."""
+    funcs = tuple(sorted((k, tuple(sorted(t.items()))) for k, t in m.funcs.items()))
+    rels = tuple(sorted((k, tuple(sorted(r))) for k, r in m.rels.items()))
+    return m.size, funcs, rels
+
+
+def constant_vector(m):
+    return [t[()] for (_, k), t in sorted(m.funcs.items()) if k == 0]
+
+
+def representative(m):
+    """The image of m under the permutation of its domain that numbers the
+    constants' values in order of first occurrence and the other values in
+    increasing order: the model that stands for m in `models`."""
+    order = list(dict.fromkeys(constant_vector(m) + list(range(m.size))))
+    pi = {old: new for new, old in enumerate(order)}
+    funcs = {k: {tuple(pi[x] for x in p): pi[v] for p, v in t.items()} for k, t in m.funcs.items()}
+    rels = {k: frozenset(tuple(pi[x] for x in p) for p in r) for k, r in m.rels.items()}
+    return FiniteModel(m.size, funcs, rels)
+
+
+def random_signature(rng):
+    """0-4 constants, maybe a unary function whose name sorts between them,
+    and one or two relations."""
+    sig = Signature()
+    for name in rng.sample("acde", rng.randint(0, 4)):
+        sig.funcs[(name, 0)] = None
+    if rng.random() < 0.4:
+        sig.funcs[(rng.choice("bg"), 1)] = None
+    sig.rels[("B", 1)] = None
+    if rng.random() < 0.4:
+        sig.rels[("C", 2)] = None
+    return sig
+
+
+def test_models_stand_for_their_orbits_of_constant_vectors():
+    rng = random.Random(13)
+    sizes = 0
+    while sizes < 60:
+        sig = random_signature(rng)
+        for n in (1, 2, 3):
+            if model_count(sig, n) > 2000:
+                continue
+            sizes += 1
+            canonical = Counter()
+            for m, weight in models(sig, n):
+                assert model_key(m) not in canonical
+                canonical[model_key(m)] = weight
+            assert sum(canonical.values()) == model_count(sig, n)
+            full = list(ref_models(sig, n))
+            # with full, every model comes in the reference order, each once
+            assert [(model_key(m), weight) for m, weight in models(sig, n, full=True)] == [
+                (model_key(m), 1) for m in full
+            ]
+            # the canonical models are the full enumeration's models with a
+            # restricted growth string of constants, in the same order ...
+            rgs = [model_key(m) for m in full if representative(m).funcs == m.funcs]
+            assert rgs == list(canonical)
+            # ... and each is the representative of as many models as its weight
+            assert Counter(model_key(representative(m)) for m in full) == canonical
+
+
+def full_enumeration(monkeypatch):
+    """Make the model route enumerate every model, each with weight 1."""
+    monkeypatch.setattr(
+        verify_module, "models", lambda sig, n, full=False: ((m, 1) for m in ref_models(sig, n))
+    )
+
+
+WITNESS_BODIES = [
+    FTrue(),
+    FNot(FTrue()),
+    FAtom("=", (a, Var("z"))),
+    B(Var("z")),
+    FNot(B(Var("z"))),
+    FAtom("C", (Var("z"), b)),
+    FOr((B(Var("z")), FAtom("=", (Var("z"), c)))),
+]
+
+
+def random_small_problems(rng, count, max_models=3000):
+    """(clauses, witness) pairs with at most max_models models of size 3."""
+    found = 0
+    while found < count:
+        clauses = [random_clause(rng, max_lits=3) for _ in range(rng.randint(1, 3))]
+        sig = signature_of(clauses)
+        if model_count(sig, 3) > max_models:
+            continue
+        found += 1
+        yield clauses, Witness({"X": PredExpr(("z",), rng.choice(WITNESS_BODIES))}, ())
+
+
+def test_model_route_agrees_with_full_enumeration(monkeypatch):
+    monkeypatch.setattr(verify_module, "prove", lambda *args, **kwargs: Unknown("not run"))
+    rng = random.Random(1313)
+    verdicts, completed = Counter(), 0
+    for clauses, w in random_small_problems(rng, 40):
+        got = check_witness(clauses, {"X": 1}, [], w, timeout=20.0)
+        with monkeypatch.context() as mp:
+            full_enumeration(mp)
+            want = check_witness(clauses, {"X": 1}, [], w, timeout=20.0)
+        assert got.passed == want.passed, (clauses, w)
+        verdicts[got.passed] += 1
+        if "model check stopped after 5 disagreements" not in want.notes:
+            assert got.models_checked == want.models_checked == want.models_evaluated
+            assert got.models_evaluated <= want.models_evaluated
+            assert got.notes == want.notes
+            completed += 1
+    assert verdicts[True] >= 5 and verdicts[False] >= 5 and completed >= 20, (verdicts, completed)
+
+
+def test_find_model_finds_a_model_exactly_when_full_enumeration_does(monkeypatch):
+    rng = random.Random(131313)
+    outcomes = Counter()
+    for clauses, _ in random_small_problems(rng, 40):
+        got = find_model(clauses)
+        with monkeypatch.context() as mp:
+            full_enumeration(mp)
+            want = find_model(clauses)
+        assert (got is None) == (want is None), clauses
+        if got is not None:
+            assert _compile(FAnd(tuple(clause_to_formula(c) for c in clauses)))(got)
+        outcomes[got is None] += 1
+    assert outcomes[True] >= 3 and outcomes[False] >= 3, outcomes

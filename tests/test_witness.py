@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wscan import logic
 from wscan.logic import FNot, PointedClause, PredExpr, pred_expr_str, simplify_pred_expr
 from wscan.saturation import SearchLimits, replay, search
-from wscan.verify import _compile, check_witness, eval_formula, model_count, models, signature_of
+from wscan.verify import _compile, check_witness, eval_formula, model_count, signature_of
 from wscan.witness import (
     Acyclic,
     LresBudgetExceeded,
@@ -22,7 +22,15 @@ from wscan.witness import (
     lres,
 )
 
-from conftest import CORPUS_RUNS, cl, clauses_of, corpus_derivation, random_clause, same_up_to_consts
+from conftest import (
+    CORPUS_RUNS,
+    cl,
+    clauses_of,
+    corpus_derivation,
+    random_clause,
+    ref_models,
+    same_up_to_consts,
+)
 
 
 def pointed(text, pos=None, header="X/1"):
@@ -103,7 +111,7 @@ def test_b_k_chain_is_monotone_in_models():
     for k in range(3):
         lo, hi = exprs[k], exprs[k + 1]
         for n in (1, 2, 3):
-            for m in models(sig, n):
+            for m in ref_models(sig, n):
                 for elem in range(n):
                     if eval_formula(m, lo.body, venv={lo.params[0]: elem} if lo.params else {}):
                         assert eval_formula(
@@ -296,7 +304,7 @@ def gfp_certificate_breaks(d):
         for n in (1, 2):
             if model_count(sig, n) > 4096:
                 break
-            for m in models(sig, n):
+            for m in ref_models(sig, n):
                 for t in itertools.product(range(n), repeat=len(g.params)):
                     gv, bv = g_holds(m, *t), b_holds(m, *t)
                     lo, hi = (gv, bv) if neg else (bv, gv)
