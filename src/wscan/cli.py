@@ -475,12 +475,14 @@ def main(argv: Optional[list[str]] = None) -> int:
                 None, f"WSCAN_TIMEOUT must be a positive number of seconds, got {raw!r}"
             )
         args = build_parser(timeout).parse_args(argv)
-        for name in ("max_steps", "timeout", "verify_timeout"):
+        for name in ("max_steps", "timeout", "verify_timeout", "all", "lres_budget", "jobs"):
             value = getattr(args, name, 1)  # not every command has every budget
             if not value > 0:
                 raise argparse.ArgumentError(
                     None, f"--{name.replace('_', '-')} must be positive, got {value}"
                 )
+        if getattr(args, "fo_k", None) is not None and args.fo_k < 0:
+            raise argparse.ArgumentError(None, f"--fo-k must not be negative, got {args.fo_k}")
         return args.fn(args)
     except ReplayError as e:
         _err(f"invalid trace: {e}")

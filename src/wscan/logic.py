@@ -3,9 +3,12 @@
 Clauses are kept in a canonical form so that clause equality coincides with
 equality up to variable renaming.  Literals are deduplicated and sorted by a
 renaming-invariant shape key (``_lit_shape``).  Among the orders that keep
-that sort, the form takes the one whose literals give the least ``_lit_key``
-sequence once variables are renamed to ``u0, u1, ...`` in order of first
-occurrence; ties go to the first such order by input index.  The form is
+that sort, the form takes the one whose literals give the least sequence of
+literal keys once variables are renamed to ``u0, u1, ...`` in order of first
+occurrence; ties go to the first such order by input index.  A literal's key
+compares kind, head, polarity and then the arguments, where a variable comes
+before any function term, variables compare by name, and function terms by
+symbol and then arguments.  The form is
 canonical at every clause size.  Finding it takes exponential time only on
 highly symmetric clauses, where many orders tie.  Equality literals with
 negative polarity are the *constraint* literals of the calculus and sort
@@ -256,22 +259,12 @@ def _lit_shape(l: Lit):
     return (_lit_kind(l), l.head, l.pos, tuple(_term_shape(t) for t in l.args))
 
 
-def _term_key(t: Term):
-    if isinstance(t, Var):
-        return (0, t.name, ())
-    return (1, t.fn, tuple(_term_key(a) for a in t.args))
-
-
-def _lit_key(l: Lit):
-    return (_lit_kind(l), l.head, l.pos, tuple(_term_key(t) for t in l.args))
-
-
 def _canonical_order(lits: list[Lit]) -> tuple[tuple[Lit, ...], tuple[int, ...]]:
     """Order literals canonically and rename variables to u0, u1, ...
 
     Literals are sorted by ``_lit_shape``; only literals of one shape may
     change places.  Of those orders, the canonical one gives the least
-    ``_lit_key`` sequence once variables are renamed by first occurrence, and
+    sequence of literal keys once variables are renamed by first occurrence, and
     among orders that give it, the first in input-index order wins.  This
     holds at every clause size.  When no two literals share a shape the sort
     alone is the order; otherwise ``_least_order`` finds it, in time that is
@@ -301,7 +294,7 @@ def _canonical_order(lits: list[Lit]) -> tuple[tuple[Lit, ...], tuple[int, ...]]
 
 def _least_order(lits: list[Lit], groups: list[list[int]]) -> Sequence[int]:
     """The first index sequence, through the shape groups in turn, whose
-    renamed literals give the least ``_lit_key`` sequence.
+    renamed literals give the least sequence of literal keys.
 
     Renaming by first occurrence makes the key of the literal at a position
     depend only on that literal and the ones before it, so the least sequence

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Optional
 
 from .logic import (
@@ -347,13 +347,11 @@ def _parse_gfp(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> FGfp:
 class Problem:
     """Clauses in file order (ids in traces are 1-based positions), the
     predicate variables to eliminate with their arities, indices of
-    background-theory clauses, and the inferred signature."""
+    background-theory clauses, and where the text came from."""
 
     clauses: tuple[Clause, ...]
     xvars: dict[str, int]
     theory: frozenset[int] = frozenset()
-    funcs: dict[str, int] = field(default_factory=dict)
-    preds: dict[str, int] = field(default_factory=dict)
     origin: str = "text"
 
     def __post_init__(self):
@@ -436,7 +434,7 @@ def parse_problem(text: str, origin: str = "text") -> Problem:
                 raise ParseError("theory clause contains a predicate variable", p.toks[0].line, 1)
             theory.add(len(clauses))
         clauses.append(c)
-    return Problem(tuple(clauses), xvars, frozenset(theory), sig.funcs, sig.preds, origin)
+    return Problem(tuple(clauses), xvars, frozenset(theory), origin)
 
 
 def print_problem(p: Problem) -> str:
@@ -542,8 +540,7 @@ def encode_graph(g: GraphSpec) -> Problem:
             ]
         )
     )
-    funcs = {f"a{i}": 0 for i in range(1, g.nodes + 1)}
-    return Problem(tuple(clauses), {"X": 1}, theory, funcs, {"E": 2}, origin="graph")
+    return Problem(tuple(clauses), {"X": 1}, theory, origin="graph")
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,16 @@ Three ways to build the per-PurDel predicate:
 * bounded local resolution closure (`lres`) -- saturate the deleted literal
   against a fresh-constant copy of its dual, reduced up to redundancy;
 * greatest-fixpoint expression over `make_alpha`;
-* finite iterates `b_k`, justified by an acyclic analysis of the subsumptions
-  that certify purification (`find_acyclic`).
+* finite iterates `b_k`, with k the largest height of a partner clause in
+  the subsumptions that certify purification, the heights being a least
+  fixpoint computed level by level (`find_acyclic`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .calculus import constraint_resolve, resolution_partners, resolvent_covers, variable_eliminate
 from .logic import (
@@ -199,101 +200,41 @@ def _instantiate(r: Clause, consts: tuple[str, ...], args: tuple) -> list[Lit]:
 
 
 # ---------------------------------------------------------------------------
-# acyclicity analysis of the purification subsumptions
+# certificate depth from the purification subsumptions
 
 
-@dataclass(frozen=True)
-class Acyclic:
-    """Some choice of covering clause per resolvable pointed clause induces an
-    acyclic graph (partner -> cover); k is the minimal longest path."""
+def find_acyclic(p: PointedClause, n: frozenset[Clause]) -> Optional[int]:
+    """The least depth of a certificate for deleting p from n, in which p
+    must be purified: over the ways to pick one cover per resolvent that make
+    the graph (partner -> cover) acyclic, the least longest path; None when
+    every way has a cycle.
 
-    k: int
-
-
-@dataclass(frozen=True)
-class ProvenCyclic:
-    pass
-
-
-@dataclass(frozen=True)
-class AnalysisBudget:
-    pass
-
-
-_CANDIDATE_CAP = 64
-_COMBO_CAP = 100_000
-
-
-def find_acyclic(
-    p: PointedClause, n: frozenset[Clause]
-) -> Union[Acyclic, ProvenCyclic, AnalysisBudget]:
-    """Search for an acyclic assignment of covering clauses with minimal
-    longest-path length; the pointed clause must be purified in n."""
-    rows: list[tuple[Clause, list[Clause]]] = []  # (partner, its candidate covers)
-    capped = False
+    That depth is the largest height of a partner, where the heights are the
+    least fixpoint of h(c) = 1 + max over c's resolvents of min over their
+    covers s != c of h(s), and a clause that is no partner has height 0
+    (Knuth, "A generalization of Dijkstra's algorithm", 1977).  Level L
+    settles each partner all of whose resolvents have a cover that is no
+    partner or was settled below L, until a level settles nothing."""
+    rows: dict[Clause, list[list[Clause]]] = {}  # partner -> covers of each resolvent
     for c, _, covers in resolvent_covers(p, n):
-        got = list(itertools.islice(covers, _CANDIDATE_CAP + 1))
+        got = list(covers)
         if not got:
             raise ValueError("pointed clause is not purified in n")
-        if len(got) > _CANDIDATE_CAP:
-            got.pop()
-            capped = True
-        rows.append((c, got))
-    if not rows:
-        return Acyclic(0)
-
-    best: Optional[int] = None
-    combos = 0
-    budget = False
-
-    def longest(adj: dict[Clause, set[Clause]]) -> int:
-        memo: dict[Clause, int] = {}
-
-        def depth(v: Clause) -> int:
-            if v not in memo:
-                memo[v] = 1 + max((depth(w) for w in adj.get(v, ())), default=-1)
-            return memo[v]
-
-        return max(depth(v) for v in adj)
-
-    def reaches(adj, a, b) -> bool:
-        seen, stack = set(), [a]
-        while stack:
-            v = stack.pop()
-            if v == b:
-                return True
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj.get(v, ()))
-        return False
-
-    def go(i: int, edges: set[tuple[Clause, Clause]]):
-        nonlocal best, combos, budget
-        if budget or best == 1:
-            return
-        adj: dict[Clause, set[Clause]] = {}
-        for a, b in edges:
-            adj.setdefault(a, set()).add(b)
-        if i == len(rows):
-            best = longest(adj) if best is None else min(best, longest(adj))
-            return
-        src, covers = rows[i]
-        for cover in covers:
-            combos += 1
-            if combos > _COMBO_CAP:
-                budget = True
-                return
-            if cover == src or reaches(adj, cover, src):
-                continue
-            go(i + 1, edges | {(src, cover)})
-
-    go(0, set())
-    if best is not None:
-        return Acyclic(best)
-    if budget or capped:
-        return AnalysisBudget()
-    return ProvenCyclic()
+        rows.setdefault(c, []).append(got)
+    settled: set[Clause] = set()
+    level = 0
+    while len(settled) < len(rows):
+        new = [
+            c
+            for c in rows
+            if c not in settled
+            and all(any(s not in rows or s in settled for s in row) for row in rows[c])
+        ]
+        if not new:
+            return None
+        settled.update(new)
+        level += 1
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +265,13 @@ def _purdel_pred(
 ) -> tuple[PredExpr, str]:
     n = d.alive_clauses(i + 1)
     if mode in ("first-order", "auto"):
-        got = find_acyclic(p, n)
-        if isinstance(got, Acyclic):
-            k = got.k if k_override is None else max(got.k, k_override)
+        k = find_acyclic(p, n)
+        if k is not None:
+            k = k if k_override is None else max(k, k_override)
             pe = b_k(p, k).to_pred_expr(negate=p.designated.pos)
             return pe, f"first-order k={k}"
         if mode == "first-order":
-            reason = "cyclic" if isinstance(got, ProvenCyclic) else "analysis budget"
-            raise FirstOrderUnavailable(i, reason)
+            raise FirstOrderUnavailable(i, "cyclic")
         mode = "fixpoint"
     if mode == "fixpoint":
         pe = gfp_pred_expr(p)

@@ -10,6 +10,8 @@ reference evaluator walks the formula tree with a fresh environment per
 binder, the definition the compiled evaluator in `verify` must agree with.
 The reference model enumerator yields every interpretation, the full set
 that `verify.models` covers with one model per orbit of constant vectors.
+The reference certificate depth backtracks over every choice of covers, the
+search that `witness.find_acyclic` replaces by a least fixpoint.
 The Ackermann witness is a second witness oracle: a closed-form witness for
 the single-occurrence pattern, built without any derivation.
 """
@@ -17,6 +19,7 @@ the single-occurrence pattern, built without any derivation.
 import itertools
 import pathlib
 
+from wscan.calculus import resolvent_covers
 from wscan.logic import (
     EQ,
     App,
@@ -389,6 +392,66 @@ def ref_models(sig, n):
         funcs = dict(zip(fkeys, ftables))
         for rsets in itertools.product(*rdomains):
             yield FiniteModel(n, funcs, dict(zip(rkeys, rsets)))
+
+
+# -- reference certificate depth ---------------------------------------------
+
+
+def ref_find_acyclic(p, n):
+    """The least longest path over the acyclic ways to pick one cover per
+    resolvent, by backtracking over the product of every resolvent's covers,
+    the definition the layering in `witness.find_acyclic` must agree with.
+    None when every way has a cycle."""
+    rows = []  # (partner, its covers)
+    for c, _, covers in resolvent_covers(p, n):
+        got = list(covers)
+        if not got:
+            raise ValueError("pointed clause is not purified in n")
+        rows.append((c, got))
+    if not rows:
+        return 0
+    best = None
+
+    def longest(adj):
+        memo = {}
+
+        def depth(v):
+            if v not in memo:
+                memo[v] = 1 + max((depth(w) for w in adj.get(v, ())), default=-1)
+            return memo[v]
+
+        return max(depth(v) for v in adj)
+
+    def reaches(adj, a, b):
+        seen, stack = set(), [a]
+        while stack:
+            v = stack.pop()
+            if v == b:
+                return True
+            if v in seen:
+                continue
+            seen.add(v)
+            stack.extend(adj.get(v, ()))
+        return False
+
+    def go(i, edges):
+        nonlocal best
+        if best == 1:  # no certificate is shallower
+            return
+        adj = {}
+        for a, b in edges:
+            adj.setdefault(a, set()).add(b)
+        if i == len(rows):
+            best = longest(adj) if best is None else min(best, longest(adj))
+            return
+        src, covers = rows[i]
+        for cover in covers:
+            if cover == src or reaches(adj, cover, src):
+                continue
+            go(i + 1, edges | {(src, cover)})
+
+    go(0, set())
+    return best
 
 
 # -- second witness oracle ----------------------------------------------------

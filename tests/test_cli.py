@@ -197,15 +197,29 @@ def test_invalid_env_timeout_is_an_input_error(capsys, tmp_path, monkeypatch, co
         ["solve", MAIN, "--max-steps", "0"],
         ["prove", MAIN, "goal.txt", "--timeout", "-1"],
         ["bench", CORPUS, "--verify-timeout", "0"],
+        ["solve", MAIN, "--all", "0"],
+        ["solve", MAIN, "--all", "-3"],
+        ["replay", MAIN, TRACE, "--lres-budget", "0"],
+        ["solve", MAIN, "--lres-budget", "-1"],
+        ["bench", CORPUS, "--jobs", "-2"],
     ],
     ids=["solve-timeout", "check-timeout", "check-verify-timeout", "solve-max-steps",
-         "prove-timeout", "bench-verify-timeout"],
+         "prove-timeout", "bench-verify-timeout", "solve-all-0", "solve-all-negative",
+         "replay-lres-budget", "solve-lres-budget", "bench-jobs"],
 )
 def test_invalid_budget_flag_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("error: --") and "must be positive" in err
+
+
+@pytest.mark.parametrize("command", [["solve", MAIN], ["replay", MAIN, TRACE], ["bench", CORPUS]])
+def test_negative_fo_k_is_an_input_error(capsys, command):
+    code, out, err = run(capsys, *command, "--fo-k", "-5")
+    assert code == 3
+    assert out == ""
+    assert err == "error: --fo-k must not be negative, got -5\n"
 
 
 def test_prove_disproved_shows_countermodel(capsys, tmp_path):

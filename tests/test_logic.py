@@ -25,7 +25,7 @@ from wscan.logic import (
     apply_pred_subst_clause,
     canonical_pred_expr,
     compose_pred_subst,
-    _lit_key,
+    _lit_kind,
     _lit_shape,
     _orient_eq,
     const,
@@ -128,6 +128,17 @@ def test_pointed_make_tracks_designated_literal():
     ]
     clause, idx = pointed_make(lits, 1)
     assert clause.lits[idx] == Lit(False, "X", (Var("u0"),), True)
+
+
+def _term_key(t):
+    if isinstance(t, Var):
+        return (0, t.name, ())
+    return (1, t.fn, tuple(_term_key(a) for a in t.args))
+
+
+def _lit_key(l):
+    """The key that orders literals of one shape in the canonical form."""
+    return (_lit_kind(l), l.head, l.pos, tuple(_term_key(t) for t in l.args))
 
 
 def brute_force_order(lits):

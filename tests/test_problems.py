@@ -36,7 +36,7 @@ def test_parse_round_trip_is_identity():
 def test_parse_collects_declarations():
     p = parse_problem("exists X/1, Y/2.\nX(a) | Y(a, b)\n", origin="t")
     assert p.xvars == {"X": 1, "Y": 2}
-    assert p.funcs == {"a": 0, "b": 0}
+    assert [str(c) for c in p.clauses] == ["X(a) | Y(a,b)"]
 
 
 def test_parse_rejects_arity_conflict():
@@ -105,9 +105,11 @@ def test_tokenizer_errors_report_their_line():
 def test_identifiers_may_begin_with_exists():
     p = parse_problem("existsB(a)\nexists X/1.\nX(a) | exists_y = a\n", origin="t")
     assert p.xvars == {"X": 1}
-    assert p.preds == {"existsB": 1}
-    assert p.funcs == {"a": 0, "exists_y": 0}
-    assert len(p.clauses) == 2
+    a, exists_y = App("a", ()), App("exists_y", ())
+    assert p.clauses == (
+        Clause.make([Lit(True, "existsB", (a,))]),
+        Clause.make([Lit(True, "X", (a,), pvar=True), Lit(True, "=", (exists_y, a))]),
+    )
 
 
 def test_clause_literal_cannot_negate_a_disequation():

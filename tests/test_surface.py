@@ -17,8 +17,6 @@ SRC = ROOT / "src" / "wscan"
 ALLOWED = {
     ("cli", "main"): "the console-script entry point",
     ("logic", "formula_str"): "the public formula printer",
-    ("logic", "_lit_key"): "the canonical literal order that test_logic compares against",
-    ("logic", "_term_key"): "the canonical term order that test_logic compares against",
 }
 
 

@@ -1,7 +1,8 @@
 """Deletion certificates: bounded expressions, resolution saturation, the
-acyclicity analysis, and full witness extraction."""
+certificate depth, and full witness extraction."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -12,9 +13,7 @@ from wscan.logic import FNot, PointedClause, PredExpr, pred_expr_str, simplify_p
 from wscan.saturation import SearchLimits, replay, search
 from wscan.verify import _compile, check_witness, eval_formula, model_count, signature_of
 from wscan.witness import (
-    Acyclic,
     LresBudgetExceeded,
-    ProvenCyclic,
     b_k,
     extract_witness,
     find_acyclic,
@@ -28,6 +27,7 @@ from conftest import (
     clauses_of,
     corpus_derivation,
     random_clause,
+    ref_find_acyclic,
     ref_models,
     same_up_to_consts,
 )
@@ -128,16 +128,68 @@ def test_find_acyclic_simple_cover():
     clauses = clauses_of("X(a)\nB(a, ?v)\nB(?u, ?v) | ~X(?u) | X(?v)\n~X(c)")
     p = pointed("X(a)")
     n = frozenset(clauses_of("B(a, ?v)\na != c\n~X(c)"))
-    res = find_acyclic(p, n)
-    assert isinstance(res, Acyclic)
-    assert res.k == 1
+    assert find_acyclic(p, n) == 1
 
 
 def test_find_acyclic_detects_cycles():
     p = pointed("~X(?v) | X(f(?v))", pos=False)
     n = frozenset([p.clause, cl("X(f(f(?v)))")])
-    res = find_acyclic(p, n)
-    assert isinstance(res, ProvenCyclic)
+    assert find_acyclic(p, n) is None
+
+
+def _chain_pointed():
+    return pointed("X(?v) | ~X(f(?v)) | B(?v)", pos=True)
+
+
+def _f(j, t):
+    return "f(" * j + t + ")" * j
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_find_acyclic_chain_depth(m):
+    # ~X(f^j(a)) has the resolvent ~X(f^(j+1)(a)) | B(f^j(a)), covered by the
+    # next link of the chain, and the last link by B(f^m(a))
+    p = _chain_pointed()
+    n = frozenset([cl(f"~X({_f(j, 'a')})") for j in range(m + 1)] + [cl(f"B({_f(m, 'a')})")])
+    assert find_acyclic(p, n) == m + 1
+    assert ref_find_acyclic(p, n) == m + 1
+
+
+def random_chain_input(rng):
+    """Clauses around the chain of `test_find_acyclic_chain_depth`: a random
+    subset of its links, ground B ends, resolvents as extra covers, and
+    links over a variable, which cover one another in cycles unless a B
+    clause over a variable cuts them."""
+    m = rng.randrange(1, 7)
+    lines = {f"~X({_f(j, 'a')})" for j in range(m + 1) if rng.random() < 0.85}
+    lines |= {f"B({_f(j, 'a')})" for j in range(m + 1) if rng.random() < 0.25}
+    lines |= {
+        f"~X({_f(j + 1, 'a')}) | B({_f(j, 'a')})" for j in range(m + 1) if rng.random() < 0.15
+    }
+    lines |= {f"~X({_f(i, '?x')})" for i in (1, 2, 3) if rng.random() < 0.15}
+    lines |= {f"B({_f(i, '?x')})" for i in (1, 2) if rng.random() < 0.1}
+    return frozenset(cl(line) for line in lines)
+
+
+def test_find_acyclic_agrees_with_the_backtracking_reference():
+    from wscan.calculus import is_purified, resolvent_covers
+
+    rng = random.Random(14)
+    p = _chain_pointed()
+    deep = cyclic = 0
+    for _ in range(200):
+        n = random_chain_input(rng)
+        if not is_purified(p, n):
+            continue
+        # the reference walks the product of the rows of covers, which grows
+        # exponentially with the rows; a larger product only slows the test
+        if math.prod(len(list(covers)) for _, _, covers in resolvent_covers(p, n)) > 1000:
+            continue
+        k = find_acyclic(p, n)
+        assert k == ref_find_acyclic(p, n), sorted(map(str, n))
+        deep += k is not None and k >= 2
+        cyclic += k is None
+    assert deep >= 20 and cyclic >= 20, (deep, cyclic)
 
 
 def test_gfp_expression_shape():
@@ -261,8 +313,7 @@ def test_one_sided_pairs_are_acyclic_and_level_one():
         p, n = make_one_sided(rng)
         if not is_purified(p, n):
             continue
-        res = find_acyclic(p, n)
-        assert isinstance(res, Acyclic)
+        assert isinstance(find_acyclic(p, n), int)
         assert same_up_to_consts(b_k(p, 1), _lres(p))
         done += 1
 
@@ -271,7 +322,7 @@ def test_one_sided_pairs_are_acyclic_and_level_one():
 
 
 def gfp_certificate_breaks(d):
-    """Compare, at each purdel step where `find_acyclic` gives Acyclic(k), the
+    """Compare, at each purdel step where `find_acyclic` gives a depth k, the
     gfp predicate with b_k, both as `_purdel_pred` builds them, on every model
     of size 1 and 2 (size 2 only up to 4,096 interpretations, to bound the
     time).  Returns the (step, model, arguments) triples that break:
@@ -290,15 +341,15 @@ def gfp_certificate_breaks(d):
         if step.rule != "purdel":
             continue
         p = PointedClause(d.clauses[step.args[0]], step.args[1])
-        got = find_acyclic(p, d.alive_clauses(i + 1))
-        if not isinstance(got, Acyclic):
+        k = find_acyclic(p, d.alive_clauses(i + 1))
+        if k is None:
             continue
         neg = p.designated.pos
         g = gfp_pred_expr(p)
         if neg:
             g = PredExpr(g.params, FNot(g.body))
-        b = b_k(p, got.k).to_pred_expr(negate=neg)
-        flat = got.k >= 1 and not any(l.same_kind(p.designated.dual()) for l in p.rest)
+        b = b_k(p, k).to_pred_expr(negate=neg)
+        flat = k >= 1 and not any(l.same_kind(p.designated.dual()) for l in p.rest)
         sig = signature_of(formulas=[g.body, b.body])
         g_holds, b_holds = _compile(g.body, g.params), _compile(b.body, b.params)
         for n in (1, 2):
