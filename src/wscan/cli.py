@@ -185,9 +185,8 @@ def _limits(args) -> SearchLimits:
 
 
 def _extract(args, d: Derivation) -> Witness:
-    return extract_witness(
-        d, mode=args.witness_mode, k_override=args.fo_k, lres_budget=args.lres_budget
-    )
+    budget = {} if args.lres_budget is None else {"lres_budget": args.lres_budget}
+    return extract_witness(d, mode=args.witness_mode, k_override=args.fo_k, **budget)
 
 
 def cmd_solve(args) -> int:
@@ -423,7 +422,7 @@ def build_parser(timeout: float) -> argparse.ArgumentParser:
             choices=["auto", "first-order", "fixpoint", "resolution"], default="auto"
         ),
         "--fo-k": dict(type=int, default=None),
-        "--lres-budget": dict(type=int, default=512),
+        "--lres-budget": dict(type=int, default=None),
         "--verify": dict(action="store_true"),
         "--verify-timeout": dict(type=float, default=30.0),
         "--format": dict(choices=["text", "json"], default="text"),
@@ -476,13 +475,18 @@ def main(argv: Optional[list[str]] = None) -> int:
             )
         args = build_parser(timeout).parse_args(argv)
         for name in ("max_steps", "timeout", "verify_timeout", "all", "lres_budget", "jobs"):
-            value = getattr(args, name, 1)  # not every command has every budget
-            if not value > 0:
+            value = getattr(args, name, None)  # not every command has every budget
+            if value is not None and not value > 0:
                 raise argparse.ArgumentError(
                     None, f"--{name.replace('_', '-')} must be positive, got {value}"
                 )
         if getattr(args, "fo_k", None) is not None and args.fo_k < 0:
             raise argparse.ArgumentError(None, f"--fo-k must not be negative, got {args.fo_k}")
+        mode = getattr(args, "witness_mode", None)
+        if mode in ("fixpoint", "resolution") and args.fo_k is not None:
+            raise argparse.ArgumentError(None, f"--fo-k does not apply to --witness-mode {mode}")
+        if mode not in (None, "resolution") and args.lres_budget is not None:
+            raise argparse.ArgumentError(None, f"--lres-budget does not apply to --witness-mode {mode}")
         return args.fn(args)
     except ReplayError as e:
         _err(f"invalid trace: {e}")

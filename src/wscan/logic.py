@@ -259,7 +259,7 @@ def _lit_shape(l: Lit):
     return (_lit_kind(l), l.head, l.pos, tuple(_term_shape(t) for t in l.args))
 
 
-def _canonical_order(lits: list[Lit]) -> tuple[tuple[Lit, ...], tuple[int, ...]]:
+def _canonical_order(lits: list[Lit]) -> tuple[Lit, ...]:
     """Order literals canonically and rename variables to u0, u1, ...
 
     Literals are sorted by ``_lit_shape``; only literals of one shape may
@@ -269,8 +269,7 @@ def _canonical_order(lits: list[Lit]) -> tuple[tuple[Lit, ...], tuple[int, ...]]
     holds at every clause size.  When no two literals share a shape the sort
     alone is the order; otherwise ``_least_order`` finds it, in time that is
     exponential only on highly symmetric clauses.  Returns the renamed
-    literals in that order and, for each input position, the output position
-    of that literal.
+    literals in that order.
     """
     shapes = [_lit_shape(l) for l in lits]
     order = sorted(range(len(lits)), key=shapes.__getitem__)
@@ -286,10 +285,7 @@ def _canonical_order(lits: list[Lit]) -> tuple[tuple[Lit, ...], tuple[int, ...]]
         for v in lit_vars(lits[i]):
             if v not in ren:
                 ren[v] = Var(f"u{len(ren)}")
-    positions = [0] * len(lits)
-    for outpos, i in enumerate(seq):
-        positions[i] = outpos
-    return tuple(subst_lit(lits[i], ren) for i in seq), tuple(positions)
+    return tuple(subst_lit(lits[i], ren) for i in seq)
 
 
 def _least_order(lits: list[Lit], groups: list[list[int]]) -> Sequence[int]:
@@ -361,13 +357,7 @@ class Clause:
 
     @staticmethod
     def make(lits: Iterable[Lit]) -> "Clause":
-        return pointed_make(lits, None)[0]
-
-    def __len__(self) -> int:
-        return len(self.lits)
-
-    def __iter__(self) -> Iterator[Lit]:
-        return iter(self.lits)
+        return pointed_make(lits)
 
     @property
     def vars(self) -> tuple[str, ...]:
@@ -376,10 +366,6 @@ class Clause:
             for v in lit_vars(l):
                 seen.setdefault(v)
         return tuple(seen)
-
-    @property
-    def constraints(self) -> tuple[Lit, ...]:
-        return tuple(l for l in self.lits if l.is_constraint)
 
     @property
     def size(self) -> int:
@@ -427,23 +413,11 @@ def _orient_eq(l: Lit) -> Lit:
     return l
 
 
-def pointed_make(lits: Iterable[Lit], designated: Optional[int]) -> tuple[Clause, Optional[int]]:
-    """Canonicalize, tracking where the literal at input index `designated` lands."""
-    raw = [_orient_eq(l) for l in lits]
-    uniq: list[Lit] = []
-    index_of: dict[Lit, int] = {}
-    mapped: Optional[int] = None
-    for i, l in enumerate(raw):
-        if l not in index_of:
-            index_of[l] = len(uniq)
-            uniq.append(l)
-        if designated is not None and i == designated:
-            mapped = index_of[l]
-    if not uniq:
-        return Clause(()), None
-    ordered, positions = _canonical_order(uniq)
-    out = mapped if mapped is None else positions[mapped]
-    return Clause(ordered), out
+def pointed_make(lits: Iterable[Lit]) -> Clause:
+    """The canonical clause of `lits`.  ``Clause.make`` calls it through the module
+    global, because the benchmark's tracer wraps this name as ``logic.canon``."""
+    uniq = list(dict.fromkeys(_orient_eq(l) for l in lits))
+    return Clause(_canonical_order(uniq) if uniq else ())
 
 
 @dataclass(frozen=True)
@@ -460,13 +434,6 @@ class PointedClause:
     @property
     def rest(self) -> tuple[Lit, ...]:
         return tuple(l for i, l in enumerate(self.clause.lits) if i != self.index)
-
-    def __str__(self) -> str:
-        parts = [
-            (f"[{lit_str(l)}]" if i == self.index else lit_str(l))
-            for i, l in enumerate(self.clause.lits)
-        ]
-        return " | ".join(parts)
 
 
 def pointed(clause: Clause, index: int) -> PointedClause:
@@ -497,14 +464,12 @@ def rename_clause_apart(c: Clause, avoid: Iterable[str]) -> Clause:
 
 @dataclass(frozen=True)
 class FTrue:
-    def __repr__(self):
-        return "FTrue()"
+    pass
 
 
 @dataclass(frozen=True)
 class FFalse:
-    def __repr__(self):
-        return "FFalse()"
+    pass
 
 
 @dataclass(frozen=True)
@@ -719,10 +684,6 @@ class PredExpr:
 
     params: tuple[str, ...]
     body: Formula
-
-    @property
-    def arity(self) -> int:
-        return len(self.params)
 
     def apply(self, args: Sequence[Term]) -> Formula:
         if len(args) != len(self.params):

@@ -114,8 +114,6 @@ def _nnf(f: Formula, pos: bool) -> Formula:
     if isinstance(f, (FAll, FEx)):
         kind = type(f) if pos else DUAL[type(f)]
         return kind(f.var, _nnf(f.sub, pos))
-    if isinstance(f, FGfp):
-        raise ClausifyError("gfp formulas have no clausal form")
     raise TypeError(f)
 
 

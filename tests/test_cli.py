@@ -122,6 +122,15 @@ def test_check_rejects_malformed_witness(capsys, tmp_path):
     assert code == 3
 
 
+def test_check_rejects_a_witness_with_no_binding_for_a_declared_variable(capsys, tmp_path):
+    wf = tmp_path / "w.txt"
+    wf.write_text("")
+    code, out, err = run(capsys, "check", MAIN, wf)
+    assert code == 3
+    assert out == ""
+    assert err == "error: line 1, col 1: witness has no binding for X\n"
+
+
 def test_check_with_explicit_conclusion(capsys, tmp_path):
     w = tmp_path / "w.txt"
     w.write_text("X := lambda u. false\n")
@@ -222,6 +231,23 @@ def test_negative_fo_k_is_an_input_error(capsys, command):
     assert err == "error: --fo-k must not be negative, got -5\n"
 
 
+@pytest.mark.parametrize("command", [["solve", MAIN], ["replay", MAIN, TRACE], ["bench", CORPUS]])
+@pytest.mark.parametrize(
+    "flag, modes",
+    [("--fo-k", ["fixpoint", "resolution"]), ("--lres-budget", ["auto", "first-order", "fixpoint"])],
+)
+def test_a_flag_the_witness_mode_ignores_is_an_input_error(capsys, command, flag, modes):
+    for mode in modes:
+        code, out, err = run(capsys, *command, "--witness-mode", mode, flag, "3")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {flag} does not apply to --witness-mode {mode}\n"
+    # auto is the default mode
+    if flag == "--lres-budget":
+        code, _, err = run(capsys, *command, flag, "3")
+        assert (code, err) == (3, f"error: {flag} does not apply to --witness-mode auto\n")
+
+
 def test_prove_disproved_shows_countermodel(capsys, tmp_path):
     prem = tmp_path / "p.wscan"
     prem.write_text("exists X/1.\nB(a)\n")
@@ -267,6 +293,16 @@ def test_prove_unknown_exits_two(capsys, tmp_path):
     assert code in (1, 2)  # countermodel or honest unknown, never a proof
 
 
+def test_prove_unknown_exits_two_when_every_model_is_infinite(capsys, tmp_path):
+    prem = tmp_path / "p.wscan"
+    prem.write_text("exists X/1.\nB(?u, f(?u))\n~B(?u, ?u)\nB(?u, ?w) | ~B(?u, ?v) | ~B(?v, ?w)\n")
+    goal = tmp_path / "goal.txt"
+    goal.write_text("C(a)\n")
+    code, out, _ = run(capsys, "prove", prem, goal, "--timeout", "1")
+    assert code == 2
+    assert out.startswith("unknown: ")
+
+
 def test_bench_csv_layout(capsys):
     code, out, _ = run(capsys, "bench", CORPUS, "--timeout", "3")
     assert code == 0
@@ -287,6 +323,21 @@ def test_bench_json(capsys):
     assert len(doc["rows"]) == 12
     solved = [r for r in doc["rows"] if r["solved"] == "yes"]
     assert len(solved) >= 10
+
+
+def test_bench_jobs_gives_the_rows_of_a_serial_run(capsys, tmp_path):
+    for name in ("p01_main", "p02_two_constants", "p03_ackermann_unary"):
+        (tmp_path / f"{name}.wscan").write_text((CORPUS / f"{name}.wscan").read_text())
+    docs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "bench", tmp_path, "--verify", "--format", "json", "--jobs", jobs)
+        assert code == 0
+        doc = json.loads(out)
+        for row in doc["rows"] + doc["aggregates"]:
+            del row["scan_ms"], row["witness_ms"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert [r["verification"] for r in docs[0]["rows"]] == ["PASS"] * 3
 
 
 def test_unknown_subcommand_fails(capsys):

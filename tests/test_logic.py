@@ -39,7 +39,6 @@ from wscan.logic import (
     lit_vars,
     match_terms,
     mgu,
-    pointed_make,
     pred_expr_str,
     rename_clause_apart,
     simplify,
@@ -120,16 +119,6 @@ def test_equality_argument_orientation():
     assert term_str(c2.lits[0].args[0]) == "a"
 
 
-def test_pointed_make_tracks_designated_literal():
-    lits = [
-        Lit(True, "X", (b,), True),
-        Lit(False, "X", (u,), True),
-        Lit(True, "B", (u,), False),
-    ]
-    clause, idx = pointed_make(lits, 1)
-    assert clause.lits[idx] == Lit(False, "X", (Var("u0"),), True)
-
-
 def _term_key(t):
     if isinstance(t, Var):
         return (0, t.name, ())
@@ -145,7 +134,7 @@ def brute_force_order(lits):
     """Reference for the canonical order: list every order that keeps the
     shape groups, rename each by first occurrence, and keep the least
     `_lit_key` sequence, the first in input-index order on ties.  Returns the
-    renamed literals and the input index at each output position."""
+    renamed literals in that order."""
     order = sorted(range(len(lits)), key=lambda i: _lit_shape(lits[i]))
     groups = [list(g) for _, g in itertools.groupby(order, key=lambda i: _lit_shape(lits[i]))]
     best = None
@@ -158,8 +147,8 @@ def brute_force_order(lits):
         out = tuple(subst_lit(lits[i], ren) for i in seq)
         key = [_lit_key(l) for l in out]
         if best is None or key < best[0]:
-            best = (key, out, seq)
-    return best[1], best[2]
+            best = (key, out)
+    return best[1]
 
 
 _VARS = st.sampled_from([Var("x"), Var("y"), Var("z"), Var("w")])
@@ -175,12 +164,8 @@ _LITS = st.one_of(
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.lists(_LITS, min_size=1, max_size=7))
 def test_canonical_form_matches_the_permutation_search(lits):
-    oriented = [_orient_eq(l) for l in lits]
-    uniq = list(dict.fromkeys(oriented))
-    want, seq = brute_force_order(uniq)
-    assert Clause.make(lits).lits == want
-    for d, l in enumerate(oriented):
-        assert pointed_make(lits, d) == (Clause(want), seq.index(uniq.index(l)))
+    uniq = list(dict.fromkeys(_orient_eq(l) for l in lits))
+    assert Clause.make(lits).lits == brute_force_order(uniq)
 
 
 def _shuffled_renamed(rng, lits):

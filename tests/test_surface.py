@@ -1,12 +1,19 @@
-"""Every module-level function and class in `src/wscan` has a caller in `src`.
+"""Every module-level function and class in `src/wscan` has a caller in `src`,
+and so does every method and property of its classes.
 
 A helper that only tests call belongs in `tests/`, and one that nothing calls
 belongs nowhere.  A name counts as used when code outside its own definition
-refers to it.  The only other ways to pass are listed below, with reasons.
+refers to it; a member counts as used when code outside its own definition
+reads it as an attribute (`x.name`).  Dunder methods are called by Python
+itself and are not checked.  The only other ways to pass are listed below,
+with reasons.
 """
 
 import ast
 import pathlib
+from collections import Counter
+
+import pytest
 
 import wscan
 
@@ -62,8 +69,41 @@ def unreferenced(src):
     )
 
 
+def unread_members(src):
+    """(module, class, member) for each non-dunder method or property whose
+    name is read as an attribute only inside its own definition."""
+    members, reads = [], Counter()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                name = item.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                own = sum(isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(item))
+                members.append(((path.stem, cls.name, name), own))
+    return sorted(key for key, own in members if reads[key[2]] == own)
+
+
+def _copy_of_src_with(tmp_path, appended_to_logic):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "logic.py", "a") as f:
+        f.write(appended_to_logic)
+    return tmp_path
+
+
 def test_every_module_level_name_in_src_has_a_caller_in_src():
     assert unreferenced(SRC) == []
+
+
+def test_every_method_and_property_in_src_is_read_in_src():
+    assert unread_members(SRC) == []
 
 
 def test_every_allowed_name_still_exists():
@@ -73,8 +113,17 @@ def test_every_allowed_name_still_exists():
 
 
 def test_an_unreferenced_helper_is_caught(tmp_path):
-    for path in SRC.glob("*.py"):
-        (tmp_path / path.name).write_text(path.read_text())
-    with open(tmp_path / "logic.py", "a") as f:
-        f.write("\n\ndef _orphan():\n    return _orphan()\n")
-    assert unreferenced(tmp_path) == [("logic", "_orphan")]
+    src = _copy_of_src_with(tmp_path, "\n\ndef _orphan():\n    return _orphan()\n")
+    assert unreferenced(src) == [("logic", "_orphan")]
+
+
+@pytest.mark.parametrize("decorator", ["", "    @property\n"], ids=["method", "property"])
+def test_an_unread_method_or_property_is_caught(tmp_path, decorator):
+    # the class has a caller, so only the member rule can catch its orphan
+    planted = (
+        f"\n\nclass _Host:\n{decorator}    def orphan(self):\n        return self.orphan\n"
+        "\n\nHOST = _Host()\n"
+    )
+    src = _copy_of_src_with(tmp_path, planted)
+    assert unreferenced(src) == []
+    assert unread_members(src) == [("logic", "_Host", "orphan")]

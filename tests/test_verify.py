@@ -241,6 +241,25 @@ def test_prover_unknown_on_hard_satisfiable_set():
     assert not isinstance(r, Proved)
 
 
+def test_prover_eliminates_the_constraint_of_a_resolvent():
+    # resolving B(f(?u)) with ~B(f(a)) leaves only the constraint f(?u) != f(a)
+    r = prove(clauses_of("B(f(?u))"), goal=B(App("f", (a,))))
+    assert isinstance(r, Proved)
+    assert [s.rule for s in r.steps] == ["input", "input", "res", "constrelim"]
+    assert replay_refutation(r.steps)
+
+
+def test_prover_unknown_without_refutation_or_finite_model():
+    # an irreflexive transitive relation in which every element has a
+    # successor has only infinite models, and C(a) does not follow from it
+    premises = clauses_of("B(?u, f(?u))\n~B(?u, ?u)\nB(?u, ?w) | ~B(?u, ?v) | ~B(?v, ?w)")
+    t0 = time.monotonic()
+    r = prove(premises, goal=FAtom("C", (a,)), timeout=1.0)
+    assert isinstance(r, Unknown)
+    # the model search may run 2 s past the prover's deadline
+    assert time.monotonic() - t0 < 3.5
+
+
 def test_proof_steps_replay_and_respect_lineage():
     r = prove(clauses_of("B(a)\n~B(?u) | C(?u, ?u)\n~C(a, a)"))
     assert isinstance(r, Proved)

@@ -282,13 +282,13 @@ def make_one_sided(rng):
     from wscan.calculus import constraint_resolve, resolution_partners
     from wscan.calculus import variable_eliminate
     from conftest import random_lit
-    from wscan.logic import Clause, Lit, Var, App, pointed_make
+    from wscan.logic import Clause, Lit, Var, App
 
     pos = rng.random() < 0.5
     args = (rng.choice([Var("u"), App(rng.choice(("a", "b")), ())]),)
     rest = [random_lit(rng, with_x=False) for _ in range(rng.randrange(0, 2))]
-    clause, idx = pointed_make(rest + [Lit(pos, "X", args, True)], len(rest))
-    p = PointedClause(clause, idx)
+    clause = Clause.make(rest + [Lit(pos, "X", args, True)])
+    p = PointedClause(clause, next(i for i, l in enumerate(clause.lits) if l.head == "X"))
 
     n = set()
     for _ in range(rng.randrange(1, 4)):
