@@ -422,7 +422,11 @@ def build_parser(timeout: float) -> argparse.ArgumentParser:
             choices=["auto", "first-order", "fixpoint", "resolution"], default="auto"
         ),
         "--fo-k": dict(type=int, default=None),
-        "--lres-budget": dict(type=int, default=None),
+        "--lres-budget": dict(
+            type=int, default=None, metavar="UNITS",
+            help="work bound of --witness-mode resolution: one unit per inference and "
+                 "one per subsumption test (default 512)",
+        ),
         "--verify": dict(action="store_true"),
         "--verify-timeout": dict(type=float, default=30.0),
         "--format": dict(choices=["text", "json"], default="text"),

@@ -140,32 +140,6 @@ def mgu(pairs: Iterable[tuple[Term, Term]]) -> Optional[dict[str, Term]]:
     return out
 
 
-def match_terms(
-    pattern: Sequence[Term], target: Sequence[Term], base: Optional[Subst] = None
-) -> Optional[dict[str, Term]]:
-    """One-sided matching: find sigma extending base with pattern*sigma == target.
-
-    Variables of the target are rigid (they behave like constants).
-    """
-    if len(pattern) != len(target):
-        return None
-    out: dict[str, Term] = dict(base or {})
-    todo = list(zip(pattern, target))
-    while todo:
-        p, t = todo.pop()
-        if isinstance(p, Var):
-            if p.name in out:
-                if out[p.name] != t:
-                    return None
-            else:
-                out[p.name] = t
-            continue
-        if isinstance(t, Var) or p.fn != t.fn or len(p.args) != len(t.args):
-            return None
-        todo.extend(zip(p.args, t.args))
-    return out
-
-
 _counter = itertools.count()
 
 
@@ -382,6 +356,11 @@ class Clause:
         for i, l in enumerate(self.lits):
             out.setdefault(l.kind, []).append(i)
         return {k: tuple(ix) for k, ix in out.items()}
+
+    @cached_property
+    def lit_var_sets(self) -> tuple[frozenset[str], ...]:
+        """The variables of each literal."""
+        return tuple(frozenset(lit_vars(l)) for l in self.lits)
 
     @cached_property
     def fn_symbols(self) -> frozenset[tuple[str, int]]:

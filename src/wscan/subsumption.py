@@ -18,22 +18,17 @@ injective case no more literals of the marked kind than C has.  Plain
 subsumption may map two literals of S onto one of C, so it compares no
 counts.  The features are computed once per clause (``Clause.lits_by_kind``,
 ``Clause.fn_symbols``).  The search then tries the literals of S with the
-fewest candidates in C, the literals of C of their kind, first.
+fewest candidates in C, the literals of C of their kind, first, and among
+those the literal with the fewest variables not yet bound, so that it
+follows shared variables from one literal to the next.  It binds into one
+substitution and undoes the bindings of a failed candidate from a trail.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .logic import (
-    Clause,
-    Lit,
-    Term,
-    Var,
-    is_proper_subterm_var,
-    match_terms,
-    subst_lit,
-)
+from .logic import Clause, Lit, Term, Var, is_proper_subterm_var, subst_lit
 
 
 def is_tautology(c: Clause) -> bool:
@@ -56,18 +51,26 @@ def has_reflexive_equation(c: Clause) -> bool:
     return any(l.is_eq and l.pos and l.args[0] == l.args[1] for l in c.lits)
 
 
-def _lit_matches(pat: Lit, tgt: Lit, base: dict) -> Iterator[dict]:
-    """Each extension of `base` that maps `pat` onto `tgt`, a literal of the
-    same kind."""
-    got = match_terms(pat.args, tgt.args, base)
-    if got is not None:
-        yield got
-    if pat.is_eq:
-        # equality arguments are stored in a normalized orientation, so an
-        # instance of the pattern may only appear with its sides swapped
-        swapped = match_terms((pat.args[1], pat.args[0]), tgt.args, base)
-        if swapped is not None and swapped != got:
-            yield swapped
+def _bind(ps: Sequence[Term], ts: Sequence[Term], sigma: dict, trail: list) -> bool:
+    """Extend `sigma` in place so that ps*sigma == ts, pushing each variable
+    it binds onto `trail`.  Variables of ts are rigid.  On False some new
+    bindings may remain; the caller undoes the trail."""
+    for p, t in zip(ps, ts):
+        if type(p) is Var:
+            got = sigma.get(p.name)
+            if got is None:
+                sigma[p.name] = t
+                trail.append(p.name)
+            elif got != t:
+                return False
+        elif (
+            type(t) is Var
+            or p.fn != t.fn
+            or len(p.args) != len(t.args)
+            or not _bind(p.args, t.args, sigma, trail)
+        ):
+            return False
+    return True
 
 
 def _subsumes(s: Clause, c: Clause, like: Optional[Lit]) -> bool:
@@ -79,26 +82,50 @@ def _subsumes(s: Clause, c: Clause, like: Optional[Lit]) -> bool:
     lk = None if like is None else like.kind
     if lk in sk and len(sk[lk]) > len(ck[lk]):
         return False
-    # (pattern, candidate target indices, injective), fewest candidates first
-    pats = sorted(
-        ((s.lits[i], ck[k], k == lk) for k, ix in sk.items() for i in ix),
-        key=lambda p: len(p[1]),
-    )
+    # (pattern, candidate target indices, injective): greedily the literal
+    # with the fewest candidates, then with the fewest variables that the
+    # literals before it leave unbound, so that a chain is matched from its
+    # ground end along its shared variables
+    todo = [(len(ck[k]), i, k) for k, ix in sk.items() for i in ix]
+    var_sets = s.lit_var_sets
+    bound: frozenset[str] = frozenset()
+    pats = []
+    while todo:
+        best = min(todo, key=lambda r: (r[0], len(var_sets[r[1]] - bound)))
+        todo.remove(best)
+        bound |= var_sets[best[1]]
+        pats.append((s.lits[best[1]], ck[best[2]], best[2] == lk))
     tgt = c.lits
+    sigma: dict[str, Term] = {}
+    trail: list[str] = []
 
-    def go(k: int, sigma: dict, used: int) -> bool:
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            del sigma[trail.pop()]
+
+    def go(k: int, used: int) -> bool:
         if k == len(pats):
             return True
         pat, cands, inj = pats[k]
+        mark = len(trail)
         for j in cands:
             if inj and used >> j & 1:
                 continue
-            for got in _lit_matches(pat, tgt[j], sigma):
-                if go(k + 1, got, used | 1 << j if inj else used):
+            nxt = used | 1 << j if inj else used
+            args = tgt[j].args
+            if _bind(pat.args, args, sigma, trail) and go(k + 1, nxt):
+                return True
+            undo(mark)
+            # equality arguments are stored in a normalized orientation, so an
+            # instance of the pattern may appear with its sides swapped; with
+            # equal sides the swap binds exactly what the match above bound
+            if pat.is_eq and args[0] != args[1]:
+                if _bind(pat.args, args[::-1], sigma, trail) and go(k + 1, nxt):
                     return True
+                undo(mark)
         return False
 
-    return go(0, {}, 0)
+    return go(0, 0)
 
 
 def subsumes(s: Clause, c: Clause) -> bool:

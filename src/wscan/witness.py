@@ -96,32 +96,50 @@ def _reduce(clauses: set[Clause]) -> set[Clause]:
 
 
 class LresBudgetExceeded(Exception):
-    def __init__(self, budget: int):
-        super().__init__(f"local resolution closure did not stabilize within {budget} inferences")
+    def __init__(self, budget: int, inferences: int, tests: int):
+        super().__init__(
+            f"local resolution closure did not stabilize within {budget} work units "
+            f"({inferences} inferences, {tests} subsumption tests)"
+        )
         self.budget = budget
+        self.inferences = inferences
+        self.tests = tests
 
 
 def lres(p: PointedClause, budget: int = 512) -> ClausePredicate:
     """Close {dual of the designated literal, on fresh handle constants} under
     resolving with p, with eager variable elimination and subsumption
-    reduction.  Raises LresBudgetExceeded when the closure does not stabilize."""
+    reduction.  The budget is in work units: one per inference and one per
+    subsumption test of the reduction, so the work before a refusal does not
+    grow with the closure.  Raises LresBudgetExceeded when the closure does
+    not stabilize within it."""
     consts = tuple(fresh_name("c") for _ in p.designated.args)
     start = Clause.make([_start_lit(p, consts)])
-    out: set[Clause] = {start}
+    # a list, not a set: the tests run in insertion order, so the work spent
+    # does not depend on how clauses hash
+    out: list[Clause] = [start]
     frontier = [start]
-    spent = 0
+    spent = [0, 0]  # inferences, subsumption tests
+
+    def charge(i: int) -> None:
+        spent[i] += 1
+        if spent[0] + spent[1] > budget:
+            raise LresBudgetExceeded(budget, *spent)
+
+    def test(s: Clause, c: Clause) -> bool:
+        charge(1)
+        return subsumes(s, c)
+
     while frontier:
         next_frontier: list[Clause] = []
         for c in frontier:
             for q in resolution_partners(p, c):
-                spent += 1
-                if spent > budget:
-                    raise LresBudgetExceeded(budget)
+                charge(0)
                 r, _ = variable_eliminate(constraint_resolve(p, q))
-                if any(subsumes(s, r) for s in out):
+                if any(test(s, r) for s in out):
                     continue
-                out = {s for s in out if not subsumes(r, s)}
-                out.add(r)
+                out = [s for s in out if not test(r, s)]
+                out.append(r)
                 next_frontier.append(r)
         frontier = next_frontier
     return ClausePredicate(consts, frozenset(out))

@@ -4,10 +4,11 @@ The brute-force oracles deliberately avoid the library's own matching code.
 Subsumption is decided by enumerating every substitution whose range is a
 subterm of the target clause, and the constraint-unfolding closure is
 recomputed from its one-step definition.  The reference matcher is the
-library's backtracking search as it was before the feature prefilter, the
-definition the filtered matcher in `subsumption` must agree with.  The
-reference evaluator walks the formula tree with a fresh environment per
-binder, the definition the compiled evaluator in `verify` must agree with.
+library's backtracking search as it was before the feature prefilter, with
+the copying term matcher it used then, the definition the filtered in-place
+matcher in `subsumption` must agree with.  The reference evaluator walks the
+formula tree with a fresh environment per binder, the definition the
+compiled evaluator in `verify` must agree with.
 The reference model enumerator yields every interpretation, the full set
 that `verify.models` covers with one model per orbit of constant vectors.
 The reference certificate depth backtracks over every choice of covers, the
@@ -44,7 +45,6 @@ from wscan.logic import (
     is_proper_subterm_var,
     lit_to_formula,
     lit_vars,
-    match_terms,
     simplify_pred_expr,
     subst_consts,
     subst_lit,
@@ -174,6 +174,30 @@ def brute_subsumes(s, c, like=None):
         if len(set(marked)) == len(marked):
             return True
     return False
+
+
+def match_terms(pattern, target, base=None):
+    """One-sided matching: sigma extending `base` with pattern*sigma == target,
+    or None.  Variables of the target are rigid.  Copies the substitution on
+    every call, the simple definition the in-place matcher of `subsumption`
+    must agree with."""
+    if len(pattern) != len(target):
+        return None
+    out = dict(base or {})
+    todo = list(zip(pattern, target))
+    while todo:
+        p, t = todo.pop()
+        if isinstance(p, Var):
+            if p.name in out:
+                if out[p.name] != t:
+                    return None
+            else:
+                out[p.name] = t
+            continue
+        if isinstance(t, Var) or p.fn != t.fn or len(p.args) != len(t.args):
+            return None
+        todo.extend(zip(p.args, t.args))
+    return out
 
 
 def _ref_match_lit(pat, tgt, base):

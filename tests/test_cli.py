@@ -85,6 +85,19 @@ def test_solve_timeout_bounds_blind_search(capsys):
     assert elapsed < 6, f"--timeout 3 returned after {elapsed:.1f} s"
 
 
+@pytest.mark.parametrize("problem,trace", [("p01_main", "p01_d2"), ("p05_cycle", "p05_cycle")])
+def test_replay_refuses_a_resolution_closure_that_does_not_stabilize(capsys, problem, trace):
+    code, out, err = run(
+        capsys, "replay", CORPUS / f"{problem}.wscan", CORPUS / f"{trace}.trace",
+        "--witness-mode", "resolution",
+    )
+    assert code == 2 and not out
+    assert err == (
+        "error: local resolution closure did not stabilize within 512 work units "
+        "(22 inferences, 491 subsumption tests)\n"
+    )
+
+
 def test_replay_ok(capsys):
     code, out, _ = run(capsys, "replay", MAIN, TRACE)
     assert code == 0

@@ -37,7 +37,6 @@ from wscan.logic import (
     lit_size,
     lit_str,
     lit_vars,
-    match_terms,
     mgu,
     pred_expr_str,
     rename_clause_apart,
@@ -47,8 +46,9 @@ from wscan.logic import (
     subst_term,
     term_str,
 )
+from wscan.problems import parse_formula
 
-from conftest import cl
+from conftest import cl, match_terms
 
 a, b, c = const("a"), const("b"), const("c")
 u, v = Var("u"), Var("v")
@@ -262,6 +262,33 @@ def test_formula_str_precedence():
 )
 def test_pred_expr_str(expr, expected):
     assert pred_expr_str(expr) == expected
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("B(a) -> C(a, b)", "B(a) -> C(a,b)"),
+        ("true -> B(a)", "B(a)"),
+        ("(a = a) -> B(a)", "B(a)"),
+        ("false -> B(a)", "true"),
+        ("B(a) -> true", "true"),
+        ("B(a) -> false", "~B(a)"),
+        ("~(B(a) -> B(b))", "B(a) /\\ ~B(b)"),
+        ("B(a) -> B(b) -> B(c)", "B(a) -> B(b) -> B(c)"),
+        ("(B(a) -> B(b)) -> B(c)", "(B(a) -> B(b)) -> B(c)"),
+        ("(B(a) -> B(b)) \\/ B(c)", "(B(a) -> B(b)) \\/ B(c)"),
+        ("B(a) <-> B(b) /\\ B(c)", "B(a) <-> B(b) /\\ B(c)"),
+        ("(B(a) <-> B(b)) <-> B(c)", "(B(a) <-> B(b)) <-> B(c)"),
+        ("B(a) -> (B(b) <-> B(c))", "B(a) -> (B(b) <-> B(c))"),
+        ("forall u. B(u) -> B(f(u))", "forall u. B(?u) -> B(f(?u))"),
+    ],
+)
+def test_implications_simplify_and_print(text, expected):
+    """An implication or equivalence read from text simplifies by its
+    constant sides and prints with the fewest parentheses that parse back."""
+    got = simplify(parse_formula(text))
+    assert formula_str(got) == expected
+    assert parse_formula(formula_str(got)) == got
 
 
 def test_simplify_drops_constants():

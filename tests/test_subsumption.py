@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wscan.logic import App, Clause, Lit, Var, match_terms
+from wscan.logic import App, Clause, Lit, Var, lit_vars, subst_lit
 from wscan.subsumption import (
     has_reflexive_equation,
     is_tautology,
@@ -19,6 +19,7 @@ from conftest import (
     brute_subsumes_velim,
     brute_velim_closure,
     cl,
+    match_terms,
     random_clause,
     random_lit,
     random_term,
@@ -221,3 +222,100 @@ def test_empty_clause_subsumes_every_clause():
         for like in (POS_X, NEG_X):
             assert subsumes(empty, c) and subsumes_L(empty, c, like) and subsumes_L_velim(empty, c, like)
             assert ref_subsumes(empty, c, like)
+
+
+# -- long same-kind chains, the shape of the resolution closure of p01_d2 -----
+
+POS_B = Lit(True, "B", (Var("z"), Var("z")))
+C0 = App("c0", ())
+
+
+def _chain(rng, n, link, tail):
+    """The literals of a chain c0 -> y1 -> ... -> yn of n links over randomly
+    named variables, in chain order, with X(yn) at the far end when `tail`.
+    A link a -> b is B(a, b), or the equation a = f(b) in a random
+    orientation.  The clauses of the resolution closure of p01_d2 are B
+    chains with a tail."""
+    nodes = [C0] + [Var(f"y{i}") for i in rng.sample(range(100), n)]
+    lits = []
+    for a, b in zip(nodes, nodes[1:]):
+        if link == "B":
+            lits.append(Lit(True, "B", (a, b)))
+        else:
+            args = (a, App("f", (b,)))
+            lits.append(Lit(True, "=", args if rng.random() < 0.5 else args[::-1]))
+    if tail:
+        lits.append(Lit(True, "X", (nodes[-1],), True))
+    return lits
+
+
+def _chain_target(rng, s_lits, link):
+    """A clause to test a chain against: another chain, an instance of it
+    (often with extra branches), a cycle that the chain only maps onto by
+    collapsing its links, or an instance whose links are undone by
+    disequation constraints that variable elimination removes.  An instance
+    may also lose one literal, which breaks the chain."""
+    roll = rng.random()
+    if roll < 0.3:
+        return _chain(rng, rng.randrange(1, 31), link, rng.random() < 0.7)
+    if roll < 0.45:
+        z = Var("z")
+        loop = Lit(True, "B", (z, z)) if link == "B" else Lit(True, "=", (z, App("f", (z,))))
+        head = Lit(True, "B", (C0, z)) if link == "B" else Lit(True, "=", (C0, App("f", (z,))))
+        return [head, loop, Lit(True, "X", (z,), True)]
+    names = sorted({v for l in s_lits for v in lit_vars(l)})
+    sigma = {}
+    for v in names:
+        roll = rng.random()
+        if roll < 0.1:
+            sigma[v] = App(rng.choice(("a", "c0")), ())
+        elif roll < 0.15:
+            sigma[v] = App("f", (App("a", ()),))
+        elif roll < 0.2:
+            sigma[v] = Var(rng.choice(names))
+    lits = [subst_lit(l, sigma) for l in s_lits]
+    for _ in range(rng.randrange(3)):  # a branch off the chain
+        lits.append(Lit(True, "B", (Var(rng.choice(names)), Var(f"w{len(lits)}"))))
+    if rng.random() < 0.4:
+        for k in rng.sample(range(len(lits)), min(2, len(lits))):
+            l = lits[k]
+            held = [i for i, t in enumerate(l.args) if isinstance(t, Var)]
+            if held:
+                i = rng.choice(held)
+                w = Var(f"e{k}")
+                lits[k] = Lit(l.pos, l.head, l.args[:i] + (w,) + l.args[i + 1 :], l.pvar)
+                lits.append(Lit(False, "=", (w, l.args[i])))
+    if rng.random() < 0.3:
+        lits.remove(rng.choice(lits))  # break the chain
+    return lits
+
+
+def test_long_chains_agree_with_reference():
+    """Chains of 1-30 links of one literal kind: the in-place matcher must
+    follow the shared variables from the ground end of the chain in whatever
+    order its literals come, and agree with the copying reference matcher,
+    plain, injective and modulo constraint unfolding.  The reference gets the
+    chain in chain order, which keeps its search linear."""
+    rng = random.Random(1602)
+    hits = {"plain": 0, "injective": 0, "velim": 0, "collapsed": 0, "unfolded": 0, "long": 0}
+    for k in range(80):
+        link = ("B", "=")[k % 3 == 2]
+        chain = _chain(rng, rng.randrange(1, 31), link, rng.random() < 0.8)
+        shuffled = rng.sample(chain, len(chain))
+        ref_s, s = Clause(tuple(chain)), Clause.make(shuffled)
+        c = Clause.make(_chain_target(rng, chain, link))
+        like = rng.choice((POS_B, POS_X))
+        plain = subsumes(s, c)
+        assert plain == ref_subsumes(ref_s, c) == subsumes(Clause(tuple(shuffled)), c), (s, c)
+        injective = subsumes_L(s, c, like)
+        assert injective == ref_subsumes(ref_s, c, like), (s, c, like)
+        velim = subsumes_L_velim(s, c, like)
+        assert velim == any(ref_subsumes(ref_s, e, like) for e in brute_velim_closure(c)), (s, c, like)
+        hits["plain"] += plain
+        hits["injective"] += injective
+        hits["velim"] += velim
+        hits["collapsed"] += plain and not injective
+        hits["unfolded"] += velim and not injective
+        hits["long"] += plain and len(s.lits) > 20
+    assert min(hits.values()) > 3, hits
+    assert min(hits["plain"], hits["injective"], hits["velim"]) > 20, hits

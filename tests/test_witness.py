@@ -64,6 +64,35 @@ def test_lres_exceeds_budget_on_recursive_clause():
         lres(pointed(CHAIN, pos=False), budget=20)
 
 
+@pytest.mark.parametrize("problem,trace", [("p01_main", "p01_d2"), ("p05_cycle", "p05_cycle")])
+def test_nonstabilizing_corpus_closures_refuse_after_fixed_work(problem, trace):
+    """The resolution closures of these deletions grow for ever (a longer B
+    chain, a deeper f-term per round).  The budget charges every subsumption
+    test, so both refuse at the default budget after the same work on every
+    run, whatever the string hashes."""
+    _, d = corpus_derivation(problem, trace)
+    seen = []
+    for _ in range(2):
+        with pytest.raises(LresBudgetExceeded) as got:
+            extract_witness(d, mode="resolution")
+        e = got.value
+        seen.append((e.budget, e.inferences, e.tests, str(e)))
+    assert seen[0] == seen[1] == (
+        512, 22, 491,
+        "local resolution closure did not stabilize within 512 work units "
+        "(22 inferences, 491 subsumption tests)",
+    )
+
+
+def test_lres_spends_three_units_on_a_closure_of_one_resolvent():
+    p = pointed("~X(?u) | B(?u)", pos=False)
+    lres(p, budget=3)
+    # the inference and the test against the start clause fit, the
+    # reverse test does not
+    with pytest.raises(LresBudgetExceeded, match=r"within 2 work units \(1 inferences, 2 subsumption tests\)"):
+        lres(p, budget=2)
+
+
 def test_lres_terminates_on_nonrecursive_clause():
     got = lres(pointed("~X(?u) | B(?u)", pos=False))
     assert expect_cp(got, ["X(k0)", "B(k0)"])
