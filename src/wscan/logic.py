@@ -24,9 +24,9 @@ subformulas and ``map_children`` rebuilds the node from their images.  These
 two are the one place that knows which fields of each node are subformulas;
 a walker handles only its own special cases (atoms, binders, ``gfp``) and
 leaves every other node to them.  The simplifier, the printer, the
-clausifier's NNF and the finite-model evaluator do different work for each
-connective, so they match on the node classes themselves; ``DUAL`` and
-``UNIT`` let one case serve a connective and its dual.
+clausifier and the finite-model evaluator do different work for each
+connective, so they match on the node classes themselves; in the simplifier,
+``DUAL`` and ``UNIT`` let one case serve a connective and its dual.
 """
 
 from __future__ import annotations
@@ -46,17 +46,11 @@ EQ = "="
 class Var:
     name: str
 
-    def __repr__(self) -> str:
-        return f"Var({self.name})"
-
 
 @dataclass(frozen=True)
 class App:
     fn: str
     args: tuple["Term", ...] = ()
-
-    def __repr__(self) -> str:
-        return f"App({self.fn}, {list(self.args)})"
 
 
 Term = Union[Var, App]
@@ -666,7 +660,8 @@ class PredExpr:
 
     def apply(self, args: Sequence[Term]) -> Formula:
         if len(args) != len(self.params):
-            raise ValueError(f"arity mismatch applying {self} to {args}")
+            shown = ",".join(term_str(t) for t in args)
+            raise ValueError(f"arity mismatch applying {pred_expr_str(self)} to ({shown})")
         return subst_formula(self.body, dict(zip(self.params, args)))
 
 

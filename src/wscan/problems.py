@@ -560,7 +560,8 @@ def parse_formula(text: str, xvars: Optional[Mapping[str, int]] = None) -> Formu
 
 def parse_witness(text: str, xvars: Optional[Mapping[str, int]] = None) -> dict[str, PredExpr]:
     """Witness files:  one `X := lambda u v. <formula>` binding per line
-    (0-ary bodies write `lambda _.`)."""
+    (0-ary bodies write `lambda _.`).  A name may be bound once, and, given
+    xvars, only if it is one of them."""
     out: dict[str, PredExpr] = {}
     sig = _SigCheck(xvars or {})
     for ln, raw in enumerate(text.split("\n"), start=1):
@@ -568,7 +569,12 @@ def parse_witness(text: str, xvars: Optional[Mapping[str, int]] = None) -> dict[
         if not body.strip():
             continue
         p = _Parser(_tokens(body, ln))
-        name = p.expect("ident").text
+        tok = p.expect("ident")
+        name = tok.text
+        if name in out:
+            raise ParseError(f"second binding for {name}", ln, tok.col)
+        if xvars is not None and name not in xvars:
+            raise ParseError(f"{name} is not a predicate variable of the problem", ln, tok.col)
         p.expect("sym", ":=")
         p.expect("ident", "lambda")
         params = _parse_binders(p, blank=True)
@@ -576,7 +582,7 @@ def parse_witness(text: str, xvars: Optional[Mapping[str, int]] = None) -> dict[
         p.accept("sym", ".")
         if not p.at("eof"):
             raise p.error("trailing input after witness binding")
-        if xvars is not None and name in xvars and xvars[name] != len(params):
+        if xvars is not None and xvars[name] != len(params):
             raise ParseError(
                 f"witness for {name} has {len(params)} parameters, expected {xvars[name]}",
                 ln,

@@ -1,5 +1,6 @@
-"""Semantic backend: clausification, a refutation prover over the constraint
-calculus, finite-model enumeration with gfp evaluation, and witness checking.
+"""Semantic backend: clausification (one pass over the formula), a refutation
+prover over the constraint calculus, finite-model enumeration with gfp
+evaluation, and witness checking.
 
 The prover is deliberately plain -- given-clause, smallest first (the
 passive clauses are a heap on size), plain subsumption -- which is enough for
@@ -8,7 +9,8 @@ partners and factor pairs from `calculus` and tries each inference site once.
 The finite-model evaluator is the independent oracle: it knows nothing about
 the calculus.  It compiles each formula once into closures over variable
 slots, grounds a clause set once per assignment of function tables, and
-enumerates constants only up to a permutation of the domain.
+enumerates constants only up to a permutation of the domain.  It decides
+each model size, by the size alone, before building its first model.
 """
 
 from __future__ import annotations
@@ -32,10 +34,7 @@ from .calculus import (
     variable_eliminate,
 )
 from .logic import (
-    DUAL,
     EQ,
-    FALSE,
-    TRUE,
     App,
     Clause,
     FAll,
@@ -59,14 +58,12 @@ from .logic import (
     formula_free_pvars,
     formula_free_vars,
     formula_has_gfp,
-    formula_to_lit,
     fresh_name,
     lit_to_formula,
-    map_children,
     pointed,
     rename_clause_apart,
     simplify,
-    subst_formula,
+    subst_term,
 )
 from .subsumption import has_reflexive_equation, is_tautology, subsumes
 from .witness import Witness
@@ -92,68 +89,40 @@ def _within_cap(count: int) -> None:
         raise ClausifyError(f"clausal form has more than {MAX_CNF_CLAUSES} clauses")
 
 
-def _nnf(f: Formula, pos: bool) -> Formula:
-    if isinstance(f, FTrue):
-        return TRUE if pos else FALSE
-    if isinstance(f, FFalse):
-        return FALSE if pos else TRUE
+def _cnf(
+    f: Formula, pos: bool, env: Mapping[str, Term], univ: tuple[str, ...]
+) -> list[tuple[Lit, ...]]:
+    """The clauses of f (of ~f unless pos) in one pass: negation moves inward,
+    `->` and `<->` expand as `~a | b` and `(a & b) | (~a & ~b)`, a universal
+    becomes a fresh `q` variable and an existential a fresh `sk` term over
+    the universals in scope (univ); env maps bound variables to these."""
+    if isinstance(f, (FTrue, FFalse)):
+        return [] if isinstance(f, FTrue) == pos else [()]
     if isinstance(f, FAtom):
-        return f if pos else FNot(f)
+        return [(Lit(pos, f.head, tuple(subst_term(t, env) for t in f.args), f.pvar),)]
     if isinstance(f, FNot):
-        return _nnf(f.sub, not pos)
-    if isinstance(f, (FAnd, FOr)):
-        kind = type(f) if pos else DUAL[type(f)]
-        return kind(tuple(_nnf(s, pos) for s in f.subs))
+        return _cnf(f.sub, not pos, env, univ)
     if isinstance(f, FImp):
-        return _nnf(FOr((FNot(f.lhs), f.rhs)), pos)
+        return _cnf(FOr((FNot(f.lhs), f.rhs)), pos, env, univ)
     if isinstance(f, FIff):
         a, b = f.lhs, f.rhs
-        both = FAnd((a, b))
-        neither = FAnd((FNot(a), FNot(b)))
-        return _nnf(FOr((both, neither)), pos)
+        return _cnf(FOr((FAnd((a, b)), FAnd((FNot(a), FNot(b))))), pos, env, univ)
     if isinstance(f, (FAll, FEx)):
-        kind = type(f) if pos else DUAL[type(f)]
-        return kind(f.var, _nnf(f.sub, pos))
-    raise TypeError(f)
-
-
-def _standardize(f: Formula) -> Formula:
-    if isinstance(f, (FAll, FEx)):
-        v = fresh_name("q")
-        return type(f)(v, _standardize(subst_formula(f.sub, {f.var: Var(v)})))
-    return map_children(f, _standardize)
-
-
-def _skolemize(f: Formula, univ: tuple[str, ...]) -> Formula:
-    if isinstance(f, FAll):
-        return FAll(f.var, _skolemize(f.sub, univ + (f.var,)))
-    if isinstance(f, FEx):
+        if isinstance(f, FAll) == pos:
+            v = fresh_name("q")
+            return _cnf(f.sub, pos, {**env, f.var: Var(v)}, univ + (v,))
         sk = App(fresh_name("sk"), tuple(Var(v) for v in univ))
-        return _skolemize(subst_formula(f.sub, {f.var: sk}), univ)
-    return map_children(f, lambda g: _skolemize(g, univ))
-
-
-def _matrix(f: Formula) -> Formula:
-    return _matrix(f.sub) if isinstance(f, FAll) else map_children(f, _matrix)
-
-
-def _cnf(f: Formula) -> list[tuple[Lit, ...]]:
-    if isinstance(f, FTrue):
-        return []
-    if isinstance(f, FFalse):
-        return [()]
-    if isinstance(f, (FAtom, FNot)):
-        return [(formula_to_lit(f),)]
-    if isinstance(f, FAnd):
-        out = []
-        for s in f.subs:
-            out.extend(_cnf(s))
-            _within_cap(len(out))
-        return out
-    if isinstance(f, FOr):
+        return _cnf(f.sub, pos, {**env, f.var: sk}, univ)
+    if isinstance(f, (FAnd, FOr)):
+        if isinstance(f, FAnd) == pos:
+            out = []
+            for s in f.subs:
+                out.extend(_cnf(s, pos, env, univ))
+                _within_cap(len(out))
+            return out
         acc: list[tuple[Lit, ...]] = [()]
         for s in f.subs:
-            cnf = _cnf(s)
+            cnf = _cnf(s, pos, env, univ)
             _within_cap(len(acc) * len(cnf))
             acc = [a + b for a in acc for b in cnf]
         return acc
@@ -161,21 +130,17 @@ def _cnf(f: Formula) -> list[tuple[Lit, ...]]:
 
 
 def clausify(f: Formula) -> list[Clause]:
-    """Negation-normal form, Skolemization of existentials (fresh `sk%d`
-    symbols), distribution to CNF.  Equisatisfiable in general, equivalent for
-    Skolem-free inputs; gfp constructors are rejected."""
+    """The clausal form of f, built in one pass by `_cnf`: Skolemization of
+    existentials (fresh `sk%d` symbols) and distribution to CNF.
+    Equisatisfiable in general, equivalent for Skolem-free inputs; gfp
+    constructors are rejected."""
     if formula_has_gfp(f):
         raise ClausifyError("gfp formulas have no clausal form")
-    g = _skolemize(_standardize(_nnf(f, True)), ())
-    return [Clause.make(ls) for ls in _cnf(_matrix(g))]
+    return [Clause.make(ls) for ls in _cnf(f, True, {}, ())]
 
 
 # ---------------------------------------------------------------------------
 # finite models
-
-
-class EnumerationTooLarge(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -483,25 +448,25 @@ def model_count(sig: Signature, n: int) -> int:
 
 
 def _function_tables(
-    domains: Sequence[list], consts: Sequence[bool], full: bool, used: int = 0
+    domains: Sequence[list], consts: Sequence[bool], used: int = 0
 ) -> Iterator[tuple[tuple, int]]:
     """Every choice of one table per domain, in lexicographic order, with one
     above the largest constant value in it: for a canonical constant vector,
     its number of distinct values.  A constant's domain lists its tables by
-    value; unless full, a constant takes a value at most one above the
-    largest value of the constants before it."""
+    value, and a constant takes a value at most one above the largest value
+    of the constants before it."""
     if not domains:
         yield (), used
         return
-    head = domains[0][: used + 1] if consts[0] and not full else domains[0]
+    head = domains[0][: used + 1] if consts[0] else domains[0]
     for v, table in enumerate(head):
         for rest, top in _function_tables(
-            domains[1:], consts[1:], full, max(used, v + 1) if consts[0] else used
+            domains[1:], consts[1:], max(used, v + 1) if consts[0] else used
         ):
             yield (table, *rest), top
 
 
-def models(sig: Signature, n: int, full: bool = False) -> Iterator[tuple[FiniteModel, int]]:
+def models(sig: Signature, n: int) -> Iterator[tuple[FiniteModel, int]]:
     """The models of size n over the signature, deterministically ordered,
     each with its weight.  Free predicate variables are enumerated as
     ordinary relations.  Each constant takes a value at most one above the
@@ -509,8 +474,7 @@ def models(sig: Signature, n: int, full: bool = False) -> Iterator[tuple[FiniteM
     for its orbit under permutations of the domain: the n*(n-1)*...*(n-b+1)
     vectors with its pattern of equal values (b distinct ones).  Every model
     with a vector in the orbit is isomorphic to one with this vector.  The
-    orbit's size is the weight, so the weights add up to model_count.  With
-    full, every vector comes, each with weight 1, in the same order."""
+    orbit's size is the weight, so the weights add up to model_count."""
     fkeys = sorted(sig.funcs)
     rkeys = sorted(sig.rels) + sorted(sig.pvars)
     fdomains = []
@@ -529,8 +493,8 @@ def models(sig: Signature, n: int, full: bool = False) -> Iterator[tuple[FiniteM
             ]
         )
     consts = [k == 0 for _, k in fkeys]
-    for ftables, used in _function_tables(fdomains, consts, full):
-        weight = 1 if full else math.perm(n, used)
+    for ftables, used in _function_tables(fdomains, consts):
+        weight = math.perm(n, used)
         # one dict per assignment of function tables, shared by its models,
         # so a consumer sees that the tables did not change by identity
         funcs = dict(zip(fkeys, ftables))
@@ -547,12 +511,12 @@ def small_models(
     sig: Signature,
     deadline: float,
     notes: list[str],
-    full: Callable[[int], bool] = lambda size: False,
+    too_large: Callable[[int], Optional[str]] = lambda size: None,
 ) -> Iterator[tuple[FiniteModel, int]]:
     """The models of sizes 1-3 over sig with their weights (see `models`),
     smallest first, within the deadline and the enumeration caps; notes each
-    size skipped or cut short.  A size for which full is true is enumerated
-    in full."""
+    size skipped or cut short.  Stops before the first size that too_large
+    gives a reason against."""
     for size in range(1, 4):
         if time.monotonic() > deadline:
             notes.append(f"model check stopped before size {size} (timeout)")
@@ -563,7 +527,11 @@ def small_models(
         if model_count(sig, size) > 300_000:
             notes.append(f"size-{size} models skipped (too many interpretations)")
             continue
-        for m, weight in models(sig, size, full(size)):
+        why = too_large(size)
+        if why is not None:
+            notes.append(f"soqe enumeration skipped: {why}")
+            return
+        for m, weight in models(sig, size):
             if time.monotonic() > deadline:
                 notes.append(f"model check interrupted at size {size} (timeout)")
                 return
@@ -606,27 +574,27 @@ class _Soqe:
             self.clauses.append((c, first, len(cvars), lits))
         self.ground_for: Optional[tuple] = None  # (size, function tables)
         self.ground: list[tuple[tuple, frozenset]] = []
-        self.too_large: Optional[str] = None
         self.solved: dict[tuple, bool] = {}  # DPLL's answer per ground clause set
 
-    def order_matters(self, size: int) -> bool:
-        """Can `holds` stop on a model of this size after answering False on
-        others?  It can when a clause has too many ground instances, and
-        where it stops then depends on the order of the models."""
-        return any(size**k > MAX_GROUND_INSTANCES for _, _, k, _ in self.clauses)
+    def too_large(self, size: int) -> Optional[str]:
+        """Why models of this size are out of reach, if they are: a predicate
+        variable with more than 9 argument tuples or a clause with more than
+        MAX_GROUND_INSTANCES ground instances.  It depends on the size alone."""
+        for x, k in self.xars.items():
+            if size**k > 9:
+                return f"{x}/{k} over domain size {size}"
+        for c, _, k, _ in self.clauses:
+            if size**k > MAX_GROUND_INSTANCES:
+                return f"too many ground instances of {c}"
+        return None
 
     def _ground(self, m: FiniteModel) -> None:
         """The ground instances that no equality literal satisfies, each as its
         relation tests (index, tuple, polarity) and its predicate-variable
-        atoms, without repeats and in order; stops at the first clause with too
-        many instances."""
+        atoms, without repeats and in order."""
         e = self.comp.load(m)
         ground: dict[tuple[tuple, frozenset], None] = {}
-        self.too_large = None
-        for c, first, k, lits in self.clauses:
-            if m.size**k > MAX_GROUND_INSTANCES:
-                self.too_large = f"too many ground instances of {c}"
-                break
+        for _, first, k, lits in self.clauses:
             for vals in itertools.product(range(m.size), repeat=k):
                 e[first : first + k] = vals
                 tests, atoms = [], []
@@ -645,9 +613,6 @@ class _Soqe:
         self.solved = {}
 
     def holds(self, m: FiniteModel) -> bool:
-        for x, k in self.xars.items():
-            if m.size**k > 9:
-                raise EnumerationTooLarge(f"{x}/{k} over domain size {m.size}")
         if self.ground_for != (m.size, m.funcs):
             self._ground(m)
             self.ground_for = (m.size, m.funcs)
@@ -661,8 +626,6 @@ class _Soqe:
                 if not atoms:
                     return False
                 cnf.append(atoms)
-        if self.too_large is not None:
-            raise EnumerationTooLarge(self.too_large)
         key = tuple(cnf)
         got = self.solved.get(key)
         if got is None:
@@ -997,12 +960,8 @@ def check_witness(
     sig.pvars = {k: None for k in sig.pvars if k[0] not in xars}
     solvable, under_w = _Soqe(n, xars), _compile(FAnd(tuple(goals)))
     checked = evaluated = 0
-    for m, weight in small_models(sig, deadline, notes, solvable.order_matters):
-        try:
-            lhs = solvable.holds(m)
-        except EnumerationTooLarge as e:
-            notes.append(f"soqe enumeration skipped: {e}")
-            break
+    for m, weight in small_models(sig, deadline, notes, solvable.too_large):
+        lhs = solvable.holds(m)
         rhs = under_w(m)
         checked += weight
         evaluated += 1

@@ -144,6 +144,15 @@ def test_check_rejects_a_witness_with_no_binding_for_a_declared_variable(capsys,
     assert err == "error: line 1, col 1: witness has no binding for X\n"
 
 
+def test_check_rejects_a_witness_that_binds_a_variable_twice(capsys, tmp_path):
+    wf = tmp_path / "w.txt"
+    wf.write_text("X := lambda u. (a = ?u)\nX := lambda u. true\n")
+    code, out, err = run(capsys, "check", MAIN, wf)
+    assert code == 3
+    assert out == ""
+    assert err == "error: line 2, col 1: second binding for X\n"
+
+
 def test_check_with_explicit_conclusion(capsys, tmp_path):
     w = tmp_path / "w.txt"
     w.write_text("X := lambda u. false\n")

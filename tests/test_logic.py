@@ -309,6 +309,13 @@ def test_apply_pred_subst_clause():
     assert "B(c)" in text and "a" in text and "c" in text
 
 
+def test_pred_expr_arity_mismatch_prints_its_terms_as_wscan_text():
+    expr = PredExpr(("z",), FAtom("B", (Var("z"),)))
+    with pytest.raises(ValueError) as e:
+        expr.apply((a, App("f", (u,))))
+    assert str(e.value) == "arity mismatch applying lambda z. B(?z) to (a,f(?u))"
+
+
 def test_compose_pred_subst_applies_later_bindings():
     inner = {"X": PredExpr(("z",), FAtom("X", (App("f", (Var("z"),)),), True))}
     outer = {"X": PredExpr(("y",), FAtom("B", (Var("y"),)))}

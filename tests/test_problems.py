@@ -280,6 +280,21 @@ def test_parse_witness_rejects_wrong_arity():
         parse_witness("X := lambda u v. B(u, v)\n", xvars={"X": 1})
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("X := lambda u. (a = ?u)\nX := lambda u. true\n", "line 2, col 1: second binding for X"),
+        ("X := lambda u. true\n  Y := lambda u. true\n",
+         "line 2, col 3: Y is not a predicate variable of the problem"),
+    ],
+    ids=["bound-twice", "undeclared"],
+)
+def test_parse_witness_rejects_a_binding_it_would_drop(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_witness(text, xvars={"X": 1})
+    assert str(e.value) == message
+
+
 def test_parse_witness_nullary():
     w = parse_witness("X := lambda _. false\n", xvars={"X": 0})
     assert pred_expr_str(w["X"]) == "lambda _. false"

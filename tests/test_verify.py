@@ -25,8 +25,10 @@ from wscan.logic import (
     FTrue,
     PredExpr,
     Var,
+    apply_pred_subst_clause,
     clause_to_formula,
     const,
+    simplify,
 )
 from wscan.verify import (
     ClausifyError,
@@ -477,18 +479,18 @@ def test_compiled_evaluator_agrees_with_the_reference_walker():
     assert compared > 10_000
 
 
-# -- the model route stops where the parent's did -----------------------------
+# -- the model route stops at the first size out of its reach ----------------
 
 
 @pytest.mark.parametrize(
     "text, header, checked, note",
     [
-        # X/3 has 27 tuples at size 3, so the first size-3 model stops the route
+        # X/3 has 27 tuples at size 3, so the route stops before size 3
         ("B(a)\nX(a, a, ?u) | ~X(?u, a, a)", "X/3", 10,
          "soqe enumeration skipped: X/3 over domain size 3"),
-        # the 7-variable clause has too many instances at size 3, but the first
-        # four size-3 models falsify B(a) before the route reaches it
-        ("B(a)\nX(?u) | B(?v) | B(?w) | B(?x) | B(?y) | B(?z) | ~B(?s)", "X/1", 14,
+        # the 7-variable clause has too many instances at size 3, so the route
+        # stops before the first size-3 model
+        ("B(a)\nX(?u) | B(?v) | B(?w) | B(?x) | B(?y) | B(?z) | ~B(?s)", "X/1", 10,
          "soqe enumeration skipped: too many ground instances of "
          "~B(?u0) | B(?u1) | B(?u2) | B(?u3) | B(?u4) | B(?u5) | X(?u6)"),
     ],
@@ -640,10 +642,6 @@ def test_models_stand_for_their_orbits_of_constant_vectors():
                 canonical[model_key(m)] = weight
             assert sum(canonical.values()) == model_count(sig, n)
             full = list(ref_models(sig, n))
-            # with full, every model comes in the reference order, each once
-            assert [(model_key(m), weight) for m, weight in models(sig, n, full=True)] == [
-                (model_key(m), 1) for m in full
-            ]
             # the canonical models are the full enumeration's models with a
             # restricted growth string of constants, in the same order ...
             rgs = [model_key(m) for m in full if restricted_growth(constant_vector(m))]
@@ -655,7 +653,7 @@ def test_models_stand_for_their_orbits_of_constant_vectors():
 def full_enumeration(monkeypatch):
     """Make the model route enumerate every model, each with weight 1."""
     monkeypatch.setattr(
-        verify_module, "models", lambda sig, n, full=False: ((m, 1) for m in ref_models(sig, n))
+        verify_module, "models", lambda sig, n: ((m, 1) for m in ref_models(sig, n))
     )
 
 
@@ -714,3 +712,27 @@ def test_find_model_finds_a_model_exactly_when_full_enumeration_does(monkeypatch
             assert _compile(FAnd(tuple(clause_to_formula(c) for c in clauses)))(got)
         outcomes[got is None] += 1
     assert outcomes[True] >= 3 and outcomes[False] >= 3, outcomes
+
+
+def test_the_set_is_solvable_in_every_model_where_the_witness_holds():
+    """If N[W] is true in M, N is solvable in M with X := W's extension.  So a
+    model where N is unsolvable (a ground clause without X-atoms is false)
+    never shows a disagreement, and the model route loses no check when it
+    skips a size before evaluating such models."""
+    rng = random.Random(1717)
+    problems = witness_true = 0
+    for clauses, w in random_small_problems(rng, 40):
+        goals = [simplify(apply_pred_subst_clause(c, w.psub)) for c in clauses]
+        sig = signature_of(clauses, goals)
+        sig.pvars = {}
+        # a witness body may bring in a binary relation
+        if model_count(sig, 3) > 3000:
+            continue
+        problems += 1
+        under_w = _compile(FAnd(tuple(goals)))
+        for n in (1, 2, 3):
+            for m in ref_models(sig, n):
+                if under_w(m):
+                    witness_true += 1
+                    assert soqe_holds(m, clauses, {"X": 1}), (clauses, w, m.describe())
+    assert problems >= 30 and witness_true >= 5000, (problems, witness_true)
