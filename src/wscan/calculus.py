@@ -9,7 +9,7 @@ handles the equality literals of ordinary (non-variable) predicates.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .logic import (
     EQ,
@@ -227,23 +227,44 @@ def resolution_partners(p: PointedClause, c: Clause) -> Iterator[PointedClause]:
             yield pointed(c, i)
 
 
+def memoized(memo: Optional[dict], fn: Callable, *args):
+    """fn(*args), looked up in `memo` under the key (fn, *args) and stored
+    there on a miss; without a memo, just the call.  Only for functions whose
+    result depends on nothing but the values of their arguments: canonical
+    clauses, pointed clauses and literals, which are immutable."""
+    if memo is None:
+        return fn(*args)
+    key = (fn, *args)
+    try:
+        return memo[key]
+    except KeyError:
+        out = memo[key] = fn(*args)
+        return out
+
+
 def resolvent_covers(
-    p: PointedClause, n: frozenset[Clause]
+    p: PointedClause, n: frozenset[Clause], memo: Optional[dict] = None, /
 ) -> Iterator[tuple[Clause, int, Iterator[Clause]]]:
     """For each partner clause in n and literal index that resolves with p:
     the clauses of n that cover the resolvent modulo constraint unfolding
     (with injective matching on the literals like the partner's).  A cover
     iterator reads the current resolvent, so consume it before taking the
-    next one.  No caller needs the `sorted(n, key=str)` order, but it saves work
-    (unsorted: 56,905 subsumption tests for 54,863 in a graph_search pass)."""
+    next one.  Resolvents and cover tests go through `memo` when one is given
+    (see `memoized`).  No caller needs the `sorted(n, key=str)` order, but it
+    makes the enumeration deterministic; through the search memo it no longer
+    saves tests (a traced graph_search pass: 8,976 subsumption tests sorted,
+    8,942 unsorted)."""
     like = p.designated.dual()
     order = sorted(n, key=str)
     for c in order:
         for q in resolution_partners(p, c):
-            r = constraint_resolve(p, q)
-            yield c, q.index, (s for s in order if subsumes_L_velim(s, r, like))
+            r = memoized(memo, constraint_resolve, p, q)
+            yield c, q.index, (s for s in order if memoized(memo, subsumes_L_velim, s, r, like))
 
 
-def is_purified(p: PointedClause, n: frozenset[Clause]) -> bool:
-    """Is every one-step resolvent of p against n covered by a clause of n?"""
-    return all(next(covers, None) is not None for _, _, covers in resolvent_covers(p, n))
+def is_purified(p: PointedClause, n: frozenset[Clause], memo: Optional[dict] = None, /) -> bool:
+    """Is every one-step resolvent of p against n covered by a clause of n?
+    A search passes its memo (see `resolvent_covers`)."""
+    return all(
+        next(covers, None) is not None for _, _, covers in resolvent_covers(p, n, memo)
+    )

@@ -339,9 +339,19 @@ class Clause:
     def size(self) -> int:
         return sum(lit_size(l) for l in self.lits)
 
-    # Subsumption features, computed once per clause object.  A cached
-    # property lives in the instance dict, so equality and hashing (which
-    # read only ``lits``) are unaffected.
+    # Computed once per clause object: the hash, which dict and set lookups
+    # (the search's memo among them) would otherwise take over the whole
+    # term tree each time, and the subsumption features.  A cached property
+    # lives in the instance dict, so equality and hashing (which read only
+    # ``lits``) are unaffected.
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the value the dataclass hash had, so set iteration orders stay
+        return hash((self.lits,))
 
     @cached_property
     def lits_by_kind(self) -> dict[tuple, tuple[int, ...]]:

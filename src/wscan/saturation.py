@@ -9,6 +9,17 @@ them.  Literal positions in traces are 1-based.
 that checks its side conditions on the current state and builds the step.
 Search and replay both build every step through it, and `_State.apply` is the
 only code that changes a state.
+
+Clauses are canonical and never change, so a subsumption test, a
+subsumption test modulo constraint unfolding and the resolvent of two
+pointed clauses depend only on the clause values.  Each `_State` started by
+`search` or `replay` owns one memo of their results (`calculus.memoized`),
+keyed by the function and its argument values, not by clause ids, which
+sibling branches reuse for different clauses.  Every branch cloned from the
+state shares it, so one search decides each question once, and the memo
+goes with the search.  The subsumption pass, the factoring and resolvent
+filters and the purity check read it; a rule function still checks its side
+conditions when it builds a step.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from .calculus import (
     constraint_resolve,
     factor_pairs,
     is_purified,
+    memoized,
     paramodulant,
     resolution_partners,
     variable_eliminate,
@@ -121,6 +133,9 @@ class _State:
     steps: list[Step]
     states: list[frozenset[int]]
     xarity: dict[str, int]
+    # results of pure functions of clause values (see `memoized`), shared by
+    # a state and every branch cloned from it
+    memo: dict
     # search only: the step and time budget that `apply` charges
     limits: Optional[SearchLimits] = None
     deadline: float = 0.0
@@ -132,12 +147,12 @@ class _State:
         table = {i + 1: c for i, c in enumerate(clauses)}
         alive = sorted(table)
         deadline = time.monotonic() + limits.timeout if limits else 0.0
-        return _State(table, alive, [], [frozenset(alive)], xarity, limits, deadline)
+        return _State(table, alive, [], [frozenset(alive)], xarity, {}, limits, deadline)
 
     def clone(self) -> "_State":
         return _State(
             dict(self.clauses), list(self.alive), list(self.steps), list(self.states),
-            self.xarity, self.limits, self.deadline,
+            self.xarity, self.memo, self.limits, self.deadline,
         )
 
     def next_id(self) -> int:
@@ -195,7 +210,7 @@ def _res(st: _State, i1: int, k1: int, i2: int, k2: int) -> Step:
     if not (l1.pvar and l2.pvar):
         raise _Rejected("resolution is on predicate-variable literals")
     try:
-        r = constraint_resolve(pointed(c1, k1), pointed(c2, k2))
+        r = memoized(st.memo, constraint_resolve, pointed(c1, k1), pointed(c2, k2))
     except ValueError as e:
         raise _Rejected(str(e)) from None
     return Step("res", (i1, k1, i2, k2), (), st.next_id(), r)
@@ -259,7 +274,7 @@ def _purdel(st: _State, i: int, k: int) -> Step:
     c = _need(st, i)
     if not _need_lit(c, i, k).pvar:
         raise _Rejected(f"literal {i}.{k + 1} is not a predicate-variable literal")
-    if not is_purified(pointed(c, k), st.alive_clauses(without=i)):
+    if not is_purified(pointed(c, k), st.alive_clauses(without=i), st.memo):
         raise _Rejected(f"{i}.{k + 1} is not purified in the current set")
     return Step("purdel", (i, k), (i,))
 
@@ -374,13 +389,14 @@ def _subsumption_pass(st: _State, protect: frozenset[int] = frozenset()) -> bool
     """Delete clauses subsumed by another live clause, largest first, one at a
     time (mutually subsuming pairs keep the canonically smaller member).  One
     visit per clause suffices: a deletion only shrinks the set of subsumers,
-    so a clause kept once stays kept."""
+    so a clause kept once stays kept.  Each test goes through the memo, and
+    `_subsumed` builds the step of a hit."""
     changed = False
     for i in sorted(set(st.alive) - protect, key=lambda i: (str(st.clauses[i]), i), reverse=True):
+        c = st.clauses[i]
         for j in sorted(st.alive):
-            step = _attempt(_subsumed, st, i, j)
-            if step is not None:
-                st.apply(step)
+            if j != i and memoized(st.memo, subsumes, st.clauses[j], c):
+                st.apply(_subsumed(st, i, j))
                 changed = True
                 break
     return changed
@@ -411,7 +427,7 @@ def _factor_pass(st: _State) -> bool:
     for i in sorted(st.alive):
         for a, b in factor_pairs(st.clauses[i]):
             step = _fac(st, i, a, b)
-            if not any(subsumes(s, step.added) for s in st.alive_clauses()):
+            if not any(memoized(st.memo, subsumes, s, step.added) for s in st.alive_clauses()):
                 st.apply(step)
                 added = True
     return added
@@ -460,7 +476,10 @@ def purify(st: _State, p_id: int, p_idx: int) -> bool:
                 return False
             for cid, k in _partner_positions(st, p, skip=p_id):
                 step = _res(st, p_id, p_idx, cid, k)
-                if any(subsumes_L_velim(s, step.added, like) for s in st.alive_clauses()):
+                if any(
+                    memoized(st.memo, subsumes_L_velim, s, step.added, like)
+                    for s in st.alive_clauses()
+                ):
                     continue
                 st.apply(step)
                 spent += 1

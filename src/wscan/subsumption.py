@@ -22,6 +22,12 @@ fewest candidates in C, the literals of C of their kind, first, and among
 those the literal with the fewest variables not yet bound, so that it
 follows shared variables from one literal to the next.  It binds into one
 substitution and undoes the bindings of a failed candidate from a trail.
+
+``velim_closure`` keeps the unfoldings of each clause it was asked about,
+keyed by the clause, for the life of the process; nothing else here keeps
+an answer.  A derivation search memoizes the answers of ``subsumes`` and
+``subsumes_L_velim``, keyed by the two clause values (and the marked
+literal), for the length of that one search (see the ``saturation`` module).
 """
 
 from __future__ import annotations

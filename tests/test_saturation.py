@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from wscan.problems import merge_theory, parse_problem
+from wscan import saturation
+from wscan.problems import encode_graph, merge_theory, parse_graph, parse_problem
 from wscan.saturation import ReplayError, SearchLimits, replay, search
 
 from conftest import cl, clauses_of
@@ -65,6 +66,33 @@ def test_search_is_deterministic_across_runs():
     t1 = "\n".join(solve(MAIN).trace_lines())
     t2 = "\n".join(solve(MAIN).trace_lines())
     assert t1 == t2
+
+
+def test_search_decides_each_subsumption_once(monkeypatch):
+    """Clauses are immutable, so a search asks `subsumes` about a pair once
+    and reads the answer from its memo after that; the one re-test is the
+    check `_subsumed` makes when it builds the step of a hit.  The memo
+    belongs to one search: a second, identical search starts empty and so
+    makes as many calls."""
+    calls, pairs = [], set()
+    real = saturation.subsumes
+
+    def counted(s, c):
+        calls.append(1)
+        pairs.add((s, c))
+        return real(s, c)
+
+    monkeypatch.setattr(saturation, "subsumes", counted)
+    graph = (CORPUS / "p06_graph3.graph").read_text()
+    prob = merge_theory(encode_graph(parse_graph(graph)))
+    limits = SearchLimits(max_steps=34, max_branches=8, timeout=3600)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert list(search(prob.clauses, prob.xvars, limits)) == []
+        counts.append(len(calls))
+    assert counts[0] <= 2 * len(pairs), (counts, len(pairs))
+    assert counts[1] == counts[0]
 
 
 def test_search_returns_multiple_distinct_derivations():
