@@ -5,15 +5,13 @@ Exit codes for the pipeline commands: 0 solved and verified (or verification
 not requested), 1 verification failed, 2 no derivation within the limits,
 3 input error.  `prove`: 0 proved, 1 disproved, 2 unknown, 3 input error.
 An input error is anything wrong with the command line or the files it names;
-it prints one `error: ...` line.  The WSCAN_TIMEOUT environment variable sets
-the default --timeout.
+it prints one `error: ...` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import fields
@@ -414,10 +412,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
-def build_parser(timeout: float) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     spec = {
         "--max-steps": dict(type=int, default=50),
-        "--timeout": dict(type=float, default=timeout),
+        "--timeout": dict(type=float, default=10.0),
         "--witness-mode": dict(
             choices=["auto", "first-order", "fixpoint", "resolution"], default="auto"
         ),
@@ -468,16 +466,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     """Run one command.  This is the one place that turns bad input into an
     `error: ...` line and exit code 3; `--help` still exits 0."""
     try:
-        raw = os.environ.get("WSCAN_TIMEOUT", "10")
-        try:
-            timeout = float(raw)
-        except ValueError:
-            timeout = 0.0
-        if not timeout > 0:  # also false for nan
-            raise argparse.ArgumentError(
-                None, f"WSCAN_TIMEOUT must be a positive number of seconds, got {raw!r}"
-            )
-        args = build_parser(timeout).parse_args(argv)
+        args = build_parser().parse_args(argv)
         for name in ("max_steps", "timeout", "verify_timeout", "all", "lres_budget", "jobs"):
             value = getattr(args, name, None)  # not every command has every budget
             if value is not None and not value > 0:

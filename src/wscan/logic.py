@@ -341,9 +341,10 @@ class Clause:
 
     # Computed once per clause object: the hash, which dict and set lookups
     # (the search's memo among them) would otherwise take over the whole
-    # term tree each time, and the subsumption features.  A cached property
-    # lives in the instance dict, so equality and hashing (which read only
-    # ``lits``) are unaffected.
+    # term tree each time, the text, which the canonical sort keys read,
+    # and the subsumption features.  A cached property lives in the
+    # instance dict, so equality and hashing (which read only ``lits``) are
+    # unaffected.
 
     def __hash__(self) -> int:
         return self._hash
@@ -379,6 +380,10 @@ class Clause:
         return frozenset(out)
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         if not self.lits:
             return "false"  # the clause grammar reads a line `false` as the empty clause
         return " | ".join(lit_str(l) for l in self.lits)

@@ -1,9 +1,12 @@
 """Derivations over clause sets: the rule table, preprocessing, purification,
 backtracking search, and scripted replay.
 
-A derivation is a sequence of steps, each transforming the current clause set.
-Clauses carry stable integer identifiers assigned at creation; traces reference
-them.  Literal positions in traces are 1-based.
+A derivation is its input clauses and a sequence of steps, each transforming
+the current clause set.  Clauses carry stable integer identifiers: the inputs
+are 1, 2, ... in order, and each added clause takes the next id; traces
+reference them.  Literal positions in traces are 1-based.  A `Derivation`
+stores no intermediate clause set: `Derivation.alive` folds the steps over
+the inputs.
 
 `RULES` is the one place that defines a rule: its trace line, and the function
 that checks its side conditions on the current state and builds the step.
@@ -63,32 +66,36 @@ class Step:
 
 @dataclass(frozen=True)
 class Derivation:
-    """A validated step sequence with its clause table and the intermediate
-    alive sets (states[0] is the initial set, states[i] the set after step i).
-    """
+    """A validated step sequence and the input clauses it starts from."""
 
-    clauses: dict[int, Clause]
-    initial: tuple[int, ...]
+    inputs: tuple[Clause, ...]
     steps: tuple[Step, ...]
-    states: tuple[frozenset[int], ...]
 
-    @property
-    def conclusion_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.states[-1]))
+    def alive(self, n: Optional[int] = None) -> dict[int, Clause]:
+        """The live clauses by id, in id order, after the first n steps (after
+        all of them by default)."""
+        live = dict(enumerate(self.inputs, 1))
+        for s in self.steps[:n]:
+            _advance(live, s)
+        return live
 
     def conclusion(self) -> tuple[Clause, ...]:
-        return tuple(self.clauses[i] for i in self.conclusion_ids)
-
-    def alive_clauses(self, i: int) -> frozenset[Clause]:
-        return frozenset(self.clauses[j] for j in self.states[i])
+        return tuple(self.alive().values())
 
     def eliminating(self) -> bool:
-        return not any(
-            l.pvar for i in self.states[-1] for l in self.clauses[i].lits
-        )
+        return not any(l.pvar for c in self.conclusion() for l in c.lits)
 
     def trace_lines(self) -> list[str]:
         return [trace_line(s) for s in self.steps]
+
+
+def _advance(live: dict[int, Clause], step: Step) -> None:
+    """Apply a step to the live clauses.  A new id is larger than every id
+    before it, so insertion order stays id order."""
+    for i in step.removed:
+        del live[i]
+    if step.added is not None:
+        live[step.new_id] = step.added
 
 
 @dataclass
@@ -128,10 +135,9 @@ class _Rejected(Exception):
 
 @dataclass
 class _State:
-    clauses: dict[int, Clause]
-    alive: list[int]  # sorted ids
+    live: dict[int, Clause]  # in id order
     steps: list[Step]
-    states: list[frozenset[int]]
+    last: int  # the last id used
     xarity: dict[str, int]
     # results of pure functions of clause values (see `memoized`), shared by
     # a state and every branch cloned from it
@@ -144,19 +150,18 @@ class _State:
     def start(
         clauses: Sequence[Clause], xarity: dict[str, int], limits: Optional[SearchLimits] = None
     ) -> "_State":
-        table = {i + 1: c for i, c in enumerate(clauses)}
-        alive = sorted(table)
         deadline = time.monotonic() + limits.timeout if limits else 0.0
-        return _State(table, alive, [], [frozenset(alive)], xarity, {}, limits, deadline)
+        live = dict(enumerate(clauses, 1))
+        return _State(live, [], len(live), xarity, {}, limits, deadline)
 
     def clone(self) -> "_State":
         return _State(
-            dict(self.clauses), list(self.alive), list(self.steps), list(self.states),
+            dict(self.live), list(self.steps), self.last,
             self.xarity, self.memo, self.limits, self.deadline,
         )
 
     def next_id(self) -> int:
-        return max(self.clauses) + 1
+        return self.last + 1
 
     def charge(self) -> None:
         """Raise _Budget when a search state may take no further step."""
@@ -167,24 +172,10 @@ class _State:
 
     def apply(self, step: Step) -> None:
         self.charge()
-        for i in step.removed:
-            self.alive.remove(i)
+        _advance(self.live, step)
         if step.added is not None:
-            self.clauses[step.new_id] = step.added
-            self.alive.append(step.new_id)
+            self.last = step.new_id
         self.steps.append(step)
-        self.states.append(frozenset(self.alive))
-
-    def alive_clauses(self, without: Optional[int] = None) -> frozenset[Clause]:
-        return frozenset(self.clauses[i] for i in self.alive if i != without)
-
-    def freeze(self) -> Derivation:
-        return Derivation(
-            dict(self.clauses),
-            tuple(sorted(self.states[0])),
-            tuple(self.steps),
-            tuple(self.states),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +184,9 @@ class _State:
 
 
 def _need(st: _State, i: int) -> Clause:
-    if i not in st.alive:
+    if i not in st.live:
         raise _Rejected(f"clause {i} is not in the current set")
-    return st.clauses[i]
+    return st.live[i]
 
 
 def _need_lit(c: Clause, i: int, k: int) -> Lit:
@@ -274,7 +265,8 @@ def _purdel(st: _State, i: int, k: int) -> Step:
     c = _need(st, i)
     if not _need_lit(c, i, k).pvar:
         raise _Rejected(f"literal {i}.{k + 1} is not a predicate-variable literal")
-    if not is_purified(pointed(c, k), st.alive_clauses(without=i), st.memo):
+    rest = frozenset(s for j, s in st.live.items() if j != i)
+    if not is_purified(pointed(c, k), rest, st.memo):
         raise _Rejected(f"{i}.{k + 1} is not purified in the current set")
     return Step("purdel", (i, k), (i,))
 
@@ -283,14 +275,11 @@ def _extpurdel(st: _State, x: str, pol: str) -> Step:
     """Delete every live clause mentioning x; each must have an x-literal of
     polarity `pol`."""
     want = pol == "+"
-    ids = tuple(
-        i for i in sorted(st.alive)
-        if any(l.pvar and l.head == x for l in st.clauses[i].lits)
-    )
+    ids = tuple(i for i, c in st.live.items() if any(l.pvar and l.head == x for l in c.lits))
     for i in ids:
-        if not any(l.pvar and l.head == x and l.pos == want for l in st.clauses[i].lits):
+        if not any(l.pvar and l.head == x and l.pos == want for l in st.live[i].lits):
             raise _Rejected(f"clause {i} has no {pol}{x} literal, ExtPurDel does not apply")
-    occurs = (len(l.args) for i in ids for l in st.clauses[i].lits if l.pvar and l.head == x)
+    occurs = (len(l.args) for i in ids for l in st.live[i].lits if l.pvar and l.head == x)
     arity = st.xarity.get(x, next(occurs, None))
     if arity is None:
         raise _Rejected(f"unknown predicate variable {x}")
@@ -377,7 +366,7 @@ def _attempt(rule: Callable[..., Step], st: _State, *args) -> Optional[Step]:
 def _clause_pass(st: _State, rule: Callable[..., Step]) -> bool:
     """Apply a one-clause rule to every live clause it applies to."""
     changed = False
-    for i in sorted(st.alive):
+    for i in list(st.live):
         step = _attempt(rule, st, i)
         if step is not None:
             st.apply(step)
@@ -392,13 +381,14 @@ def _subsumption_pass(st: _State, protect: frozenset[int] = frozenset()) -> bool
     so a clause kept once stays kept.  Each test goes through the memo, and
     `_subsumed` builds the step of a hit."""
     changed = False
-    for i in sorted(set(st.alive) - protect, key=lambda i: (str(st.clauses[i]), i), reverse=True):
-        c = st.clauses[i]
-        for j in sorted(st.alive):
-            if j != i and memoized(st.memo, subsumes, st.clauses[j], c):
-                st.apply(_subsumed(st, i, j))
-                changed = True
-                break
+    for i in sorted(st.live.keys() - protect, key=lambda i: (str(st.live[i]), i), reverse=True):
+        c = st.live[i]
+        j = next(
+            (j for j, s in st.live.items() if j != i and memoized(st.memo, subsumes, s, c)), None
+        )
+        if j is not None:
+            st.apply(_subsumed(st, i, j))
+            changed = True
     return changed
 
 
@@ -424,10 +414,10 @@ def _deletion_fixpoint(st: _State) -> None:
 
 def _factor_pass(st: _State) -> bool:
     added = False
-    for i in sorted(st.alive):
-        for a, b in factor_pairs(st.clauses[i]):
+    for i, c in list(st.live.items()):
+        for a, b in factor_pairs(c):
             step = _fac(st, i, a, b)
-            if not any(memoized(st.memo, subsumes, s, step.added) for s in st.alive_clauses()):
+            if not any(memoized(st.memo, subsumes, s, step.added) for s in st.live.values()):
                 st.apply(step)
                 added = True
     return added
@@ -449,9 +439,9 @@ def preprocess(st: _State) -> None:
 def _partner_positions(st: _State, p: PointedClause, skip: int) -> Iterator[tuple[int, int]]:
     """The (id, literal) positions of the live clauses other than `skip`
     that resolve with p, ids ascending."""
-    for i in sorted(st.alive):
+    for i, c in st.live.items():
         if i != skip:
-            for q in resolution_partners(p, st.clauses[i]):
+            for q in resolution_partners(p, c):
                 yield i, q.index
 
 
@@ -461,7 +451,7 @@ def purify(st: _State, p_id: int, p_idx: int) -> bool:
     unfolding) by the live set, with eager variable elimination and subsumption
     deletion -- but no tautology deletion -- until the pointed clause is
     purified, then delete it.  Returns False when stuck or over budget."""
-    p = pointed(st.clauses[p_id], p_idx)
+    p = pointed(st.live[p_id], p_idx)
     like = p.designated.dual()
     spent = 0
     try:
@@ -476,20 +466,19 @@ def purify(st: _State, p_id: int, p_idx: int) -> bool:
                 return False
             for cid, k in _partner_positions(st, p, skip=p_id):
                 step = _res(st, p_id, p_idx, cid, k)
-                if any(
+                if not any(
                     memoized(st.memo, subsumes_L_velim, s, step.added, like)
-                    for s in st.alive_clauses()
+                    for s in st.live.values()
                 ):
-                    continue
-                st.apply(step)
-                spent += 1
-                velim = _attempt(_varelim, st, step.new_id)
-                if velim is not None:
-                    st.apply(velim)
-                _subsumption_pass(st, protect=frozenset([p_id]))
-                break
+                    break
             else:
                 return False
+            st.apply(step)
+            spent += 1
+            velim = _attempt(_varelim, st, step.new_id)
+            if velim is not None:
+                st.apply(velim)
+            _subsumption_pass(st, protect=frozenset([p_id]))
     except _Budget:
         return False
 
@@ -505,8 +494,7 @@ def _one_sided(c: Clause, idx: int) -> bool:
 
 def _candidates(st: _State) -> list[tuple[int, int]]:
     out = []
-    for i in sorted(st.alive):
-        c = st.clauses[i]
+    for i, c in st.live.items():
         for k, l in enumerate(c.lits):
             if not l.pvar:
                 continue
@@ -528,6 +516,7 @@ def search(
     literals, which their first `purdel` or `res` step names.
     """
     limits = limits or SearchLimits()
+    inputs = tuple(clauses)
     branches = [0]
 
     def rec(st: _State) -> Iterator[Derivation]:
@@ -535,8 +524,8 @@ def search(
             preprocess(st)
         except _Budget:
             return
-        if not any(l.pvar for c in st.alive_clauses() for l in c.lits):
-            yield st.freeze()
+        if not any(l.pvar for c in st.live.values() for l in c.lits):
+            yield Derivation(inputs, tuple(st.steps))
             return
         for (i, k) in _candidates(st):
             if time.monotonic() > st.deadline or branches[0] >= limits.max_branches:
@@ -546,7 +535,7 @@ def search(
             if purify(child, i, k):
                 yield from rec(child)
 
-    yield from rec(_State.start(clauses, xarity, limits))
+    yield from rec(_State.start(inputs, xarity, limits))
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +543,7 @@ def search(
 
 
 def replay(clauses: Sequence[Clause], xarity: dict[str, int], trace: str) -> Derivation:
-    """Execute a trace against an initial clause set, re-validating every side
+    """Execute a trace against the input clauses, re-validating every side
     condition; raises ReplayError on the first invalid step."""
     st = _State.start(clauses, xarity)
     index = -1
@@ -577,4 +566,4 @@ def replay(clauses: Sequence[Clause], xarity: dict[str, int], trace: str) -> Der
         if step.new_id != declared:
             raise ReplayError(index, f"expected new id {step.new_id}, trace says {declared}")
         st.apply(step)
-    return st.freeze()
+    return Derivation(tuple(clauses), tuple(st.steps))

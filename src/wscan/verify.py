@@ -898,9 +898,8 @@ def replay_refutation(steps: Sequence[ProofRec]) -> bool:
 # witness checking
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
-    passed: bool
     # (input clause index, proved/rejected/disproved/unknown/skipped)
     prover: tuple[tuple[int, str], ...]
     models_checked: int  # the models covered: each evaluated one counts its weight
@@ -910,6 +909,11 @@ class CheckReport:
 
     def completed(self) -> int:
         return self.models_checked + sum(1 for _, r in self.prover if r == "proved")
+
+    @property
+    def passed(self) -> bool:
+        """No failure, and at least one model or one proof behind the verdict."""
+        return not self.failures and self.completed() > 0
 
 
 def check_witness(
@@ -974,8 +978,4 @@ def check_witness(
             if sum(1 for s in failures if s.startswith("model disagreement")) >= 5:
                 notes.append("model check stopped after 5 disagreements")
                 break
-    rep = CheckReport(
-        False, tuple(prover_results), checked, evaluated, tuple(failures), tuple(notes)
-    )
-    rep.passed = not failures and rep.completed() > 0
-    return rep
+    return CheckReport(tuple(prover_results), checked, evaluated, tuple(failures), tuple(notes))

@@ -279,9 +279,10 @@ class FirstOrderUnavailable(Exception):
 
 
 def _purdel_pred(
-    d: Derivation, i: int, p: PointedClause, mode: str, k_override: Optional[int], budget: int
+    i: int, p: PointedClause, n: frozenset[Clause], mode: str, k_override: Optional[int], budget: int
 ) -> tuple[PredExpr, str]:
-    n = d.alive_clauses(i + 1)
+    """The predicate for the PurDel at step i, which deletes p's clause and
+    leaves n."""
     if mode in ("first-order", "auto"):
         k = find_acyclic(p, n)
         if k is not None:
@@ -323,8 +324,9 @@ def extract_witness(
             modes.append((i, f"ext {pol}"))
         elif step.rule == "purdel":
             cid, k = step.args
-            p = pointed(d.clauses[cid], k)
-            pe, note = _purdel_pred(d, i, p, mode, k_override, lres_budget)
+            live = d.alive(i)
+            p = pointed(live.pop(cid), k)
+            pe, note = _purdel_pred(i, p, frozenset(live.values()), mode, k_override, lres_budget)
             tau = {p.designated.head: pe}
             modes.append((i, note))
         else:

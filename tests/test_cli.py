@@ -207,18 +207,6 @@ def test_prove_proved(capsys, tmp_path):
     assert "[res" in out or "[velim" in out or "[constrelim" in out
 
 
-@pytest.mark.parametrize("command", ["solve", "prove"])
-def test_invalid_env_timeout_is_an_input_error(capsys, tmp_path, monkeypatch, command):
-    goal = tmp_path / "goal.txt"
-    goal.write_text("B(a)\n")
-    argv = [MAIN] if command == "solve" else [MAIN, goal]
-    monkeypatch.setenv("WSCAN_TIMEOUT", "abc")
-    code, out, err = run(capsys, command, *argv)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: ") and "WSCAN_TIMEOUT" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [

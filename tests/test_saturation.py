@@ -9,7 +9,7 @@ from wscan import saturation
 from wscan.problems import encode_graph, merge_theory, parse_graph, parse_problem
 from wscan.saturation import ReplayError, SearchLimits, replay, search
 
-from conftest import cl, clauses_of
+from conftest import CORPUS_RUNS, cl, clauses_of, corpus_derivation
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "wscan" / "corpus"
 # p06 is not solved by blind search within the default limits
@@ -222,10 +222,21 @@ def test_search_limits_must_be_positive(kw):
 
 def test_derivation_records_alive_sets():
     d = solve(MAIN)
-    initial = d.alive_clauses(0)
-    assert len(initial) == 4
-    final = set(d.conclusion())
-    assert final <= set(d.clauses.values())
+    assert d.alive(0) == dict(enumerate(d.inputs, 1))
+    assert len(d.inputs) == 4
+    assert tuple(d.alive(len(d.steps)).values()) == d.conclusion()
+
+
+@pytest.mark.parametrize("problem,trace", CORPUS_RUNS, ids=lambda x: x or "search")
+def test_alive_sets_agree_with_replay(problem, trace):
+    # the fold of the first i steps is the conclusion of replaying i lines
+    prob, d = corpus_derivation(problem, trace)
+    lines = d.trace_lines()
+    for i in range(len(lines) + 1):
+        again = replay(prob.clauses, prob.xvars, "\n".join(lines[:i]))
+        assert d.alive(i) == again.alive(), (i, lines[:i])
+        assert tuple(d.alive(i).values()) == again.conclusion()
+    assert again == d
 
 
 # one row per trace form: problem, an accepted line and how it prints back,

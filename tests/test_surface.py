@@ -1,12 +1,14 @@
 """Every module-level function and class in `src/wscan` has a caller in `src`,
-and so does every method and property of its classes.
+and so does every method and property of its classes; every field of its
+dataclasses is read in `src`.
 
 A helper that only tests call belongs in `tests/`, and one that nothing calls
-belongs nowhere.  A name counts as used when code outside its own definition
-refers to it; a member counts as used when code outside its own definition
-reads it as an attribute (`x.name`).  Dunder methods are called by Python
-itself and are not checked.  The only other ways to pass are listed below,
-with reasons.
+belongs nowhere; a field that nothing reads is a stored copy nobody needs.  A
+name counts as used when code outside its own definition refers to it; a
+member counts as used when code outside its own definition reads it as an
+attribute (`x.name`), and a field when any code reads it as an attribute.
+Dunder methods are called by Python itself and are not checked.  The only
+other ways to pass are listed below, with reasons.
 """
 
 import ast
@@ -24,6 +26,7 @@ SRC = ROOT / "src" / "wscan"
 ALLOWED = {
     ("cli", "main"): "the console-script entry point",
     ("logic", "formula_str"): "the public formula printer",
+    ("problems", "Problem", "origin"): "set by parse_problem's origin=, which the benchmark passes",
 }
 
 
@@ -90,6 +93,33 @@ def unread_members(src):
     return sorted(key for key, own in members if reads[key[2]] == own)
 
 
+def _fields_and_reads(src):
+    """(module, class, field) for each field of each dataclass, and how often
+    each attribute name is read (`x.name` in a load)."""
+    fields, reads = [], Counter()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads.update(
+            n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        )
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0] == "dataclass" for d in cls.decorator_list
+            ):
+                fields += [
+                    (path.stem, cls.name, item.target.id)
+                    for item in cls.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+    return fields, reads
+
+
+def unread_fields(src):
+    """(module, class, field) for each dataclass field that no code reads."""
+    fields, reads = _fields_and_reads(src)
+    return sorted(f for f in fields if not reads[f[2]] and f not in ALLOWED)
+
+
 def _copy_of_src_with(tmp_path, appended_to_logic):
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
@@ -106,9 +136,14 @@ def test_every_method_and_property_in_src_is_read_in_src():
     assert unread_members(SRC) == []
 
 
+def test_every_dataclass_field_in_src_is_read_in_src():
+    assert unread_fields(SRC) == []
+
+
 def test_every_allowed_name_still_exists():
     defined, _ = _definitions_and_references(SRC)
-    assert set(ALLOWED) <= defined
+    fields, _ = _fields_and_reads(SRC)
+    assert set(ALLOWED) <= defined | set(fields)
     assert _benchmark_targets() <= defined
 
 
@@ -127,3 +162,12 @@ def test_an_unread_method_or_property_is_caught(tmp_path, decorator):
     src = _copy_of_src_with(tmp_path, planted)
     assert unreferenced(src) == []
     assert unread_members(src) == [("logic", "_Host", "orphan")]
+
+
+def test_an_unread_dataclass_field_is_caught(tmp_path):
+    # the class has a caller and no method, so only the field rule can catch it
+    planted = "\n\n@dataclass\nclass _Host:\n    orphan: int = 0\n\n\nHOST = _Host()\n"
+    src = _copy_of_src_with(tmp_path, planted)
+    assert unreferenced(src) == []
+    assert unread_members(src) == []
+    assert unread_fields(src) == [("logic", "_Host", "orphan")]

@@ -369,8 +369,9 @@ def gfp_certificate_breaks(d):
     for i, step in enumerate(d.steps):
         if step.rule != "purdel":
             continue
-        p = PointedClause(d.clauses[step.args[0]], step.args[1])
-        k = find_acyclic(p, d.alive_clauses(i + 1))
+        live = d.alive(i)
+        p = PointedClause(live.pop(step.args[0]), step.args[1])
+        k = find_acyclic(p, frozenset(live.values()))
         if k is None:
             continue
         neg = p.designated.pos
