@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 EQ = "="
 
@@ -137,9 +137,14 @@ def mgu(pairs: Iterable[tuple[Term, Term]]) -> Optional[dict[str, Term]]:
 _counter = itertools.count()
 
 
-def fresh_name(prefix: str) -> str:
-    """Globally fresh name with the given prefix (``v``, ``c``, ``sk``, ``Y``...)."""
-    return f"{prefix}{next(_counter)}"
+def fresh_name(
+    prefix: str, avoid: Container[str] = (), counter: Optional[Iterator[int]] = None
+) -> str:
+    """A name with the given prefix (``v``, ``c``, ``Y``...) and the next
+    number of counter, which defaults to the one global counter (so the name
+    is globally fresh); names in avoid are skipped."""
+    numbers = _counter if counter is None else counter
+    return next(n for n in (f"{prefix}{k}" for k in numbers) if n not in avoid)
 
 
 # ---------------------------------------------------------------------------

@@ -90,53 +90,63 @@ def _within_cap(count: int) -> None:
 
 
 def _cnf(
-    f: Formula, pos: bool, env: Mapping[str, Term], univ: tuple[str, ...]
+    f: Formula,
+    pos: bool,
+    env: Mapping[str, Term],
+    univ: tuple[str, ...],
+    fresh: Callable[[str], str],
 ) -> list[tuple[Lit, ...]]:
     """The clauses of f (of ~f unless pos) in one pass: negation moves inward,
     `->` and `<->` expand as `~a | b` and `(a & b) | (~a & ~b)`, a universal
     becomes a fresh `q` variable and an existential a fresh `sk` term over
-    the universals in scope (univ); env maps bound variables to these."""
+    the universals in scope (univ); env maps bound variables to these, and
+    fresh names them."""
     if isinstance(f, (FTrue, FFalse)):
         return [] if isinstance(f, FTrue) == pos else [()]
     if isinstance(f, FAtom):
         return [(Lit(pos, f.head, tuple(subst_term(t, env) for t in f.args), f.pvar),)]
     if isinstance(f, FNot):
-        return _cnf(f.sub, not pos, env, univ)
+        return _cnf(f.sub, not pos, env, univ, fresh)
     if isinstance(f, FImp):
-        return _cnf(FOr((FNot(f.lhs), f.rhs)), pos, env, univ)
+        return _cnf(FOr((FNot(f.lhs), f.rhs)), pos, env, univ, fresh)
     if isinstance(f, FIff):
         a, b = f.lhs, f.rhs
-        return _cnf(FOr((FAnd((a, b)), FAnd((FNot(a), FNot(b))))), pos, env, univ)
+        return _cnf(FOr((FAnd((a, b)), FAnd((FNot(a), FNot(b))))), pos, env, univ, fresh)
     if isinstance(f, (FAll, FEx)):
         if isinstance(f, FAll) == pos:
-            v = fresh_name("q")
-            return _cnf(f.sub, pos, {**env, f.var: Var(v)}, univ + (v,))
-        sk = App(fresh_name("sk"), tuple(Var(v) for v in univ))
-        return _cnf(f.sub, pos, {**env, f.var: sk}, univ)
+            v = fresh("q")
+            return _cnf(f.sub, pos, {**env, f.var: Var(v)}, univ + (v,), fresh)
+        sk = App(fresh("sk"), tuple(Var(v) for v in univ))
+        return _cnf(f.sub, pos, {**env, f.var: sk}, univ, fresh)
     if isinstance(f, (FAnd, FOr)):
         if isinstance(f, FAnd) == pos:
             out = []
             for s in f.subs:
-                out.extend(_cnf(s, pos, env, univ))
+                out.extend(_cnf(s, pos, env, univ, fresh))
                 _within_cap(len(out))
             return out
         acc: list[tuple[Lit, ...]] = [()]
         for s in f.subs:
-            cnf = _cnf(s, pos, env, univ)
+            cnf = _cnf(s, pos, env, univ, fresh)
             _within_cap(len(acc) * len(cnf))
             acc = [a + b for a in acc for b in cnf]
         return acc
     raise TypeError(f)
 
 
-def clausify(f: Formula) -> list[Clause]:
+def clausify(f: Formula, avoid: Iterable[str] = ()) -> list[Clause]:
     """The clausal form of f, built in one pass by `_cnf`: Skolemization of
-    existentials (fresh `sk%d` symbols) and distribution to CNF.
+    existentials and distribution to CNF.  Skolem symbols are `sk0`, `sk1`,
+    ... in order, skipping the names in avoid and the function symbols and
+    free variables of f, so they depend on nothing but the input.
     Equisatisfiable in general, equivalent for Skolem-free inputs; gfp
     constructors are rejected."""
     if formula_has_gfp(f):
         raise ClausifyError("gfp formulas have no clausal form")
-    return [Clause.make(ls) for ls in _cnf(f, True, {}, ())]
+    taken = {*avoid, *(name for name, _ in signature_of(formulas=[f]).funcs), *formula_free_vars(f)}
+    counter = itertools.count()
+    fresh = lambda prefix: fresh_name(prefix, taken, counter)
+    return [Clause.make(ls) for ls in _cnf(f, True, {}, (), fresh)]
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +742,7 @@ class _Prover:
         self.passive: list[tuple[int, int]] = []  # (size, id)
         self.dead: set[int] = set()
         self.seen: set[Clause] = set()
+        self.units: dict[Lit, int] = {}  # ground unit literal -> id of its clause
         self.empty_id: Optional[int] = None
         for c in clauses:
             self._admit(c, "input", (), ())
@@ -761,6 +772,8 @@ class _Prover:
             return
         if is_tautology(c) or has_reflexive_equation(c) or c in self.seen:
             return
+        if self._unit_deleted(cid, c):
+            return
         if any(
             _redundant(a, c) for i, a in self.active if i not in self.dead
         ):
@@ -770,6 +783,21 @@ class _Prover:
             if i not in self.dead and _redundant(c, a):
                 self.dead.add(i)
         heapq.heappush(self.passive, (c.size, cid))
+        if len(c.lits) == 1 and not c.vars:
+            self.units[c.lits[0]] = cid
+
+    def _unit_deleted(self, cid: int, c: Clause) -> bool:
+        """Unit deletion: if a queued ground unit refutes a literal of c,
+        admit their resolvent instead of c.  Its constraints are reflexive,
+        so it becomes c without that literal, which deletes c by one-way
+        subsumption as `_redundant` would."""
+        for i, l in enumerate(c.lits):
+            uid = self.units.get(l.dual())
+            if uid is not None and uid not in self.dead:
+                unit = pointed(self.recs[uid].clause, 0)
+                self._admit(constraint_resolve(pointed(c, i), unit), "res", (cid, uid), (i, 0))
+                return True
+        return False
 
     def _spend(self) -> bool:
         self.inferences += 1
@@ -781,6 +809,8 @@ class _Prover:
                 return None
             _, gid = heapq.heappop(self.passive)
             g = self.recs[gid].clause
+            if self._unit_deleted(gid, g):
+                continue
             if any(i not in self.dead and _redundant(a, g) for i, a in self.active):
                 continue
             self.active.append((gid, g))
@@ -849,7 +879,8 @@ def prove(
     carries a countermodel found by finite-model search; Unknown reports the
     exhausted budget."""
     deadline = time.monotonic() + timeout
-    neg = clausify(FNot(goal)) if goal is not None else []
+    symbols = (name for c in premises for name, _ in c.fn_symbols)
+    neg = clausify(FNot(goal), symbols) if goal is not None else []
     try:
         got = _Prover(list(premises) + neg, deadline).run()
     except RecursionError:  # pathological nesting; treat as budget

@@ -80,6 +80,14 @@ def _lit_subst_consts(l: Lit, m: dict[str, Term]) -> Lit:
     return Lit(l.pos, l.head, tuple(subst_consts(a, m) for a in l.args), l.pvar)
 
 
+def _handles(p: PointedClause) -> tuple[str, ...]:
+    """Fresh handle constants for the arguments of p's designated literal.
+    `to_pred_expr` abstracts every occurrence of a handle, so none may share
+    its name with a function symbol of p's clause."""
+    taken = {name for name, _ in p.clause.fn_symbols}
+    return tuple(fresh_name("c", taken) for _ in p.designated.args)
+
+
 def _start_lit(p: PointedClause, consts: tuple[str, ...]) -> Lit:
     d = p.designated
     return Lit(not d.pos, d.head, tuple(App(c, ()) for c in consts), pvar=True)
@@ -113,7 +121,7 @@ def lres(p: PointedClause, budget: int = 512) -> ClausePredicate:
     subsumption test of the reduction, so the work before a refusal does not
     grow with the closure.  Raises LresBudgetExceeded when the closure does
     not stabilize within it."""
-    consts = tuple(fresh_name("c") for _ in p.designated.args)
+    consts = _handles(p)
     start = Clause.make([_start_lit(p, consts)])
     # a list, not a set: the tests run in insertion order, so the work spent
     # does not depend on how clauses hash
@@ -190,7 +198,7 @@ def b_k(p: PointedClause, k: int) -> ClausePredicate:
     """The k-th iterate: b_0 is the empty (false) clause, and each further
     level resolves the designated literal away once more, branching over the
     previous level at every recursion slot."""
-    consts = tuple(fresh_name("c") for _ in p.designated.args)
+    consts = _handles(p)
     level: set[Clause] = {Clause.make([])}
     if k == 0:
         return ClausePredicate(consts, frozenset(level))

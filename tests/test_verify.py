@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+import wscan.logic as logic_module
 import wscan.verify as verify_module
 from wscan.logic import (
     App,
@@ -23,12 +24,15 @@ from wscan.logic import (
     FNot,
     FOr,
     FTrue,
+    Lit,
     PredExpr,
     Var,
     apply_pred_subst_clause,
     clause_to_formula,
     const,
+    lit_to_formula,
     simplify,
+    subst_term,
 )
 from wscan.verify import (
     ClausifyError,
@@ -36,6 +40,7 @@ from wscan.verify import (
     FiniteModel,
     ProofRec,
     Proved,
+    Rejected,
     Signature,
     Unknown,
     _compile,
@@ -54,7 +59,15 @@ from wscan.verify import (
 )
 from wscan.witness import Witness
 
-from conftest import cl, clauses_of, random_clause, ref_models
+from conftest import (
+    cl,
+    clauses_of,
+    corpus_derivation,
+    random_clause,
+    random_lit,
+    ref_eval_formula,
+    ref_models,
+)
 
 a, b, c = const("a"), const("b"), const("c")
 u, v = Var("u"), Var("v")
@@ -736,3 +749,133 @@ def test_the_set_is_solvable_in_every_model_where_the_witness_holds():
                     witness_true += 1
                     assert soqe_holds(m, clauses, {"X": 1}), (clauses, w, m.describe())
     assert problems >= 30 and witness_true >= 5000, (problems, witness_true)
+
+
+# -- Skolem constants are named per prove call -----------------------------------
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_skolem_constants_are_named_apart_from_the_input(n, monkeypatch):
+    # the negated goal's Skolem constant must not be the premise's sk<n>,
+    # whatever the global name counter holds
+    monkeypatch.setattr(logic_module, "_counter", itertools.count(n))
+    premise = Clause.make([Lit(True, "B", (const(f"sk{n}"),))])
+    r = prove([premise], FAll("x", B(Var("x"))))
+    assert isinstance(r, Disproved)
+
+
+def test_a_proof_does_not_depend_on_the_global_name_counter(monkeypatch):
+    # two Skolem constants, whose names would sort differently as sk9/sk10
+    # than as sk0/sk1
+    premises = clauses_of("~C(?u, ?v) | C(?v, ?u)")
+    goal = FAll("x", FAll("y", FImp(FAtom("C", (Var("x"), Var("y"))),
+                                    FAtom("C", (Var("y"), Var("x"))))))
+    proofs = set()
+    for start in (0, 9, 99, 999):
+        monkeypatch.setattr(logic_module, "_counter", itertools.count(start))
+        r = prove(premises, goal)
+        assert isinstance(r, Proved)
+        proofs.add(tuple((s.rule, s.premises, s.data, str(s.clause)) for s in r.steps))
+    assert len(proofs) == 1
+
+
+# -- unit deletion ----------------------------------------------------------------
+
+
+def test_a_literal_refuted_by_a_ground_unit_is_resolved_away_on_arrival():
+    _, d = corpus_derivation("p06_graph3", "p06_graph3")
+    conclusion = d.conclusion()
+    assert cl("~E(a1, a1)") in conclusion
+    prover = _Prover(list(conclusion) + [cl("E(a1, a1)")], time.monotonic() + 5.0)
+    # refuted while the inputs are admitted, before any clause is selected
+    assert prover.empty_id is not None and not prover.active
+    proof = prover.run()
+    assert proof is not None and replay_refutation(proof.steps)
+    assert [s.rule for s in proof.steps] == ["input", "input", "res", "constrelim"]
+
+
+UNIT_DELETION = "~C(a)\nB(a) | C(a)\n~B(?u)"
+
+
+def test_a_proof_through_a_unit_deletion_replays():
+    prover = _Prover(clauses_of(UNIT_DELETION), time.monotonic() + 5.0)
+    # B(a) | C(a) (id 2) loses C(a) to the unit ~C(a) (id 1) on arrival
+    assert [r.rule for r in prover.recs.values()] == ["input", "input", "res", "constrelim", "input"]
+    r = prover.run()
+    assert r is not None and replay_refutation(r.steps)
+    by_id = {s.id: s for s in r.steps}
+    step = next(s for s in r.steps if s.rule == "res" and s.premises == (2, 1))
+    assert step.data[1] == 0 and by_id[2].clause.lits[step.data[0]] == cl("C(a)").lits[0]
+    after = r.steps[r.steps.index(step) + 1]
+    assert after.rule == "constrelim" and after.premises == (step.id,)
+    assert after.clause == cl("B(a)")
+
+
+def test_a_tampered_unit_deletion_is_rejected(monkeypatch):
+    tamper_proofs(monkeypatch)  # replaces the clause of the deletion, the first inference
+    assert isinstance(prove(clauses_of(UNIT_DELETION)), Rejected)
+
+
+def test_a_non_ground_unit_deletes_nothing():
+    prover = _Prover(clauses_of("~B(?u)\nB(a) | B(b)"), time.monotonic() + 5.0)
+    assert prover.units == {}
+    assert {r.rule for r in prover.recs.values()} == {"input"}
+    proof = prover.run()
+    assert proof is not None and replay_refutation(proof.steps)
+    assert prover.active  # found by ordinary resolution of selected clauses
+
+
+# -- the prover against the finite-model oracle ------------------------------------
+
+
+ORACLE_MAX_MODELS = 3000
+
+
+def oracle_models(premises, formulas):
+    """The models of the premises of sizes 1-3 over the signature of the
+    premises and the formulas, by `ref_models` and `ref_eval_formula`; a
+    size with more than ORACLE_MAX_MODELS interpretations is left out."""
+    sig = signature_of(premises, formulas)
+    fs = [clause_to_formula(c) for c in premises]
+    for n in (1, 2, 3):
+        if model_count(sig, n) <= ORACLE_MAX_MODELS:
+            for m in ref_models(sig, n):
+                if all(ref_eval_formula(m, f) for f in fs):
+                    yield m
+
+
+def test_the_prover_is_sound_against_the_finite_model_oracle(monkeypatch):
+    """Random premises with random goals, goals that weaken a premise, and
+    planted wrong goals: a ground literal false in a model of the premises.
+    No `proved` goal may have a countermodel, and no planted goal may be
+    `proved`.  A work bound keeps the verdicts independent of the machine."""
+    monkeypatch.setattr(verify_module, "MAX_INFERENCES", 100)
+    outcomes = Counter()
+    for seed in range(200):
+        rng = random.Random(seed)
+        premises = [random_clause(rng, 3) for _ in range(rng.randrange(1, 4))]
+        kind = ("random", "negated", "weakened", "planted")[seed % 4]
+        if kind == "random":
+            goal = clause_to_formula(random_clause(rng, 2))
+        elif kind == "negated":
+            goal = FNot(clause_to_formula(random_clause(rng, 2)))
+        elif kind == "weakened":
+            c = rng.choice(premises)
+            goal = clause_to_formula(Clause.make(c.lits + (random_lit(rng),)))
+        else:
+            l = random_lit(rng)
+            l = dataclasses.replace(l, args=tuple(subst_term(t, {v: a for v in "uvw"}) for t in l.args))
+            m = next(oracle_models(premises, [lit_to_formula(l)]), None)
+            if m is None:  # no small model of the premises to plant against
+                continue
+            goal = lit_to_formula(l.dual() if ref_eval_formula(m, lit_to_formula(l)) else l)
+        r = prove(premises, goal, timeout=10.0)
+        assert not isinstance(r, Rejected), (seed, r)
+        if isinstance(r, Proved):
+            assert kind != "planted", (seed, premises, goal)
+            bad = next((m for m in oracle_models(premises, [goal])
+                        if not ref_eval_formula(m, goal)), None)
+            assert bad is None, (seed, premises, goal, bad.describe())
+        outcomes[kind, isinstance(r, Proved)] += 1
+    assert outcomes["weakened", True] >= 40 and outcomes["planted", False] >= 40, outcomes
+    assert outcomes["random", True] + outcomes["negated", True] >= 5, outcomes

@@ -412,3 +412,16 @@ def test_gfp_predicate_and_certificate_on_random_derivations(n):
     d = next(iter(search(clauses, {"X": 1}, SearchLimits(max_steps=20))), None)
     if d is not None:
         assert gfp_certificate_breaks(d) == []
+
+
+@pytest.mark.parametrize("mode", ["first-order", "resolution"])
+def test_handle_constants_are_named_apart_from_the_deleted_clause(mode, monkeypatch):
+    # the deleted clause X(c5) has a constant that a handle constant c<n>
+    # could be named after; the handles are abstracted to the witness's
+    # parameters, so a shared name turned X(c5) into X := true
+    clauses = clauses_of("B(c5, ?v)\nX(c5)\nB(?u, ?v) | ~X(?u) | X(?v)\n~X(c)")
+    d = replay(clauses, {"X": 1}, "res 2.1 4.1 -> 5\npurdel 2.1\nextpurdel X -")
+    for start in range(9):
+        monkeypatch.setattr(logic, "_counter", itertools.count(start))
+        w = extract_witness(d, mode)
+        assert check_witness(clauses, {"X": 1}, d.conclusion(), w, timeout=20.0).passed, start
