@@ -279,23 +279,9 @@ def cmd_prove(args) -> int:
     goal = parse_formula(Path(args.goal).read_text(), prob.xvars)
     got = prove(prob.clauses, goal, timeout=args.timeout)
     if isinstance(got, Proved):
-        lines = ["proved"]
-        for r in got.steps:
-            src = r.rule if r.rule == "input" else f"{r.rule} {' '.join(map(str, r.premises))}"
-            lines.append(f"{r.id}. {r.clause}  [{src}]")
-        blob = {
-            "result": "proved",
-            "steps": [
-                {
-                    "id": r.id,
-                    "rule": r.rule,
-                    "premises": list(r.premises),
-                    "clause": to_json(r.clause),
-                }
-                for r in got.steps
-            ],
-        }
-        _emit(args, lines, blob)
+        inputs, trace = [str(c) for c in got.proof.inputs], got.proof.trace_lines()
+        lines = ["proved"] + [f"{i}. {c}" for i, c in enumerate(inputs, 1)] + trace
+        _emit(args, lines, {"result": "proved", "inputs": inputs, "trace": trace})
         return 0
     if isinstance(got, Rejected):
         note = "the prover's refutation does not replay through the calculus"

@@ -1,5 +1,5 @@
 """Derivations over clause sets: the rule table, preprocessing, purification,
-backtracking search, and scripted replay.
+backtracking search, and the replay of traces and prover refutations.
 
 A derivation is its input clauses and a sequence of steps, each transforming
 the current clause set.  Clauses carry stable integer identifiers: the inputs
@@ -10,8 +10,10 @@ the inputs.
 
 `RULES` is the one place that defines a rule: its trace line, and the function
 that checks its side conditions on the current state and builds the step.
-Search and replay both build every step through it, and `_State.apply` is the
-only code that changes a state.
+Search, trace replay and proof replay build every step through it, and
+`_State.apply` is the only code that changes a state.  A prover refutation is
+a `Derivation` whose steps also record their clauses; `replay_proof` lifts
+the predicate-variable side conditions of resolution and factoring.
 
 Clauses are canonical and never change, so a subsumption test, a
 subsumption test modulo constraint unfolding and the resolvent of two
@@ -29,8 +31,8 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .calculus import (
     constraint_eliminate,
@@ -145,6 +147,8 @@ class _State:
     # search only: the step and time budget that `apply` charges
     limits: Optional[SearchLimits] = None
     deadline: float = 0.0
+    # proof replay only: resolution and factoring take any literals
+    any_literal: bool = False
 
     @staticmethod
     def start(
@@ -155,10 +159,7 @@ class _State:
         return _State(live, [], len(live), xarity, {}, limits, deadline)
 
     def clone(self) -> "_State":
-        return _State(
-            dict(self.live), list(self.steps), self.last,
-            self.xarity, self.memo, self.limits, self.deadline,
-        )
+        return replace(self, live=dict(self.live), steps=list(self.steps))
 
     def next_id(self) -> int:
         return self.last + 1
@@ -198,7 +199,7 @@ def _need_lit(c: Clause, i: int, k: int) -> Lit:
 def _res(st: _State, i1: int, k1: int, i2: int, k2: int) -> Step:
     c1, c2 = _need(st, i1), _need(st, i2)
     l1, l2 = _need_lit(c1, i1, k1), _need_lit(c2, i2, k2)
-    if not (l1.pvar and l2.pvar):
+    if not (l1.pvar and l2.pvar or st.any_literal):
         raise _Rejected("resolution is on predicate-variable literals")
     try:
         r = memoized(st.memo, constraint_resolve, pointed(c1, k1), pointed(c2, k2))
@@ -209,7 +210,8 @@ def _res(st: _State, i1: int, k1: int, i2: int, k2: int) -> Step:
 
 def _fac(st: _State, i: int, a: int, b: int) -> Step:
     c = _need(st, i)
-    _need_lit(c, i, a), _need_lit(c, i, b)
+    if not (_need_lit(c, i, a).pvar and _need_lit(c, i, b).pvar or st.any_literal):
+        raise _Rejected("factoring is on predicate-variable literals")
     try:
         f = constraint_factor(c, a, b)
     except ValueError as e:
@@ -217,11 +219,14 @@ def _fac(st: _State, i: int, a: int, b: int) -> Step:
     return Step("fac", (i, a, b), (), st.next_id(), f)
 
 
-def _constrelim(st: _State, i: int) -> Step:
-    r = constraint_eliminate(_need(st, i))
+def _constrelim(st: _State, i: int, sel: Optional[tuple[int, ...]]) -> Step:
+    c = _need(st, i)
+    for k in sel or ():
+        _need_lit(c, i, k)
+    r = constraint_eliminate(c, sel)
     if r is None:
         raise _Rejected(f"no eliminable constraint block in clause {i}")
-    return Step("constrelim", (i,), (), st.next_id(), r)
+    return Step("constrelim", (i, sel), (), st.next_id(), r)
 
 
 def _parmod(
@@ -287,8 +292,9 @@ def _extpurdel(st: _State, x: str, pol: str) -> Step:
 
 
 # trace slots: (pattern, parse, print).  `i` is a clause id, `n` the new id,
-# `l` a literal position and `p` a literal position followed by an argument
-# path -- positions are 1-based in a trace line and 0-based in a Step
+# `l` a literal position, `p` a literal position followed by an argument
+# path and `k` an optional selection of literal positions, each after a dot
+# -- positions are 1-based in a trace line and 0-based in a Step
 _SLOTS: dict[str, tuple[str, Callable, Callable]] = {
     "i": (r"(\d+)", int, str),
     "n": (r"(\d+)", int, str),
@@ -298,6 +304,8 @@ _SLOTS: dict[str, tuple[str, Callable, Callable]] = {
         lambda s: tuple(int(x) - 1 for x in s.split(".")),
         lambda p: ".".join(str(x + 1) for x in p),
     ),
+    "k": (r"((?:\.\d+)*)", lambda s: tuple(int(x) - 1 for x in s[1:].split(".")) if s else None,
+          lambda k: "".join(f".{x + 1}" for x in k or ())),
     "o": (r"(?::(lr|rl))?", lambda s: s, lambda o: f":{o}" if o else ""),
     "x": (r"(\w+)", str, str),
     "s": (r"([+-])", str, str),
@@ -306,12 +314,14 @@ _SLOTS: dict[str, tuple[str, Callable, Callable]] = {
 
 class Rule:
     """One trace form: a line template whose `{slot}` fields are the rule's
-    arguments in order (`{n}` is the new id), and the rule function."""
+    arguments in order (`{n}` is the new id), and the rule function.
+    `premises` are the positions of the arguments that are clause ids."""
 
     def __init__(self, template: str, fn: Callable[..., Step]):
         parts = re.split(r"\{(\w)\}", template)
         self.text, self.slots = parts[0::2], parts[1::2]
         self.fn = fn
+        self.premises = tuple(k for k, s in enumerate(s for s in self.slots if s != "n") if s == "i")
         self.pattern = re.compile(
             re.escape(self.text[0])
             + "".join(_SLOTS[s][0] + re.escape(t) for s, t in zip(self.slots, self.text[1:]))
@@ -337,7 +347,7 @@ class Rule:
 RULES: dict[str, Rule] = {
     "res": Rule("res {i}.{l} {i}.{l} -> {n}", _res),
     "fac": Rule("fac {i}.{l}.{l} -> {n}", _fac),
-    "constrelim": Rule("constrelim {i} -> {n}", _constrelim),
+    "constrelim": Rule("constrelim {i}{k} -> {n}", _constrelim),
     "parmod": Rule("parmod {i}.{l}{o} {i}@{p} -> {n}", _parmod),
     "varelim": Rule("varelim {i} -> {n}", _varelim),
     "tautology": Rule("redel {i} tautology", _tautology),
@@ -413,9 +423,13 @@ def _deletion_fixpoint(st: _State) -> None:
 
 
 def _factor_pass(st: _State) -> bool:
+    """Add every factor on predicate-variable literals that no live clause
+    subsumes."""
     added = False
     for i, c in list(st.live.items()):
         for a, b in factor_pairs(c):
+            if not c.lits[a].pvar:
+                continue
             step = _fac(st, i, a, b)
             if not any(memoized(st.memo, subsumes, s, step.added) for s in st.live.values()):
                 st.apply(step)
@@ -542,28 +556,49 @@ def search(
 # replay
 
 
-def replay(clauses: Sequence[Clause], xarity: dict[str, int], trace: str) -> Derivation:
-    """Execute a trace against the input clauses, re-validating every side
-    condition; raises ReplayError on the first invalid step."""
-    st = _State.start(clauses, xarity)
-    index = -1
-    for raw in trace.splitlines():
-        raw = raw.strip()
+def _trace_steps(trace: str) -> Iterator[Step]:
+    """The steps a trace declares: rule, arguments and new id, no clause."""
+    lines = (raw.strip() for raw in trace.splitlines())
+    for index, raw in enumerate(raw for raw in lines if raw.split("#", 1)[0]):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        index += 1
-        for rule in RULES.values():
+        for name, rule in RULES.items():
             if (parsed := rule.parse(line)) is not None:
+                yield Step(name, parsed[0], (), parsed[1])
                 break
         else:
             raise ReplayError(index, f"cannot parse trace line {raw!r}")
-        args, declared = parsed
+
+
+def _rebuild(st: _State, declared: Iterable[Step]) -> Derivation:
+    """Build each declared step through `RULES` on `st`, with its declared
+    new id and, where one is declared, its clause; raises ReplayError on the
+    first step that fails."""
+    inputs = tuple(st.live.values())
+    for index, claim in enumerate(declared):
+        if claim.rule not in RULES:
+            raise ReplayError(index, f"unknown rule {claim.rule!r}")
         try:
-            step = rule.fn(st, *args)
+            step = RULES[claim.rule].fn(st, *claim.args)
         except _Rejected as e:
             raise ReplayError(index, str(e)) from None
-        if step.new_id != declared:
-            raise ReplayError(index, f"expected new id {step.new_id}, trace says {declared}")
+        if step.new_id != claim.new_id:
+            raise ReplayError(index, f"expected new id {step.new_id}, trace says {claim.new_id}")
+        if claim.added is not None and step.added != claim.added:
+            raise ReplayError(index, f"the step derives {step.added}, not {claim.added}")
         st.apply(step)
-    return Derivation(tuple(clauses), tuple(st.steps))
+    return Derivation(inputs, tuple(st.steps))
+
+
+def replay(clauses: Sequence[Clause], xarity: dict[str, int], trace: str) -> Derivation:
+    """Execute a trace against the input clauses, re-validating every side
+    condition; raises ReplayError on the first invalid step."""
+    return _rebuild(_State.start(clauses, xarity), _trace_steps(trace))
+
+
+def replay_proof(proof: Derivation) -> Derivation:
+    """Rebuild a prover refutation, with resolution and factoring on any
+    literals; raises ReplayError unless it ends with the empty clause."""
+    d = _rebuild(replace(_State.start(proof.inputs, {}), any_literal=True), proof.steps)
+    if Clause() not in d.conclusion():
+        raise ReplayError(len(proof.steps), "the proof does not derive the empty clause")
+    return d

@@ -6,6 +6,8 @@ The prover is deliberately plain -- given-clause, smallest first (the
 passive clauses are a heap on size), plain subsumption -- which is enough for
 the desk-scale goals produced by witness checking.  It takes resolution
 partners and factor pairs from `calculus` and tries each inference site once.
+A refutation is a `Derivation` in trace syntax, and it counts only once
+`saturation.replay_proof` has rebuilt it through `RULES`.
 The finite-model evaluator is the independent oracle: it knows nothing about
 the calculus.  It compiles each formula once into closures over variable
 slots, grounds a clause set once per assignment of function tables, and
@@ -29,7 +31,6 @@ from .calculus import (
     constraint_factor,
     constraint_resolve,
     factor_pairs,
-    paramodulant,
     resolution_partners,
     variable_eliminate,
 )
@@ -65,6 +66,7 @@ from .logic import (
     simplify,
     subst_term,
 )
+from .saturation import RULES, Derivation, ReplayError, Step, replay_proof
 from .subsumption import has_reflexive_equation, is_tautology, subsumes
 from .witness import Witness
 
@@ -688,24 +690,15 @@ def _dpll(clauses: list[frozenset], assign: dict) -> bool:
 
 
 @dataclass(frozen=True)
-class ProofRec:
-    rule: str  # 'input' | 'res' | 'fac' | 'parmod' | 'constrelim' | 'velim'
-    premises: tuple[int, ...]
-    data: tuple
-    id: int
-    clause: Clause
-
-
-@dataclass(frozen=True)
 class Proved:
-    steps: tuple[ProofRec, ...]
+    proof: Derivation  # as replayed through `RULES`
 
 
 @dataclass(frozen=True)
 class Rejected:
-    """A refutation that does not replay through the calculus."""
+    """A refutation that does not replay through `RULES`."""
 
-    steps: tuple[ProofRec, ...]
+    proof: Derivation
 
 
 @dataclass(frozen=True)
@@ -736,7 +729,8 @@ class _Prover:
     def __init__(self, clauses: Sequence[Clause], deadline: float):
         self.deadline = deadline
         self.inferences = 0
-        self.recs: dict[int, ProofRec] = {}
+        # id -> (rule, args in trace order, clause); inputs have rule "input"
+        self.recs: dict[int, tuple[str, tuple, Clause]] = {}
         self.next_id = 1
         self.active: list[tuple[int, Clause]] = []
         self.passive: list[tuple[int, int]] = []  # (size, id)
@@ -745,28 +739,26 @@ class _Prover:
         self.units: dict[Lit, int] = {}  # ground unit literal -> id of its clause
         self.empty_id: Optional[int] = None
         for c in clauses:
-            self._admit(c, "input", (), ())
+            self._admit(c, "input", ())
 
-    def _admit(self, c: Clause, rule: str, premises: tuple[int, ...], data: tuple) -> None:
+    def _admit(self, c: Clause, rule: str, args: tuple) -> None:
         if self.empty_id is not None:
             return
         cid = self.next_id
         self.next_id += 1
-        self.recs[cid] = ProofRec(rule, premises, data, cid, c)
+        self.recs[cid] = (rule, args, c)
         c2, applied = variable_eliminate(c)
         if applied:
-            self._admit(c2, "velim", (cid,), ())
+            self._admit(c2, "varelim", (cid,))
             return
         # a constraint t != t is a false literal; dropping it is a trivial
         # constraint elimination and keeps factors from degenerating
         refl = tuple(
             i for i, l in enumerate(c.lits) if l.is_constraint and l.args[0] == l.args[1]
         )
-        if refl:
-            dropped = constraint_eliminate(c, refl)
-            if dropped is not None:
-                self._admit(dropped, "constrelim", (cid,), (refl,))
-                return
+        if refl:  # reflexive constraints always unify
+            self._admit(constraint_eliminate(c, refl), "constrelim", (cid, refl))
+            return
         if not c.lits:
             self.empty_id = cid
             return
@@ -794,8 +786,8 @@ class _Prover:
         for i, l in enumerate(c.lits):
             uid = self.units.get(l.dual())
             if uid is not None and uid not in self.dead:
-                unit = pointed(self.recs[uid].clause, 0)
-                self._admit(constraint_resolve(pointed(c, i), unit), "res", (cid, uid), (i, 0))
+                unit = pointed(self.recs[uid][2], 0)
+                self._admit(constraint_resolve(pointed(c, i), unit), "res", (cid, i, uid, 0))
                 return True
         return False
 
@@ -803,12 +795,12 @@ class _Prover:
         self.inferences += 1
         return self.inferences <= MAX_INFERENCES and time.monotonic() <= self.deadline
 
-    def run(self) -> Optional[Proved]:
+    def run(self) -> Optional[Derivation]:
         while self.passive and self.empty_id is None:
             if time.monotonic() > self.deadline or self.inferences > MAX_INFERENCES:
                 return None
             _, gid = heapq.heappop(self.passive)
-            g = self.recs[gid].clause
+            g = self.recs[gid][2]
             if self._unit_deleted(gid, g):
                 continue
             if any(i not in self.dead and _redundant(a, g) for i, a in self.active):
@@ -818,12 +810,23 @@ class _Prover:
         if self.empty_id is None:
             return None
         # premises have smaller ids than their conclusions, so one pass down
-        # the ids collects the ancestry of the empty clause
+        # the ids collects the ancestry of the empty clause; it is renumbered
+        # inputs first, which keeps every premise before its conclusion
         need = {self.empty_id}
         for i in range(self.empty_id, 0, -1):
-            if i in need:
-                need.update(self.recs[i].premises)
-        return Proved(tuple(self.recs[i] for i in sorted(need)))
+            rule, args, _ = self.recs[i]
+            if i in need and rule != "input":
+                need.update(args[k] for k in RULES[rule].premises)
+        order = sorted(need, key=lambda i: (self.recs[i][0] != "input", i))
+        new = {old: k for k, old in enumerate(order, 1)}
+        inputs = tuple(self.recs[i][2] for i in order if self.recs[i][0] == "input")
+        steps = []
+        for i in order[len(inputs) :]:
+            rule, args, c = self.recs[i]
+            ids = RULES[rule].premises
+            args = tuple(new[a] if k in ids else a for k, a in enumerate(args))
+            steps.append(Step(rule, args, (), new[i], c))
+        return Derivation(inputs, tuple(steps))
 
     def _generate(self, gid: int, g: Clause) -> None:
         """Every inference between g and an active clause, each site once:
@@ -841,24 +844,24 @@ class _Prover:
                 for q in resolution_partners(p, hr):
                     if not self._spend():
                         return
-                    self._admit(constraint_resolve(p, q), "res", (gid, hid), (i, q.index))
+                    self._admit(constraint_resolve(p, q), "res", (gid, i, hid, q.index))
             sides = ((g, gid, h, hid), (h, hid, g, gid))
             for c1, c1id, c2, c2id in sides[: 1 if hid == gid else 2]:
                 for r, ei, orient, li, path in all_paramodulants(c1, c2):
                     if not self._spend():
                         return
-                    self._admit(r, "parmod", (c1id, c2id), (ei, orient, li, path))
+                    self._admit(r, "parmod", (c1id, ei, orient, c2id, (li,) + path))
         # unary rules on the given clause
         for i, j in factor_pairs(g):
             if not self._spend():
                 return
-            self._admit(constraint_factor(g, i, j), "fac", (gid,), (i, j))
+            self._admit(constraint_factor(g, i, j), "fac", (gid, i, j))
         for sel in [None] + [(i,) for i, l in enumerate(g.lits) if l.is_constraint]:
             r = constraint_eliminate(g, sel)
             if r is not None:
                 if not self._spend():
                     return
-                self._admit(r, "constrelim", (gid,), (sel,))
+                self._admit(r, "constrelim", (gid, sel))
 
 
 def find_model(clauses: Sequence[Clause], deadline: float = float("inf")) -> Optional[FiniteModel]:
@@ -875,7 +878,7 @@ def prove(
     timeout: float = 5.0,
 ) -> ProverResult:
     """Refute premises + the negated goal.  Proved carries a refutation that
-    replays through the calculus, Rejected one that does not; Disproved
+    replays through `RULES`, Rejected one that does not; Disproved
     carries a countermodel found by finite-model search; Unknown reports the
     exhausted budget."""
     deadline = time.monotonic() + timeout
@@ -886,43 +889,14 @@ def prove(
     except RecursionError:  # pathological nesting; treat as budget
         got = None
     if got is not None:
-        return got if replay_refutation(got.steps) else Rejected(got.steps)
+        try:
+            return Proved(replay_proof(got))
+        except ReplayError:
+            return Rejected(got)
     m = find_model(list(premises) + neg, deadline=deadline + 2.0)
     if m is not None:
         return Disproved(m)
     return Unknown("saturation budget exhausted without refutation or countermodel")
-
-
-# each prover rule's conclusion, rebuilt by the calculus from the premise
-# clauses followed by the step's data
-_REBUILD = {
-    "velim": lambda c: variable_eliminate(c)[0],
-    "res": lambda c1, c2, i, j: constraint_resolve(pointed(c1, i), pointed(c2, j)),
-    "fac": constraint_factor,
-    "constrelim": constraint_eliminate,
-    "parmod": lambda c1, c2, ei, orient, li, path: paramodulant(c1, ei, orient, c2, li, path),
-}
-
-
-def replay_refutation(steps: Sequence[ProofRec]) -> bool:
-    """Re-derive every non-input step with the calculus rules and compare the
-    recorded conclusions.  Ids must increase, every premise must name an
-    earlier step and the last step must derive the empty clause; a step that
-    names an unknown rule or carries data the rule rejects fails the replay."""
-    ids = [r.id for r in steps]
-    if not steps or steps[-1].clause.lits or ids != sorted(set(ids)):
-        return False
-    table: dict[int, Clause] = {}
-    for r in steps:
-        if r.rule != "input":
-            try:
-                got = _REBUILD[r.rule](*(table[i] for i in r.premises), *r.data)
-            except (KeyError, IndexError, TypeError, ValueError):
-                return False
-            if got != r.clause:
-                return False
-        table[r.id] = r.clause
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from wscan.logic import (
     subst_lit,
 )
 from wscan.problems import merge_theory, parse_problem
-from wscan.saturation import replay, search
+from wscan.saturation import RULES, Derivation, ReplayError, Step, replay, replay_proof, search
 from wscan.subsumption import subsumes
 from wscan.verify import FiniteModel
 from wscan.witness import Witness
@@ -71,6 +71,27 @@ def corpus_derivation(problem, trace):
     if trace is None:
         return prob, next(search(prob.clauses, prob.xvars))
     return prob, replay(prob.clauses, prob.xvars, (CORPUS / f"{trace}.trace").read_text())
+
+
+def replays(proof):
+    """Whether a prover refutation replays through `RULES`."""
+    try:
+        replay_proof(proof)
+    except ReplayError:
+        return False
+    return True
+
+
+def proof_of_lines(inputs, lines):
+    """The refutation of the input clauses that the trace lines declare,
+    each line parsed by the one `RULES` rule that matches it."""
+    steps = []
+    for line in lines:
+        ((name, (args, new_id)),) = [
+            (name, got) for name, rule in RULES.items() if (got := rule.parse(line)) is not None
+        ]
+        steps.append(Step(name, args, (), new_id))
+    return Derivation(tuple(inputs), tuple(steps))
 
 
 def problem(text):

@@ -203,8 +203,17 @@ def test_prove_proved(capsys, tmp_path):
     goal.write_text("C(a, a)\n")
     code, out, _ = run(capsys, "prove", prem, goal)
     assert code == 0
-    assert "proved" in out.lower()
-    assert "[res" in out or "[velim" in out or "[constrelim" in out
+    # the input clauses of the refutation, then its trace
+    assert out.splitlines() == [
+        "proved",
+        "1. B(a)",
+        "2. ~B(?u0) | C(?u0,?u0)",
+        "3. ~C(a,a)",
+        "res 2.1 1.1 -> 4",
+        "varelim 4 -> 5",
+        "res 5.1 3.1 -> 6",
+        "constrelim 6.1 -> 7",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -256,6 +265,30 @@ def test_a_flag_the_witness_mode_ignores_is_an_input_error(capsys, command, flag
     if flag == "--lres-budget":
         code, _, err = run(capsys, *command, flag, "3")
         assert (code, err) == (3, f"error: {flag} does not apply to --witness-mode auto\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_the_trace_prove_prints_replays_to_the_empty_clause(capsys, tmp_path, fmt):
+    from conftest import cl, proof_of_lines, replays
+
+    prem = tmp_path / "p.wscan"
+    prem.write_text("B(a)\n~B(?u) | C(?u, f(?u))\n")
+    goal = tmp_path / "goal.txt"
+    goal.write_text("forall u. (B(u) -> exists v. C(u, v))\n")
+    code, out, _ = run(capsys, "prove", prem, goal, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["result"] == "proved"
+        inputs, trace = doc["inputs"], doc["trace"]
+    else:
+        head, *lines = out.splitlines()
+        assert head == "proved"
+        numbered = [line.split(". ", 1) for line in lines if line[0].isdigit()]
+        assert [int(i) for i, _ in numbered] == list(range(1, len(numbered) + 1))
+        inputs, trace = [c for _, c in numbered], lines[len(numbered):]
+    # proof_of_lines requires each line to parse with exactly one rule
+    assert replays(proof_of_lines([cl(c) for c in inputs], trace))
 
 
 def test_prove_disproved_shows_countermodel(capsys, tmp_path):
@@ -380,6 +413,9 @@ BAD_INPUTS = {
     "deep-term": ("solve", "deep.wscan"),
     "deep-goal": ("prove", "premises.wscan", "deep_goal.txt"),
     "deep-witness": ("check", MAIN, "deep_witness.txt"),
+    # a constrelim selection names 1-based literals of the clause
+    "constrelim-position-0": ("replay", "x.wscan", "constrelim_0.trace"),
+    "constrelim-past-the-clause": ("replay", "x.wscan", "constrelim_9.trace"),
 }
 
 
@@ -393,6 +429,9 @@ def test_bad_input_exits_three_with_one_error_line(capsys, tmp_path, monkeypatch
     (tmp_path / "deep.wscan").write_text(f"exists X/1.\nX(a)\n~X(?u) | B({_deep_term(3000)})\n")
     (tmp_path / "deep_goal.txt").write_text("~" * 3000 + "B(a)\n")
     (tmp_path / "deep_witness.txt").write_text(f"X := lambda u. B({_deep_term(3000)})\n")
+    (tmp_path / "x.wscan").write_text("exists X/1.\nX(a)\n~X(b)\n")
+    for k in "09":
+        (tmp_path / f"constrelim_{k}.trace").write_text(f"res 1.1 2.1 -> 3\nconstrelim 3.{k} -> 4\n")
     code, out, err = run(capsys, *BAD_INPUTS[case])
     assert code == 3
     assert out == ""

@@ -214,6 +214,26 @@ def test_purdel_blocked_when_only_cover_is_a_tautology():
         replay(clauses, {"X": 1}, f"purdel 5.{neg + 1}")
 
 
+# the Geach axiom G(3,3,3,3), <>^3 []^3 p -> []^3 <>^3 p, negated at a world
+# a and Skolemized: R-chains a, b1, b2, b3 and a, c1, c2, c3, with P true at
+# every world three R-steps past b3 and false at every world three past c3
+GEACH_3333 = (
+    "R(a, b1)\nR(b1, b2)\nR(b2, b3)\n~R(b3, ?y1) | ~R(?y1, ?y2) | ~R(?y2, ?y3) | P(?y3)\n"
+    "R(a, c1)\nR(c1, c2)\nR(c2, c3)\n~R(c3, ?z1) | ~R(?z1, ?z2) | ~R(?z2, ?z3) | ~P(?z3)"
+)
+
+
+def test_search_factors_only_predicate_variable_literals():
+    # factoring the R literals spent the step budget before P was eliminated
+    d = solve(GEACH_3333, header="P/1")
+    assert d is not None and "fac" not in {s.rule for s in d.steps}
+    # the chains and the frame condition: no world is three R-steps past
+    # both b3 and c3; no factor of it, whose constraints would read b3 != c3
+    condition = "~R(b3, ?y1) | ~R(?y1, ?y2) | ~R(?y2, ?w) | ~R(c3, ?z1) | ~R(?z1, ?z2) | ~R(?z2, ?w)"
+    chains = [line for line in GEACH_3333.splitlines() if "|" not in line]
+    assert set(d.conclusion()) == {cl(c, "P/1") for c in chains + [condition]}
+
+
 @pytest.mark.parametrize("kw", [{"timeout": 0.0}, {"timeout": float("nan")}, {"max_steps": 0}])
 def test_search_limits_must_be_positive(kw):
     with pytest.raises(ValueError):
@@ -269,10 +289,29 @@ PARMOD_POSITION_0 = ("parmod", "a = b\nB(a)", "parmod 1.1 2@1.1 -> 3", "parmod 1
                      "parmod 1.1 2@1.0 -> 3", "paramodulation path positions start at 1")
 
 
+# search and trace replay factor only predicate-variable literals
+FAC_ORDINARY = ("fac", "X(?u) | X(a)\nB(?v) | B(b)", "fac 1.1.2 -> 3", None,
+                "fac 2.1.2 -> 3", "factoring is on predicate-variable literals")
+
+# a selection of constraints (1-based), as the prover's proofs carry it; a
+# position 0 or past the clause names no literal
+SELECTED = "f(?u) != f(a) | g(?u) != g(b) | X(?u)\n~X(b)"
+CONSTRELIM_SELECTION = [
+    ("constrelim", SELECTED, "constrelim 1.2 -> 3", None,
+     "constrelim 1.0 -> 3", "clause 1 has no literal 0"),
+    ("constrelim", SELECTED, "constrelim 1.1 -> 3", None,
+     "constrelim 1.4 -> 3", "clause 1 has no literal 4"),
+]
+
+EXTRA_ROWS = [PARMOD_POSITION_0, FAC_ORDINARY] + CONSTRELIM_SELECTION
+
+
 @pytest.mark.parametrize(
     "rule,text,good,printed,bad,reason",
-    RULE_ROWS + [PARMOD_POSITION_0],
-    ids=[r[0] for r in RULE_ROWS] + ["parmod-position-0"],
+    RULE_ROWS + EXTRA_ROWS,
+    ids=[r[0] for r in RULE_ROWS]
+    + ["parmod-position-0", "fac-ordinary-literals", "constrelim-position-0",
+       "constrelim-past-the-clause"],
 )
 def test_replay_rule_row(rule, text, good, printed, bad, reason):
     clauses = clauses_of(text)

@@ -38,7 +38,6 @@ from wscan.verify import (
     ClausifyError,
     Disproved,
     FiniteModel,
-    ProofRec,
     Proved,
     Rejected,
     Signature,
@@ -53,20 +52,22 @@ from wscan.verify import (
     model_count,
     models,
     prove,
-    replay_refutation,
     signature_of,
     soqe_holds,
 )
-from wscan.witness import Witness
+from wscan.saturation import RULES, Derivation, ReplayError, Step, replay_proof, trace_line
+from wscan.witness import Witness, extract_witness
 
 from conftest import (
     cl,
     clauses_of,
     corpus_derivation,
+    proof_of_lines,
     random_clause,
     random_lit,
     ref_eval_formula,
     ref_models,
+    replays,
 )
 
 a, b, c = const("a"), const("b"), const("c")
@@ -215,19 +216,19 @@ def test_soqe_holds_random_agreement():
 def test_prover_refutes_propositional_pair():
     r = prove(clauses_of("B(a)\n~B(a)"))
     assert isinstance(r, Proved)
-    assert replay_refutation(r.steps)
+    assert replays(r.proof)
 
 
 def test_prover_refutes_with_unification_gap():
     r = prove(clauses_of("B(a)\n~B(?u)"))
     assert isinstance(r, Proved)
-    assert replay_refutation(r.steps)
+    assert replays(r.proof)
 
 
 def test_prover_refutes_through_equality():
     r = prove(clauses_of("a = b\nB(a)\n~B(b)"))
     assert isinstance(r, Proved)
-    assert replay_refutation(r.steps)
+    assert replays(r.proof)
 
 
 def test_prover_factors_before_resolving():
@@ -235,7 +236,7 @@ def test_prover_factors_before_resolving():
     # clauses forever
     r = prove(clauses_of("B(?u) | B(?v)\n~B(?u) | ~B(?v)"))
     assert isinstance(r, Proved)
-    assert replay_refutation(r.steps)
+    assert replays(r.proof)
 
 
 def test_prover_proves_goal_from_premises():
@@ -260,8 +261,9 @@ def test_prover_eliminates_the_constraint_of_a_resolvent():
     # resolving B(f(?u)) with ~B(f(a)) leaves only the constraint f(?u) != f(a)
     r = prove(clauses_of("B(f(?u))"), goal=B(App("f", (a,))))
     assert isinstance(r, Proved)
-    assert [s.rule for s in r.steps] == ["input", "input", "res", "constrelim"]
-    assert replay_refutation(r.steps)
+    assert len(r.proof.inputs) == 2
+    assert r.proof.trace_lines() == ["res 2.1 1.1 -> 3", "constrelim 3 -> 4"]
+    assert replays(r.proof)
 
 
 def test_prover_unknown_without_refutation_or_finite_model():
@@ -278,10 +280,9 @@ def test_prover_unknown_without_refutation_or_finite_model():
 def test_proof_steps_replay_and_respect_lineage():
     r = prove(clauses_of("B(a)\n~B(?u) | C(?u, ?u)\n~C(a, a)"))
     assert isinstance(r, Proved)
-    ids = {s.id for s in r.steps}
-    for s in r.steps:
-        assert all(p in ids for p in s.premises)
-    assert r.steps[-1].clause == Clause.make([])
+    for s in r.proof.steps:
+        assert all(s.args[k] < s.new_id for k in RULES[s.rule].premises)
+    assert r.proof.steps[-1].added == Clause.make([])
 
 
 def test_find_model_smallest_first():
@@ -372,29 +373,53 @@ def test_model_check_notes_a_timeout_before_the_first_size():
 
 @pytest.mark.parametrize(
     "changes",
-    [{"clause": cl("B(a)")}, {"data": (0, "rl", 0, (0,))}, {"rule": "superpose"}],
+    [{"added": cl("B(a)")}, {"args": (1, 0, "rl", 2, (0, 0))}, {"rule": "superpose"}],
     ids=["swapped-clause", "changed-data", "unknown-rule"],
 )
 def test_replay_refutation_rejects_a_tampered_step(changes):
     r = prove(clauses_of("a = b\nB(a)\n~B(b)"))
-    assert isinstance(r, Proved) and replay_refutation(r.steps)
+    assert isinstance(r, Proved) and replays(r.proof)
     # the paramodulation step rewrites B(a) to B(b) with a = b, left to right
-    step = next(s for s in r.steps if s.rule == "parmod")
-    assert step.data == (0, "lr", 0, (0,)) and step.clause == cl("B(b)")
-    tampered = [dataclasses.replace(s, **changes) if s is step else s for s in r.steps]
-    assert not replay_refutation(tampered)
+    step = next(s for s in r.proof.steps if s.rule == "parmod")
+    assert trace_line(step) == "parmod 1.1:lr 2@1.1 -> 4" and step.added == cl("B(b)")
+    tampered = [dataclasses.replace(s, **changes) if s is step else s for s in r.proof.steps]
+    with pytest.raises(ReplayError):
+        replay_proof(dataclasses.replace(r.proof, steps=tuple(tampered)))
 
 
 @pytest.mark.parametrize(
-    "steps",
+    "proof",
     [
-        [ProofRec("velim", (1,), (), 1, Clause())],
-        [ProofRec("input", (), (), 1, cl("B(a)"))],
+        Derivation((), (Step("varelim", (1,), (), 1, Clause()),)),
+        Derivation((cl("B(a)"),), ()),
     ],
     ids=["own-premise", "no-empty-clause"],
 )
-def test_replay_refutation_rejects_a_proof_that_proves_nothing(steps):
-    assert not replay_refutation(steps)
+def test_replay_refutation_rejects_a_proof_that_proves_nothing(proof):
+    with pytest.raises(ReplayError):
+        replay_proof(proof)
+
+
+# -- the corpus traces' refutations replay through the rule table ---------------
+
+
+def test_every_refutation_of_the_corpus_traces_replays_through_the_rule_table():
+    """Each goal of each trace's auto witness is proved, and its trace lines
+    alone, without the clauses the prover recorded, replay to the empty
+    clause.  p05_cycle's witness is a gfp, which the prover skips."""
+    goals = 0
+    for problem, trace in [("p01_main", "p01_d1"), ("p01_main", "p01_d2"),
+                           ("p05_cycle", "p05_cycle"), ("p06_graph3", "p06_graph3")]:
+        prob, d = corpus_derivation(problem, trace)
+        w = extract_witness(d)
+        if w.has_gfp():
+            continue
+        for c in prob.clauses:
+            r = prove(d.conclusion(), simplify(apply_pred_subst_clause(c, w.psub)))
+            assert isinstance(r, Proved), (trace, str(c))
+            assert replays(proof_of_lines(r.proof.inputs, r.proof.trace_lines()))
+            goals += 1
+    assert goals == 24
 
 
 # -- the prover tries each inference site once ---------------------------------
@@ -405,10 +430,9 @@ def test_prover_tries_each_site_once():
                      time.monotonic() + 5.0)
     assert prover.run() is not None
     recs = list(prover.recs.values())
-    res = {r.premises for r in recs if r.rule == "res"}
+    res = {(args[0], args[2]) for rule, args, _ in recs if rule == "res"}
     assert res and not any((j, i) in res for i, j in res if i != j)
-    self_parmods = [(r.premises, r.data) for r in recs
-                    if r.rule == "parmod" and r.premises[0] == r.premises[1]]
+    self_parmods = [args for rule, args, _ in recs if rule == "parmod" and args[0] == args[3]]
     assert self_parmods and len(self_parmods) == len(set(self_parmods))
 
 
@@ -536,7 +560,7 @@ def test_prover_pops_its_smallest_passive_clause(monkeypatch):
     prover = _Prover(clauses_of("f(a) = a\nB(f(f(a))) | C(a, a)\n~B(a)\n~C(?u, ?u)"),
                      time.monotonic() + 5.0)
     proof = prover.run()
-    assert proof is not None and replay_refutation(proof.steps)
+    assert proof is not None and replays(proof)
     assert pops and all(pops)
 
 
@@ -544,17 +568,18 @@ def test_prover_pops_its_smallest_passive_clause(monkeypatch):
 
 
 def tamper_proofs(monkeypatch):
-    """Make the prover return its proofs with the clause of their first
-    inference step (or of their last step) replaced."""
+    """Make the prover return its proofs with the clause of their first step
+    (or, in a proof of no step, of their last input) replaced."""
     real_run = _Prover.run
 
     def run(self):
         proof = real_run(self)
         if proof is None:
             return None
-        step = next((s for s in proof.steps if s.rule != "input"), proof.steps[-1])
-        return Proved(tuple(dataclasses.replace(s, clause=cl("B(c)")) if s is step else s
-                            for s in proof.steps))
+        if proof.steps:
+            first = dataclasses.replace(proof.steps[0], added=cl("B(c)"))
+            return dataclasses.replace(proof, steps=(first,) + proof.steps[1:])
+        return dataclasses.replace(proof, inputs=proof.inputs[:-1] + (cl("B(c)"),))
 
     monkeypatch.setattr(_Prover, "run", run)
 
@@ -775,7 +800,8 @@ def test_a_proof_does_not_depend_on_the_global_name_counter(monkeypatch):
         monkeypatch.setattr(logic_module, "_counter", itertools.count(start))
         r = prove(premises, goal)
         assert isinstance(r, Proved)
-        proofs.add(tuple((s.rule, s.premises, s.data, str(s.clause)) for s in r.steps))
+        proofs.add(tuple(map(str, r.proof.inputs))
+                   + tuple(f"{trace_line(s)}: {s.added}" for s in r.proof.steps))
     assert len(proofs) == 1
 
 
@@ -790,8 +816,8 @@ def test_a_literal_refuted_by_a_ground_unit_is_resolved_away_on_arrival():
     # refuted while the inputs are admitted, before any clause is selected
     assert prover.empty_id is not None and not prover.active
     proof = prover.run()
-    assert proof is not None and replay_refutation(proof.steps)
-    assert [s.rule for s in proof.steps] == ["input", "input", "res", "constrelim"]
+    assert proof is not None and replays(proof)
+    assert len(proof.inputs) == 2 and [s.rule for s in proof.steps] == ["res", "constrelim"]
 
 
 UNIT_DELETION = "~C(a)\nB(a) | C(a)\n~B(?u)"
@@ -800,15 +826,15 @@ UNIT_DELETION = "~C(a)\nB(a) | C(a)\n~B(?u)"
 def test_a_proof_through_a_unit_deletion_replays():
     prover = _Prover(clauses_of(UNIT_DELETION), time.monotonic() + 5.0)
     # B(a) | C(a) (id 2) loses C(a) to the unit ~C(a) (id 1) on arrival
-    assert [r.rule for r in prover.recs.values()] == ["input", "input", "res", "constrelim", "input"]
+    assert [rule for rule, _, _ in prover.recs.values()] == ["input", "input", "res", "constrelim", "input"]
     r = prover.run()
-    assert r is not None and replay_refutation(r.steps)
-    by_id = {s.id: s for s in r.steps}
-    step = next(s for s in r.steps if s.rule == "res" and s.premises == (2, 1))
-    assert step.data[1] == 0 and by_id[2].clause.lits[step.data[0]] == cl("C(a)").lits[0]
+    assert r is not None and replays(r)
+    # the proof numbers its inputs 1-3 in order
+    step = next(s for s in r.steps if s.rule == "res" and (s.args[0], s.args[2]) == (2, 1))
+    assert step.args[3] == 0 and r.inputs[1].lits[step.args[1]] == cl("C(a)").lits[0]
     after = r.steps[r.steps.index(step) + 1]
-    assert after.rule == "constrelim" and after.premises == (step.id,)
-    assert after.clause == cl("B(a)")
+    assert after.rule == "constrelim" and after.args[0] == step.new_id
+    assert after.added == cl("B(a)")
 
 
 def test_a_tampered_unit_deletion_is_rejected(monkeypatch):
@@ -819,9 +845,9 @@ def test_a_tampered_unit_deletion_is_rejected(monkeypatch):
 def test_a_non_ground_unit_deletes_nothing():
     prover = _Prover(clauses_of("~B(?u)\nB(a) | B(b)"), time.monotonic() + 5.0)
     assert prover.units == {}
-    assert {r.rule for r in prover.recs.values()} == {"input"}
+    assert {rule for rule, _, _ in prover.recs.values()} == {"input"}
     proof = prover.run()
-    assert proof is not None and replay_refutation(proof.steps)
+    assert proof is not None and replays(proof)
     assert prover.active  # found by ordinary resolution of selected clauses
 
 
