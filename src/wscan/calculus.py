@@ -23,8 +23,9 @@ from .logic import (
     pointed,
     rename_clause_apart,
     subst_lit,
+    velim_candidates,
 )
-from .subsumption import _velim_candidates, subsumes_L_velim
+from .subsumption import subsumes_L_velim
 
 
 def constraint_resolve(p: PointedClause, q: PointedClause) -> Clause:
@@ -115,7 +116,7 @@ def variable_eliminate(c: Clause) -> tuple[Clause, bool]:
     lits = list(c.lits)
     changed = False
     while True:
-        pick = next(_velim_candidates(lits), None)
+        pick = next(velim_candidates(lits), None)
         if pick is None:
             break
         i, v, t = pick

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 EQ = "="
 
@@ -134,17 +134,13 @@ def mgu(pairs: Iterable[tuple[Term, Term]]) -> Optional[dict[str, Term]]:
     return out
 
 
-_counter = itertools.count()
-
-
-def fresh_name(
-    prefix: str, avoid: Container[str] = (), counter: Optional[Iterator[int]] = None
-) -> str:
-    """A name with the given prefix (``v``, ``c``, ``Y``...) and the next
-    number of counter, which defaults to the one global counter (so the name
-    is globally fresh); names in avoid are skipped."""
-    numbers = _counter if counter is None else counter
-    return next(n for n in (f"{prefix}{k}" for k in numbers) if n not in avoid)
+def fresh_name(prefix: str, taken: set[str]) -> str:
+    """The first of ``prefix0``, ``prefix1``, ... that is not in taken, which
+    gains it.  Each caller passes the names its result must avoid, so every
+    name depends on the input alone."""
+    name = next(n for n in (f"{prefix}{k}" for k in itertools.count()) if n not in taken)
+    taken.add(name)
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +204,19 @@ def lit_size(l: Lit) -> int:
     """Number of non-logical symbol occurrences (equality and negation do not
     count; predicate variables do)."""
     return (0 if l.is_eq else 1) + sum(map(_term_size, l.args))
+
+
+def velim_candidates(lits: Sequence[Lit]) -> Iterator[tuple[int, str, Term]]:
+    """Each way to eliminate one constraint  v != t  (v not inside t), as
+    (literal index, v, t), leftmost constraint first."""
+    for i, l in enumerate(lits):
+        if not l.is_constraint:
+            continue
+        a, b = l.args
+        if isinstance(a, Var) and not is_proper_subterm_var(a.name, b):
+            yield i, a.name, b
+        if isinstance(b, Var) and not is_proper_subterm_var(b.name, a):
+            yield i, b.name, a
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +356,9 @@ class Clause:
     # Computed once per clause object: the hash, which dict and set lookups
     # (the search's memo among them) would otherwise take over the whole
     # term tree each time, the text, which the canonical sort keys read,
-    # and the subsumption features.  A cached property lives in the
-    # instance dict, so equality and hashing (which read only ``lits``) are
-    # unaffected.
+    # the subsumption features and the constraint unfoldings.  A cached
+    # property lives in the instance dict, so equality and hashing (which
+    # read only ``lits``) are unaffected, and it goes with the clause.
 
     def __hash__(self) -> int:
         return self._hash
@@ -383,6 +392,24 @@ class Clause:
                 out.add((t.fn, len(t.args)))
                 todo.extend(t.args)
         return frozenset(out)
+
+    @cached_property
+    def unfoldings(self) -> frozenset["Clause"]:
+        """Every clause reachable by eliminating constraints  v != t  one at a
+        time, substituting t for v; each has fewer literals than this one.
+        The set is cut off at a fixed size; that only ever weakens relations
+        built on top of it."""
+        seen: set[Clause] = set()
+        queue = [self]
+        while queue and len(seen) < 255:
+            cur = queue.pop()
+            for i, v, t in velim_candidates(cur.lits):
+                sub = {v: t}
+                nxt = Clause.make(subst_lit(l, sub) for j, l in enumerate(cur.lits) if j != i)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        return frozenset(seen)
 
     def __str__(self) -> str:
         return self._text
@@ -436,18 +463,18 @@ def pointed(clause: Clause, index: int) -> PointedClause:
 
 
 def rename_clause_apart(c: Clause, avoid: Iterable[str]) -> Clause:
-    """Rename the clause's variables away from `avoid` (fresh v%d names).
+    """Rename the clause's variables that occur in `avoid` to ``v0, v1, ...``
+    names in neither `avoid` nor the clause.
 
     Note the result is *not* canonical; it is for building inference premises.
     Returns a plain literal tuple wrapped in Clause without re-canonicalizing.
     """
     taken = set(avoid)
-    ren: dict[str, Term] = {}
-    for v in c.vars:
-        if v in taken:
-            ren[v] = Var(fresh_name("v"))
-    if not ren:
+    clash = [v for v in c.vars if v in taken]
+    if not clash:
         return c
+    taken.update(c.vars)
+    ren = {v: Var(fresh_name("v", taken)) for v in clash}
     return Clause(tuple(subst_lit(l, ren) for l in c.lits))
 
 
@@ -636,6 +663,20 @@ def formula_free_pvars(f: Formula) -> frozenset[str]:
     return free - {f.pvar} if isinstance(f, FGfp) else free
 
 
+def _gfp_params(f: Formula) -> Iterator[str]:
+    if isinstance(f, FGfp):
+        yield from f.params
+    for g in children(f):
+        yield from _gfp_params(g)
+
+
+def _taken_in(body: Formula, s: Subst) -> set[str]:
+    """The names a binder over body may not be renamed to while s is
+    substituted into body: the variables of s's terms, and the free
+    variables and gfp parameters of body."""
+    return {*formula_free_vars(body), *_gfp_params(body), *(v for t in s.values() for v in term_vars(t))}
+
+
 def subst_formula(f: Formula, s: Subst) -> Formula:
     """Capture-avoiding first-order substitution."""
     if not s:
@@ -648,7 +689,7 @@ def subst_formula(f: Formula, s: Subst) -> Formula:
             return f
         var, sub = f.var, f.sub
         if any(occurs_in(var, t) for t in inner.values()):
-            var = fresh_name("v")
+            var = fresh_name("v", _taken_in(sub, inner))
             sub = subst_formula(sub, {f.var: Var(var)})
         return type(f)(var, subst_formula(sub, inner))
     if isinstance(f, FGfp):
@@ -659,7 +700,8 @@ def subst_formula(f: Formula, s: Subst) -> Formula:
         if inner:
             clash = [p for p in params if any(occurs_in(p, t) for t in inner.values())]
             if clash:
-                ren = {p: Var(fresh_name("v")) for p in clash}
+                taken = _taken_in(body, inner) | set(params)
+                ren = {p: Var(fresh_name("v", taken)) for p in clash}
                 body = subst_formula(body, ren)
                 params = tuple(ren[p].name if p in ren else p for p in params)
             body = subst_formula(body, inner)
@@ -836,36 +878,28 @@ def canonical_pred_expr(pe: PredExpr) -> PredExpr:
     """Rename every bound name to a position-determined one (u0, u1, ... for
     first-order binders, Y0, Y1, ... for fixpoint relations).
 
-    Witness construction mints globally fresh names, so two extractions of the
-    same witness would otherwise print differently; output must depend only on
-    the expression's structure."""
-    counter = 0
-    pcounter = 0
-
-    def fresh() -> str:
-        nonlocal counter
-        name = f"u{counter}"
-        counter += 1
-        return name
+    Witness construction takes each bound name from its own per-call supply,
+    so alpha-equivalent expressions may bind different names; the printed
+    form must depend only on the expression's structure."""
+    us = (f"u{k}" for k in itertools.count())
+    ys = (f"Y{k}" for k in itertools.count())
 
     def walk(f: Formula, env: dict, penv: dict) -> Formula:
-        nonlocal pcounter
         if isinstance(f, FAtom):
             head = penv.get(f.head, f.head) if f.pvar else f.head
             return FAtom(head, tuple(subst_term(a, env) for a in f.args), f.pvar)
         if isinstance(f, (FAll, FEx)):
-            new = fresh()
+            new = next(us)
             return type(f)(new, walk(f.sub, {**env, f.var: Var(new)}, penv))
         if isinstance(f, FGfp):
             args = tuple(subst_term(a, env) for a in f.args)
-            newp = f"Y{pcounter}"
-            pcounter += 1
-            newparams = tuple(fresh() for _ in f.params)
+            newp = next(ys)
+            newparams = tuple(next(us) for _ in f.params)
             inner = {**env, **{u: Var(v) for u, v in zip(f.params, newparams)}}
             return FGfp(newp, newparams, walk(f.body, inner, {**penv, f.pvar: newp}), args)
         return map_children(f, lambda g: walk(g, env, penv))
 
-    params = tuple(fresh() for _ in pe.params)
+    params = tuple(next(us) for _ in pe.params)
     return PredExpr(params, walk(pe.body, {u: Var(v) for u, v in zip(pe.params, params)}, {}))
 
 

@@ -158,10 +158,13 @@ class _Parser:
 
 
 class _SigCheck:
-    """Arity and symbol-kind bookkeeping for every symbol a parse meets."""
+    """Arity and symbol-kind bookkeeping for every symbol a parse meets.  In
+    a closed parse (goals and witness bodies) every `?` variable must be
+    bound."""
 
-    def __init__(self, xvars: Mapping[str, int]):
+    def __init__(self, xvars: Mapping[str, int], closed: bool = False):
         self.xvars = dict(xvars)
+        self.closed = closed
         self.funcs: dict[str, int] = {}
         self.preds: dict[str, int] = {}
 
@@ -218,6 +221,8 @@ def _parse_term(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Term:
     t = p.peek()
     if t.kind == "var":
         p.next()
+        if sig.closed and t.text[1:] not in bound:
+            raise ParseError(f"free variable {t.text}: no lambda, quantifier or gfp binds it", t.line, t.col)
         return Var(t.text[1:])
     if t.kind == "ident":
         p.next()
@@ -332,7 +337,7 @@ def _parse_gfp(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> FGfp:
     p.expect("ident", "gfp")
     yname = p.expect("ident").text
     params = _parse_binders(p)
-    inner = _SigCheck({**sig.xvars, yname: len(params)})
+    inner = _SigCheck({**sig.xvars, yname: len(params)}, sig.closed)
     inner.funcs, inner.preds = sig.funcs, sig.preds  # share tables
     with p.nested():
         body = _parse_formula(p, inner, bound + params)
@@ -548,9 +553,9 @@ def encode_graph(g: GraphSpec) -> Problem:
 
 
 def parse_formula(text: str, xvars: Optional[Mapping[str, int]] = None) -> Formula:
-    """A single formula (used for prover goals); `#` comments allowed."""
+    """A single closed formula (used for prover goals); `#` comments allowed."""
     p = _Parser(_tokens(text))
-    sig = _SigCheck(xvars or {})
+    sig = _SigCheck(xvars or {}, closed=True)
     f = _parse_formula(p, sig, ())
     p.accept("sym", ".")
     if not p.at("eof"):
@@ -560,10 +565,11 @@ def parse_formula(text: str, xvars: Optional[Mapping[str, int]] = None) -> Formu
 
 def parse_witness(text: str, xvars: Optional[Mapping[str, int]] = None) -> dict[str, PredExpr]:
     """Witness files:  one `X := lambda u v. <formula>` binding per line
-    (0-ary bodies write `lambda _.`).  A name may be bound once, and, given
-    xvars, only if it is one of them."""
+    (0-ary bodies write `lambda _.`), whose body is closed but for the
+    parameters.  A name may be bound once, and, given xvars, only if it is
+    one of them."""
     out: dict[str, PredExpr] = {}
-    sig = _SigCheck(xvars or {})
+    sig = _SigCheck(xvars or {}, closed=True)
     for ln, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0]
         if not body.strip():

@@ -23,18 +23,18 @@ those the literal with the fewest variables not yet bound, so that it
 follows shared variables from one literal to the next.  It binds into one
 substitution and undoes the bindings of a failed candidate from a trail.
 
-``velim_closure`` keeps the unfoldings of each clause it was asked about,
-keyed by the clause, for the life of the process; nothing else here keeps
-an answer.  A derivation search memoizes the answers of ``subsumes`` and
+Nothing here keeps an answer: a clause computes its own unfoldings once
+(``Clause.unfoldings``) and keeps them for as long as it lives, and a
+derivation search memoizes the answers of ``subsumes`` and
 ``subsumes_L_velim``, keyed by the two clause values (and the marked
 literal), for the length of that one search (see the ``saturation`` module).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .logic import Clause, Lit, Term, Var, is_proper_subterm_var, subst_lit
+from .logic import Clause, Lit, Term, Var
 
 
 def is_tautology(c: Clause) -> bool:
@@ -145,53 +145,7 @@ def subsumes_L(s: Clause, c: Clause, like: Lit) -> bool:
     return _subsumes(s, c, like)
 
 
-# ---------------------------------------------------------------------------
-# constraint unfolding (one-step elimination of  v != t  constraints)
-
-
-def _velim_candidates(lits: Sequence[Lit]) -> Iterator[tuple[int, str, Term]]:
-    """Each way to eliminate one constraint  v != t  (v not inside t), as
-    (literal index, v, t), leftmost constraint first."""
-    for i, l in enumerate(lits):
-        if not l.is_constraint:
-            continue
-        a, b = l.args
-        if isinstance(a, Var) and not is_proper_subterm_var(a.name, b):
-            yield i, a.name, b
-        if isinstance(b, Var) and not is_proper_subterm_var(b.name, a):
-            yield i, b.name, a
-
-
-_CLOSURE_CAP = 256
-
-
-def velim_closure(c: Clause) -> frozenset[Clause]:
-    """All clauses reachable by repeatedly eliminating a disequation constraint,
-    including c itself.  The set is cut off at a fixed size; that only ever
-    weakens relations built on top of it."""
-    cached = _closure_cache.get(c)
-    if cached is not None:
-        return cached
-    seen = {c}
-    queue = [c]
-    while queue and len(seen) < _CLOSURE_CAP:
-        cur = queue.pop()
-        for i, v, t in _velim_candidates(cur.lits):
-            sub = {v: t}
-            nxt = Clause.make(subst_lit(l, sub) for j, l in enumerate(cur.lits) if j != i)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    out = frozenset(seen)
-    _closure_cache[c] = out
-    return out
-
-
-_closure_cache: dict[Clause, frozenset[Clause]] = {}
-
-
 def subsumes_L_velim(s: Clause, c: Clause, like: Lit) -> bool:
-    """S subsumes (injectively on `like`-literals) some constraint unfolding of C."""
-    if subsumes_L(s, c, like):
-        return True
-    return any(s2 is not c and subsumes_L(s, s2, like) for s2 in velim_closure(c))
+    """S subsumes (injectively on `like`-literals) C or some constraint
+    unfolding of C (``Clause.unfoldings``)."""
+    return subsumes_L(s, c, like) or any(subsumes_L(s, u, like) for u in c.unfoldings)

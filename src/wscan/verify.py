@@ -96,40 +96,40 @@ def _cnf(
     pos: bool,
     env: Mapping[str, Term],
     univ: tuple[str, ...],
-    fresh: Callable[[str], str],
+    taken: set[str],
 ) -> list[tuple[Lit, ...]]:
     """The clauses of f (of ~f unless pos) in one pass: negation moves inward,
     `->` and `<->` expand as `~a | b` and `(a & b) | (~a & ~b)`, a universal
     becomes a fresh `q` variable and an existential a fresh `sk` term over
-    the universals in scope (univ); env maps bound variables to these, and
-    fresh names them."""
+    the universals in scope (univ); env maps bound variables to these.  Their
+    names avoid taken, which gains them."""
     if isinstance(f, (FTrue, FFalse)):
         return [] if isinstance(f, FTrue) == pos else [()]
     if isinstance(f, FAtom):
         return [(Lit(pos, f.head, tuple(subst_term(t, env) for t in f.args), f.pvar),)]
     if isinstance(f, FNot):
-        return _cnf(f.sub, not pos, env, univ, fresh)
+        return _cnf(f.sub, not pos, env, univ, taken)
     if isinstance(f, FImp):
-        return _cnf(FOr((FNot(f.lhs), f.rhs)), pos, env, univ, fresh)
+        return _cnf(FOr((FNot(f.lhs), f.rhs)), pos, env, univ, taken)
     if isinstance(f, FIff):
         a, b = f.lhs, f.rhs
-        return _cnf(FOr((FAnd((a, b)), FAnd((FNot(a), FNot(b))))), pos, env, univ, fresh)
+        return _cnf(FOr((FAnd((a, b)), FAnd((FNot(a), FNot(b))))), pos, env, univ, taken)
     if isinstance(f, (FAll, FEx)):
         if isinstance(f, FAll) == pos:
-            v = fresh("q")
-            return _cnf(f.sub, pos, {**env, f.var: Var(v)}, univ + (v,), fresh)
-        sk = App(fresh("sk"), tuple(Var(v) for v in univ))
-        return _cnf(f.sub, pos, {**env, f.var: sk}, univ, fresh)
+            v = fresh_name("q", taken)
+            return _cnf(f.sub, pos, {**env, f.var: Var(v)}, univ + (v,), taken)
+        sk = App(fresh_name("sk", taken), tuple(Var(v) for v in univ))
+        return _cnf(f.sub, pos, {**env, f.var: sk}, univ, taken)
     if isinstance(f, (FAnd, FOr)):
         if isinstance(f, FAnd) == pos:
             out = []
             for s in f.subs:
-                out.extend(_cnf(s, pos, env, univ, fresh))
+                out.extend(_cnf(s, pos, env, univ, taken))
                 _within_cap(len(out))
             return out
         acc: list[tuple[Lit, ...]] = [()]
         for s in f.subs:
-            cnf = _cnf(s, pos, env, univ, fresh)
+            cnf = _cnf(s, pos, env, univ, taken)
             _within_cap(len(acc) * len(cnf))
             acc = [a + b for a in acc for b in cnf]
         return acc
@@ -146,9 +146,7 @@ def clausify(f: Formula, avoid: Iterable[str] = ()) -> list[Clause]:
     if formula_has_gfp(f):
         raise ClausifyError("gfp formulas have no clausal form")
     taken = {*avoid, *(name for name, _ in signature_of(formulas=[f]).funcs), *formula_free_vars(f)}
-    counter = itertools.count()
-    fresh = lambda prefix: fresh_name(prefix, taken, counter)
-    return [Clause.make(ls) for ls in _cnf(f, True, {}, (), fresh)]
+    return [Clause.make(ls) for ls in _cnf(f, True, {}, (), taken)]
 
 
 # ---------------------------------------------------------------------------
@@ -878,22 +876,25 @@ def prove(
     timeout: float = 5.0,
 ) -> ProverResult:
     """Refute premises + the negated goal.  Proved carries a refutation that
-    replays through `RULES`, Rejected one that does not; Disproved
-    carries a countermodel found by finite-model search; Unknown reports the
-    exhausted budget."""
+    starts from those clauses and replays through `RULES`, Rejected one that
+    does not; Disproved carries a countermodel found by finite-model search;
+    Unknown reports the exhausted budget."""
     deadline = time.monotonic() + timeout
     symbols = (name for c in premises for name, _ in c.fn_symbols)
-    neg = clausify(FNot(goal), symbols) if goal is not None else []
+    clauses = list(premises) + (clausify(FNot(goal), symbols) if goal is not None else [])
     try:
-        got = _Prover(list(premises) + neg, deadline).run()
+        got = _Prover(clauses, deadline).run()
     except RecursionError:  # pathological nesting; treat as budget
         got = None
     if got is not None:
-        try:
-            return Proved(replay_proof(got))
-        except ReplayError:
-            return Rejected(got)
-    m = find_model(list(premises) + neg, deadline=deadline + 2.0)
+        # a refutation counts when it starts from the clauses it was given
+        if set(got.inputs) <= set(clauses):
+            try:
+                return Proved(replay_proof(got))
+            except ReplayError:
+                pass
+        return Rejected(got)
+    m = find_model(clauses, deadline=deadline + 2.0)
     if m is not None:
         return Disproved(m)
     return Unknown("saturation budget exhausted without refutation or countermodel")

@@ -64,7 +64,7 @@ class ClausePredicate:
     def to_pred_expr(self, negate: bool = False) -> PredExpr:
         # not `u`: canonical clause variables are u0, u1, ..., and a parameter
         # of that name would be captured by the clause's quantifier
-        params = tuple(fresh_name("w") for _ in self.consts)
+        params = tuple(f"w{k}" for k in range(len(self.consts)))
         m = {c: Var(p) for c, p in zip(self.consts, params)}
         parts = [
             forall(c.vars, for_(*[lit_to_formula(_lit_subst_consts(l, m)) for l in c.lits]))
@@ -171,8 +171,9 @@ def make_alpha(p: PointedClause) -> tuple[str, PredExpr]:
     designated literal, satisfy the rest of the clause, or recurse into Y at
     the positions the clause hands the predicate to."""
     d = p.designated
-    y = fresh_name("Y")
-    params = tuple(fresh_name("w") for _ in d.args)  # not `u`, as in to_pred_expr
+    y = fresh_name("Y", {l.head for l in p.clause.lits if l.pvar})
+    taken = set(p.clause.vars)
+    params = tuple(fresh_name("w", taken) for _ in d.args)
     slots, rest = _slots_and_rest(p)
     disj = (
         [FNot(FAtom(EQ, (Var(u), t))) for u, t in zip(params, d.args)]
@@ -211,16 +212,19 @@ def b_k(p: PointedClause, k: int) -> ClausePredicate:
         choices = sorted(level, key=lambda c: (len(c.lits), str(c)))
         for pick in itertools.product(choices, repeat=len(slots)):
             lits = list(constraints) + list(rest)
+            taken = set(p.clause.vars)
             for slot, r in zip(slots, pick):
-                lits.extend(_instantiate(r, consts, slot.args))
+                lits.extend(_instantiate(r, consts, slot.args, taken))
             c2, _ = variable_eliminate(Clause.make(lits))
             nxt.add(c2)
         level = _reduce(nxt)
     return ClausePredicate(consts, frozenset(level))
 
 
-def _instantiate(r: Clause, consts: tuple[str, ...], args: tuple) -> list[Lit]:
-    ren = {v: Var(fresh_name("z")) for v in r.vars}
+def _instantiate(r: Clause, consts: tuple[str, ...], args: tuple, taken: set[str]) -> list[Lit]:
+    """r with the handles replaced by args and its variables renamed apart
+    from taken, which gains the new names."""
+    ren = {v: Var(fresh_name("z", taken)) for v in r.vars}
     m = dict(zip(consts, args))
     return [_lit_subst_consts(subst_lit(l, ren), m) for l in r.lits]
 
@@ -327,7 +331,7 @@ def extract_witness(
         step = d.steps[i]
         if step.rule == "extpurdel":
             x, pol, arity = step.args
-            params = tuple(fresh_name("v") for _ in range(arity))
+            params = tuple(f"v{k}" for k in range(arity))  # the body is constant
             tau = {x: PredExpr(params, TRUE if pol == "+" else FALSE)}
             modes.append((i, f"ext {pol}"))
         elif step.rule == "purdel":
@@ -343,6 +347,7 @@ def extract_witness(
             x: simplify_pred_expr(pe) for x, pe in compose_pred_subst(tau, sigma).items()
         }
     modes.reverse()
-    # bound names inside the expressions come from a global counter; renaming
-    # them positionally makes repeated extractions print identically
+    # each step names its bound variables apart only from what it must not
+    # meet, so steps reuse names; renaming every binder positionally makes
+    # alpha-equivalent witnesses print identically
     return Witness({x: canonical_pred_expr(pe) for x, pe in sigma.items()}, tuple(modes))

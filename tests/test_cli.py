@@ -416,6 +416,10 @@ BAD_INPUTS = {
     # a constrelim selection names 1-based literals of the clause
     "constrelim-position-0": ("replay", "x.wscan", "constrelim_0.trace"),
     "constrelim-past-the-clause": ("replay", "x.wscan", "constrelim_9.trace"),
+    # goals and witness bodies are closed: a free variable was read
+    # existentially in a goal and crashed the witness check
+    "free-variable-goal": ("prove", "premises.wscan", "free_goal.txt"),
+    "free-variable-witness": ("check", MAIN, "free_witness.txt"),
 }
 
 
@@ -430,6 +434,8 @@ def test_bad_input_exits_three_with_one_error_line(capsys, tmp_path, monkeypatch
     (tmp_path / "deep_goal.txt").write_text("~" * 3000 + "B(a)\n")
     (tmp_path / "deep_witness.txt").write_text(f"X := lambda u. B({_deep_term(3000)})\n")
     (tmp_path / "x.wscan").write_text("exists X/1.\nX(a)\n~X(b)\n")
+    (tmp_path / "free_goal.txt").write_text("B(?x)\n")
+    (tmp_path / "free_witness.txt").write_text("X := lambda y. exists u0. (B(u0, y) /\\ C(?v0))\n")
     for k in "09":
         (tmp_path / f"constrelim_{k}.trace").write_text(f"res 1.1 2.1 -> 3\nconstrelim 3.{k} -> 4\n")
     code, out, err = run(capsys, *BAD_INPUTS[case])

@@ -85,8 +85,11 @@ def test_match_is_one_way():
 
 @given(st.integers(0, 3))
 def test_fresh_vars_are_distinct(n):
-    vs = [Var(fresh_name("v")) for _ in range(n)]
-    assert len(set(vs)) == n
+    # the first names of the prefix that are not taken, each added as it goes
+    taken = {"v1", "w0"}
+    vs = [fresh_name("v", taken) for _ in range(n)]
+    assert vs == ["v0", "v2", "v3"][:n]
+    assert taken == {"v1", "w0", *vs}
 
 
 def test_clause_canonical_order():
@@ -236,6 +239,15 @@ def test_rename_apart_preserves_literal_positions():
     assert "u0" not in names
 
 
+def test_rename_apart_avoids_the_clauses_own_variables():
+    # a clause that is not canonical may already use the renamer's names:
+    # u0 must not become v0, which would merge the two variables
+    c1 = Clause((Lit(True, "B", (Var("u0"), Var("v0"))),))
+    r = rename_clause_apart(c1, avoid={"u0"})
+    (new, kept) = r.lits[0].args
+    assert kept == Var("v0") and new not in (Var("u0"), Var("v0"))
+
+
 def test_lit_size_ignores_equality_head():
     assert lit_size(Lit(False, "=", (a, b), False)) == 2
     assert lit_size(Lit(True, "B", (f(a),), False)) == 3
@@ -355,6 +367,29 @@ def test_subst_formula_renames_a_clashing_binder():
     assert p2 not in ("p", "q", "u") and q2 == "q"
     assert got.args == (Var("p"), a)
     assert got.body == FAnd((_pv("Y", Var(p2), Var("q")), FAtom("B", (Var(p2), Var("p")))))
+
+
+def test_a_renamed_binder_does_not_capture_a_free_variable_of_its_body():
+    # y := ?u0 under "exists u0" renames the binder; the new name may be
+    # neither u0 (the substituted term) nor v5 (free in the body), whatever
+    # names were made before
+    body = FAnd((FAtom("B", (Var("u0"), Var("y"))), FAtom("C", (Var("v5"),))))
+    got = subst_formula(FEx("u0", body), {"y": Var("u0")})
+    assert isinstance(got, FEx) and got.var not in ("u0", "v5")
+    n = Var(got.var)
+    assert got.sub == FAnd((FAtom("B", (n, Var("u0"))), FAtom("C", (Var("v5"),))))
+    assert formula_free_vars(got) == {"u0", "v5"}
+
+
+def test_a_renamed_gfp_parameter_avoids_the_free_variables_and_parameters_in_its_body():
+    # p clashes with the substituted ?p; its new name may not be the other
+    # parameter v0, the free v1 or the nested gfp's parameter v2
+    inner = FGfp("Z", ("v2",), _pv("Z", Var("v2")), (Var("p"),))
+    body = FAnd((_pv("Y", Var("p"), Var("v0")), FAtom("B", (Var("v1"), u)), inner))
+    got = subst_formula(FGfp("Y", ("p", "v0"), body, (a, b)), {"u": Var("p")})
+    (p2, q2) = got.params
+    assert q2 == "v0" and p2 not in ("p", "u", "v0", "v1", "v2")
+    assert formula_free_vars(got) == {"p", "v1"}
 
 
 def test_free_names_respect_gfp_binders():

@@ -295,6 +295,25 @@ def test_parse_witness_rejects_a_binding_it_would_drop(text, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_formula, "B(?x)", "line 1, col 3: free variable ?x"),
+        (parse_formula, "(forall x. B(?x)) /\\ C(?x)", "line 1, col 24: free variable ?x"),
+        (parse_formula, "(gfp Y u. Y(?u) /\\ B(?w)) @ (a)", "line 1, col 22: free variable ?w"),
+        (parse_witness, "X := lambda y. exists u0. (B(u0, y) /\\ C(?v0))", "line 1, col 42: free variable ?v0"),
+    ],
+    ids=["goal", "goal-out-of-scope", "gfp-body", "witness-body"],
+)
+def test_a_free_variable_in_a_goal_or_witness_body_is_an_error(parse, text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text, {"X": 1})
+    assert str(e.value).startswith(message), e.value
+    # a variable that a binder, a lambda or a gfp binds may carry the mark
+    assert parse_formula("forall x. (gfp Y u. Y(?u) /\\ B(?x)) @ (?x)") is not None
+    assert parse_witness("X := lambda y. B(?y)", {"X": 1})
+
+
 def test_parse_witness_nullary():
     w = parse_witness("X := lambda _. false\n", xvars={"X": 0})
     assert pred_expr_str(w["X"]) == "lambda _. false"

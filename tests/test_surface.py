@@ -1,6 +1,7 @@
 """Every module-level function and class in `src/wscan` has a caller in `src`,
 and so does every method and property of its classes; every field of its
-dataclasses is read in `src`.
+dataclasses is read in `src`.  No module-level name holds state that lives
+as long as the process.
 
 A helper that only tests call belongs in `tests/`, and one that nothing calls
 belongs nowhere; a field that nothing reads is a stored copy nobody needs.  A
@@ -120,6 +121,51 @@ def unread_fields(src):
     return sorted(f for f in fields if not reads[f[2]] and f not in ALLOWED)
 
 
+# constructors of mutable containers; `defaultdict` takes its factory
+_CONTAINERS = {"dict", "list", "set", "bytearray", "deque", "Counter", "OrderedDict", "defaultdict"}
+_COUNTERS = {"count", "itertools.count"}
+_CACHES = {"cache", "lru_cache", "functools.cache", "functools.lru_cache"}
+
+
+def _callee(node):
+    """The dotted name a call or decorator calls (`lru_cache` for
+    `@lru_cache(maxsize=None)`), or None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return ast.unparse(node) if isinstance(node, (ast.Name, ast.Attribute)) else None
+
+
+def _holds_state(value):
+    """An empty mutable container, an `itertools.count()` or a `functools`
+    cache: each a cache or counter that lives as long as the process."""
+    if isinstance(value, (ast.Dict, ast.List)):
+        return not (value.keys if isinstance(value, ast.Dict) else value.elts)
+    if not isinstance(value, ast.Call):
+        return False
+    name = _callee(value)
+    short = name and name.rsplit(".", 1)[-1]
+    if short in _CONTAINERS:
+        return len(value.args) <= (short == "defaultdict")
+    # `lru_cache(maxsize=None)(f)` calls the cache that the inner call made
+    return name in _COUNTERS or name in _CACHES or _callee(value.func) in _CACHES
+
+
+def module_state(src):
+    """(module, name) for each module-level name bound to process-lifetime
+    state: by an assignment, or by defining a function under a cache."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                if _holds_state(node.value):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    out += [(path.stem, t.id) for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_callee(d) in _CACHES for d in node.decorator_list):
+                    out.append((path.stem, node.name))
+    return sorted(out)
+
+
 def _copy_of_src_with(tmp_path, appended_to_logic):
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
@@ -171,3 +217,30 @@ def test_an_unread_dataclass_field_is_caught(tmp_path):
     assert unreferenced(src) == []
     assert unread_members(src) == []
     assert unread_fields(src) == [("logic", "_Host", "orphan")]
+
+
+def test_no_module_level_name_in_src_holds_process_state():
+    assert module_state(SRC) == []
+
+
+@pytest.mark.parametrize(
+    "planted, names",
+    [
+        ("_memo: dict[str, int] = {}\n", ["_memo"]),
+        ("_seen = _order = set()\n", ["_order", "_seen"]),
+        ("_queue = collections.defaultdict(list)\n", ["_queue"]),
+        ("_ids = itertools.count(1)\n", ["_ids"]),
+        ("@functools.lru_cache(maxsize=None)\ndef _memo(x):\n    return x\n", ["_memo"]),
+        ("@cache\ndef _memo(x):\n    return x\n", ["_memo"]),
+        ("_memo = lru_cache(maxsize=None)(str)\n", ["_memo"]),
+    ],
+    ids=["empty-dict", "empty-set", "defaultdict", "count", "lru-cache", "cache", "cache-call"],
+)
+def test_module_level_process_state_is_caught(tmp_path, planted, names):
+    src = _copy_of_src_with(tmp_path, "\n\n" + planted)
+    assert module_state(src) == [("logic", n) for n in names]
+
+
+def test_constant_tables_are_not_module_state(tmp_path):
+    planted = '\n\nTABLE = {"a": 1}\nNOTHING = ()\nNAMES = frozenset()\nROWS = list(range(3))\n'
+    assert module_state(_copy_of_src_with(tmp_path, planted)) == []

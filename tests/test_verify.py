@@ -9,7 +9,6 @@ from collections import Counter
 
 import pytest
 
-import wscan.logic as logic_module
 import wscan.verify as verify_module
 from wscan.logic import (
     App,
@@ -780,29 +779,40 @@ def test_the_set_is_solvable_in_every_model_where_the_witness_holds():
 
 
 @pytest.mark.parametrize("n", range(21))
-def test_skolem_constants_are_named_apart_from_the_input(n, monkeypatch):
-    # the negated goal's Skolem constant must not be the premise's sk<n>,
-    # whatever the global name counter holds
-    monkeypatch.setattr(logic_module, "_counter", itertools.count(n))
+def test_skolem_constants_are_named_apart_from_the_input(n):
+    # the negated goal's Skolem constant must not be the premise's sk<n>
     premise = Clause.make([Lit(True, "B", (const(f"sk{n}"),))])
     r = prove([premise], FAll("x", B(Var("x"))))
     assert isinstance(r, Disproved)
 
 
-def test_a_proof_does_not_depend_on_the_global_name_counter(monkeypatch):
-    # two Skolem constants, whose names would sort differently as sk9/sk10
-    # than as sk0/sk1
+def test_a_proof_does_not_depend_on_the_global_name_counter():
+    # there is no such counter: the two Skolem constants, whose names would
+    # sort differently as sk9/sk10 than as sk0/sk1, are sk0 and sk1 however
+    # much naming ran before, here a proof with eleven Skolem constants
     premises = clauses_of("~C(?u, ?v) | C(?v, ?u)")
     goal = FAll("x", FAll("y", FImp(FAtom("C", (Var("x"), Var("y"))),
                                     FAtom("C", (Var("y"), Var("x"))))))
+    many = FAll("x", B(Var("x")))
+    for _ in range(10):
+        many = FAnd((many, FAll("x", B(Var("x")))))
     proofs = set()
-    for start in (0, 9, 99, 999):
-        monkeypatch.setattr(logic_module, "_counter", itertools.count(start))
+    for _ in range(3):
         r = prove(premises, goal)
         assert isinstance(r, Proved)
         proofs.add(tuple(map(str, r.proof.inputs))
                    + tuple(f"{trace_line(s)}: {s.added}" for s in r.proof.steps))
-    assert len(proofs) == 1
+        prove(clauses_of("B(?u)"), many)
+    (proof,) = proofs
+    assert {"C(sk0,sk1)", "~C(sk1,sk0)"} <= set(proof), proof
+
+
+def test_a_refutation_of_clauses_it_was_not_given_is_rejected(monkeypatch):
+    # the prover claims the empty clause as an input: every step replays, but
+    # the refutation starts from a clause that is neither a premise nor a
+    # clause of the negated goal
+    monkeypatch.setattr(_Prover, "run", lambda self: Derivation((Clause(),), ()))
+    assert isinstance(prove(clauses_of("B(a)")), Rejected)
 
 
 # -- unit deletion ----------------------------------------------------------------

@@ -8,7 +8,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wscan import logic
 from wscan.logic import FNot, PointedClause, PredExpr, pred_expr_str, simplify_pred_expr
 from wscan.saturation import SearchLimits, replay, search
 from wscan.verify import _compile, check_witness, eval_formula, model_count, signature_of
@@ -395,11 +394,7 @@ def gfp_certificate_breaks(d):
 
 
 @pytest.mark.parametrize("problem,trace", CORPUS_RUNS, ids=lambda x: x or "search")
-def test_gfp_predicate_and_certificate_on_corpus_derivations(problem, trace, monkeypatch):
-    # fresh names share one counter; restarting it gives the fresh names
-    # their lowest numbers, which are the ones canonical clause variables
-    # (u0, u1, ...) also take, whichever tests ran before
-    monkeypatch.setattr(logic, "_counter", itertools.count())
+def test_gfp_predicate_and_certificate_on_corpus_derivations(problem, trace):
     _, d = corpus_derivation(problem, trace)
     assert gfp_certificate_breaks(d) == []
 
@@ -415,13 +410,24 @@ def test_gfp_predicate_and_certificate_on_random_derivations(n):
 
 
 @pytest.mark.parametrize("mode", ["first-order", "resolution"])
-def test_handle_constants_are_named_apart_from_the_deleted_clause(mode, monkeypatch):
+def test_handle_constants_are_named_apart_from_the_deleted_clause(mode):
     # the deleted clause X(c5) has a constant that a handle constant c<n>
     # could be named after; the handles are abstracted to the witness's
-    # parameters, so a shared name turned X(c5) into X := true
+    # parameters, so a shared name turned X(c5) into X := true.  The handle
+    # is c0 in every extraction and mode, so the equation is oriented alike
+    # before it is abstracted, also after other work has named things
     clauses = clauses_of("B(c5, ?v)\nX(c5)\nB(?u, ?v) | ~X(?u) | X(?v)\n~X(c)")
     d = replay(clauses, {"X": 1}, "res 2.1 4.1 -> 5\npurdel 2.1\nextpurdel X -")
-    for start in range(9):
-        monkeypatch.setattr(logic, "_counter", itertools.count(start))
+    for _ in range(2):
         w = extract_witness(d, mode)
-        assert check_witness(clauses, {"X": 1}, d.conclusion(), w, timeout=20.0).passed, start
+        assert pred_expr_str(w.psub["X"]) == "lambda u0. (?u0 = c5)"
+        assert check_witness(clauses, {"X": 1}, d.conclusion(), w, timeout=20.0).passed
+
+
+def test_b_k_names_the_instantiations_of_two_slots_apart():
+    # ~X(?u) has two recursion slots, X(f(?u)) and X(g(?u)); at level 2 each
+    # takes its own copy of the level-1 clause B(c0, ?u0), whose variable
+    # must stay a variable of its own in each copy
+    p = pointed("~X(?u) | B(?u, ?w) | X(f(?u)) | X(g(?u))", pos=False)
+    (c,) = [c for c in b_k(p, 2).clauses if sum(l.head == "B" for l in c.lits) == 3]
+    assert len(c.vars) == 3, c
