@@ -663,18 +663,12 @@ def formula_free_pvars(f: Formula) -> frozenset[str]:
     return free - {f.pvar} if isinstance(f, FGfp) else free
 
 
-def _gfp_params(f: Formula) -> Iterator[str]:
-    if isinstance(f, FGfp):
-        yield from f.params
-    for g in children(f):
-        yield from _gfp_params(g)
-
-
 def _taken_in(body: Formula, s: Subst) -> set[str]:
     """The names a binder over body may not be renamed to while s is
-    substituted into body: the variables of s's terms, and the free
-    variables and gfp parameters of body."""
-    return {*formula_free_vars(body), *_gfp_params(body), *(v for t in s.values() for v in term_vars(t))}
+    substituted into body: s's keys, which s would substitute away, the
+    variables of s's terms, and the free variables of body.  A binder nested
+    in body that meets the new name is renamed when the renaming reaches it."""
+    return {*s, *formula_free_vars(body), *(v for t in s.values() for v in term_vars(t))}
 
 
 def subst_formula(f: Formula, s: Subst) -> Formula:

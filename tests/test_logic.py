@@ -383,13 +383,37 @@ def test_a_renamed_binder_does_not_capture_a_free_variable_of_its_body():
 
 def test_a_renamed_gfp_parameter_avoids_the_free_variables_and_parameters_in_its_body():
     # p clashes with the substituted ?p; its new name may not be the other
-    # parameter v0, the free v1 or the nested gfp's parameter v2
-    inner = FGfp("Z", ("v2",), _pv("Z", Var("v2")), (Var("p"),))
-    body = FAnd((_pv("Y", Var("p"), Var("v0")), FAtom("B", (Var("v1"), u)), inner))
+    # parameter v0 or the free v1.  The nested gfp keeps its own parameter
+    # bound whatever name p gets.
+    nested = FGfp("Z", ("v2",), _pv("Z", Var("v2")), (Var("p"),))
+    body = FAnd((_pv("Y", Var("p"), Var("v0")), FAtom("B", (Var("v1"), u)), nested))
     got = subst_formula(FGfp("Y", ("p", "v0"), body, (a, b)), {"u": Var("p")})
     (p2, q2) = got.params
-    assert q2 == "v0" and p2 not in ("p", "u", "v0", "v1", "v2")
+    assert q2 == "v0" and p2 not in ("p", "u", "v0", "v1")
     assert formula_free_vars(got) == {"p", "v1"}
+    z = got.body.subs[2]
+    assert z.args == (Var(p2),) and z.body == _pv("Z", Var(z.params[0]))
+
+
+def test_a_renamed_binder_is_not_named_after_a_key_of_the_substitution():
+    # X := lambda y. exists u0. exists v0. (B(u0, v0, y) /\ exists v1. C(v1))
+    # applied to ?u0: renaming v0 reaches "exists v1" with the substitution
+    # v0 := ?v1, so that binder may not become v0, which the substitution
+    # would then replace, and C's argument must stay bound by its own binder
+    inner = FAnd((FAtom("B", (Var("u0"), Var("v0"), Var("y"))), FEx("v1", FAtom("C", (Var("v1"),)))))
+    got = subst_formula(FEx("u0", FEx("v0", inner)), {"y": Var("u0")})
+    assert formula_free_vars(got) == {"u0"}
+    x, y = got.var, got.sub.var
+    assert len({x, y, "u0"}) == 3
+    (bxy, cz) = got.sub.sub.subs
+    assert bxy == FAtom("B", (Var(x), Var(y), Var("u0")))
+    assert cz.var not in (x, y) and cz.sub == FAtom("C", (Var(cz.var),))
+    # the same for a gfp parameter: p := ?w with w := ?p and v0 := a
+    gfp = FGfp("Y", ("p",), FAnd((_pv("Y", Var("p")), FAtom("B", (Var("p"), Var("w"))))), (b,))
+    got = subst_formula(gfp, {"w": Var("p"), "v0": a})
+    (p2,) = got.params
+    assert p2 not in ("p", "w", "v0")
+    assert got.body == FAnd((_pv("Y", Var(p2)), FAtom("B", (Var(p2), Var("p")))))
 
 
 def test_free_names_respect_gfp_binders():
