@@ -2,16 +2,19 @@
 certificate depth, and full witness extraction."""
 
 import itertools
+import json
 import math
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wscan.logic import FNot, PointedClause, PredExpr, pred_expr_str, simplify_pred_expr
+from wscan.logic import FNot, PointedClause, PredExpr, pred_expr_size, pred_expr_str, simplify_pred_expr
 from wscan.saturation import SearchLimits, replay, search
 from wscan.verify import _compile, check_witness, eval_formula, model_count, signature_of
 from wscan.witness import (
+    FirstOrderUnavailable,
     LresBudgetExceeded,
     b_k,
     extract_witness,
@@ -431,3 +434,50 @@ def test_b_k_names_the_instantiations_of_two_slots_apart():
     p = pointed("~X(?u) | B(?u, ?w) | X(f(?u)) | X(g(?u))", pos=False)
     (c,) = [c for c in b_k(p, 2).clauses if sum(l.head == "B" for l in c.lits) == 3]
     assert len(c.vars) == 3, c
+
+
+# -- every witness mode of every corpus derivation, pinned -------------------
+
+MODES = ("auto", "first-order", "fixpoint", "resolution")
+WITNESS_PINS = pathlib.Path(__file__).resolve().parent / "witness_modes.json"
+
+
+def witness_record(problem, trace, mode):
+    """What one mode makes of one corpus derivation: the printed witness, its
+    mode notes, summed size and verification, or the refusal message."""
+    prob, d = corpus_derivation(problem, trace)
+    try:
+        w = extract_witness(d, mode)
+    except (FirstOrderUnavailable, LresBudgetExceeded) as e:
+        return {"refused": str(e)}
+    rep = check_witness(prob.clauses, prob.xvars, d.conclusion(), w)
+    return {
+        "witness": [f"{x} := {pred_expr_str(pe)}" for x, pe in sorted(w.psub.items())],
+        "modes": [f"step {i + 1}: {note}" for i, note in w.modes],
+        "size": sum(map(pred_expr_size, w.psub.values())),
+        "passed": rep.passed,
+        "models_checked": rep.models_checked,
+        "prover": [r for _, r in rep.prover],
+    }
+
+
+def witness_key(problem, trace, mode):
+    # p05_cycle is both a search run and a trace replay
+    return f"{mode}:{trace}.trace" if trace else f"{mode}:{problem}.wscan"
+
+
+@pytest.mark.parametrize("problem,trace", CORPUS_RUNS, ids=lambda x: x or "search")
+def test_every_witness_mode_matches_its_pinned_record(problem, trace):
+    """Printed witnesses, refusals, sizes and verdicts of every mode stay
+    exactly as recorded; re-record with `python tests/test_witness.py` from
+    the repository root with `src` on PYTHONPATH."""
+    pins = json.loads(WITNESS_PINS.read_text())
+    for mode in MODES:
+        key = witness_key(problem, trace, mode)
+        assert witness_record(problem, trace, mode) == pins[key], key
+
+
+if __name__ == "__main__":
+    WITNESS_PINS.write_text(json.dumps(
+        {witness_key(p, t, m): witness_record(p, t, m) for p, t in CORPUS_RUNS for m in MODES},
+        indent=1, sort_keys=True) + "\n")
