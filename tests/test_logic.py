@@ -45,10 +45,13 @@ from wscan.logic import (
     subst_lit,
     subst_term,
     term_str,
+    term_vars,
 )
 from wscan.problems import parse_formula
+from wscan.verify import model_count, signature_of
 
-from conftest import cl, match_terms
+from conftest import cl, match_terms, ref_eval_formula, ref_eval_term, ref_models
+from test_verify import random_formula
 
 a, b, c = const("a"), const("b"), const("c")
 u, v = Var("u"), Var("v")
@@ -448,3 +451,42 @@ def test_canonical_pred_expr_numbers_a_nested_gfp():
     want = FGfp("Y0", ("u1",), FAnd((FEx("u2", FAtom("B", (Var("u2"),))), FAll("u3", want_inner))), (Var("u0"),))
     assert got == PredExpr(("u0",), want)
     assert canonical_pred_expr(got) == got
+
+
+def test_substitution_lemma_on_random_formulas():
+    """f under s means f under the environment updated by s: no binder
+    captures a variable of s's terms or takes a name that s would replace.
+    The substituted terms name the formulas' bound u and v, and s also
+    replaces v0, the first name a renamed binder would take.  Renaming
+    every binder canonically keeps the meaning of lambda w. f as well."""
+    rng = random.Random(2305)
+    terms = [u, v, f(u), f(v), f(Var("w"))]
+    formulas = compared = 0
+    while formulas < 40:
+        fm = random_formula(rng, 3, ["w"], ["P"])
+        s = {"w": rng.choice(terms), "v0": b}
+        got = subst_formula(fm, s)
+        canon = canonical_pred_expr(PredExpr(("w",), fm))
+        sig = signature_of(formulas=[fm, got])
+        for t in s.values():
+            sig.add_term(t)
+        sig.pvars.clear()
+        if model_count(sig, 2) > 256:
+            continue
+        formulas += 1
+        names = sorted({"w", *formula_free_vars(got), *(x for t in s.values() for x in term_vars(t))})
+        for n in (1, 2):
+            subsets = [frozenset(x) for r in range(n + 1)
+                       for x in itertools.combinations([(e,) for e in range(n)], r)]
+            for m in ref_models(sig, n):
+                for vals in itertools.product(range(n), repeat=len(names)):
+                    env = dict(zip(names, vals))
+                    moved = {**env, **{x: ref_eval_term(m, t, env) for x, t in s.items()}}
+                    lam = {canon.params[0]: env["w"]}
+                    for p in subsets:
+                        penv = {"P": p}
+                        want = ref_eval_formula(m, fm, moved, penv)
+                        assert ref_eval_formula(m, got, env, penv) == want, (fm, s, got, m.describe(), env)
+                        assert ref_eval_formula(m, canon.body, lam, penv) == ref_eval_formula(m, fm, env, penv)
+                        compared += 1
+    assert compared > 30_000
