@@ -19,12 +19,15 @@ Predicate variables (the second-order variables to be eliminated) are ordinary
 literal/atom heads flagged with ``pvar=True``; the equality head is the
 reserved name ``"="``.
 
-Formulas have one generic traversal: ``children`` lists a node's immediate
-subformulas and ``map_children`` rebuilds the node from their images.  These
-two are the one place that knows which fields of each node are subformulas;
-a walker handles only its own special cases (atoms, binders, ``gfp``) and
-leaves every other node to them.  The simplifier, the printer, the
-clausifier and the finite-model evaluator do different work for each
+Formulas have one generic traversal: ``parts`` splits a node into its
+immediate subformulas, the variables and predicate variables it binds over
+them, and the terms it holds outside their scope (atom and ``gfp``
+arguments), and ``rebuild`` puts a node back together from them.  These two
+are the one place that knows the fields of each node, binders included, so
+free names, substitution, predicate substitution, canonical renaming and
+size treat a quantifier and a ``gfp`` alike; a walker keeps a case only for
+atoms, whose heads may be predicate variables.  The simplifier, the printer,
+the clausifier and the finite-model evaluator do different work for each
 connective, so they match on the node classes themselves; in the simplifier,
 ``DUAL`` and ``UNIT`` let one case serve a connective and its dual.
 """
@@ -34,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 EQ = "="
 
@@ -611,96 +614,80 @@ def clause_to_formula(c: Clause) -> Formula:
     return forall(c.vars, for_(*[lit_to_formula(l) for l in c.lits]))
 
 
-def children(f: Formula) -> tuple[Formula, ...]:
-    """The immediate subformulas of f, left to right."""
-    if isinstance(f, (FAnd, FOr)):
-        return f.subs
-    if isinstance(f, (FNot, FAll, FEx)):
-        return (f.sub,)
-    if isinstance(f, (FImp, FIff)):
-        return (f.lhs, f.rhs)
-    if isinstance(f, FGfp):
-        return (f.body,)
-    if isinstance(f, (FTrue, FFalse, FAtom)):
-        return ()
-    raise TypeError(f)
+Parts = tuple[tuple[Formula, ...], tuple[str, ...], tuple[str, ...], tuple[Term, ...]]
 
 
-def map_children(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
-    """f with each immediate subformula replaced by its image under fn, taken
-    left to right; every other field (binders, atom and gfp arguments) is kept.
-    Rebuilds with the raw constructors, so nothing is flattened."""
+def parts(f: Formula) -> Parts:
+    """f's immediate subformulas, left to right; the variables and the
+    predicate variables f binds over them; and the terms f holds outside
+    their scope (atom and gfp arguments)."""
+    if isinstance(f, FAtom):
+        return (), (), (), f.args
     if isinstance(f, (FAnd, FOr)):
-        return type(f)(tuple(fn(s) for s in f.subs))
+        return f.subs, (), (), ()
     if isinstance(f, FNot):
-        return FNot(fn(f.sub))
+        return (f.sub,), (), (), ()
     if isinstance(f, (FAll, FEx)):
-        return type(f)(f.var, fn(f.sub))
+        return (f.sub,), (f.var,), (), ()
     if isinstance(f, (FImp, FIff)):
-        return type(f)(fn(f.lhs), fn(f.rhs))
+        return (f.lhs, f.rhs), (), (), ()
     if isinstance(f, FGfp):
-        return FGfp(f.pvar, f.params, fn(f.body), f.args)
-    if isinstance(f, (FTrue, FFalse, FAtom)):
-        return f
+        return (f.body,), f.params, (f.pvar,), f.args
+    if isinstance(f, (FTrue, FFalse)):
+        return (), (), (), ()
     raise TypeError(f)
+
+
+def rebuild(f: Formula, subs: Sequence[Formula], names: Sequence[str], pnames: Sequence[str],
+            terms: Sequence[Term]) -> Formula:
+    """The node of f's kind with the given parts, in the order ``parts``
+    gives them; an atom keeps its head.  Uses the raw constructors, so
+    nothing is flattened."""
+    if isinstance(f, FAtom):
+        return FAtom(f.head, tuple(terms), f.pvar)
+    if isinstance(f, (FAnd, FOr)):
+        return type(f)(tuple(subs))
+    if isinstance(f, (FNot, FImp, FIff)):
+        return type(f)(*subs)
+    if isinstance(f, (FAll, FEx)):
+        return type(f)(*names, *subs)
+    if isinstance(f, FGfp):
+        return FGfp(*pnames, tuple(names), *subs, tuple(terms))
+    return f
 
 
 def formula_free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, FAtom):
-        return frozenset(v for t in f.args for v in term_vars(t))
-    if isinstance(f, (FAll, FEx)):
-        return formula_free_vars(f.sub) - {f.var}
-    if isinstance(f, FGfp):
-        body = formula_free_vars(f.body) - set(f.params)
-        return body | frozenset(v for t in f.args for v in term_vars(t))
-    return frozenset().union(*map(formula_free_vars, children(f)))
+    subs, names, _, terms = parts(f)
+    free = frozenset().union(*map(formula_free_vars, subs)) - set(names)
+    return free.union(*map(term_vars, terms))
 
 
 def formula_free_pvars(f: Formula) -> frozenset[str]:
     if isinstance(f, FAtom):
         return frozenset([f.head]) if f.pvar else frozenset()
-    free = frozenset().union(*map(formula_free_pvars, children(f)))
-    return free - {f.pvar} if isinstance(f, FGfp) else free
-
-
-def _taken_in(body: Formula, s: Subst) -> set[str]:
-    """The names a binder over body may not be renamed to while s is
-    substituted into body: s's keys, which s would substitute away, the
-    variables of s's terms, and the free variables of body.  A binder nested
-    in body that meets the new name is renamed when the renaming reaches it."""
-    return {*s, *formula_free_vars(body), *(v for t in s.values() for v in term_vars(t))}
+    subs, _, pnames, _ = parts(f)
+    return frozenset().union(*map(formula_free_pvars, subs)) - set(pnames)
 
 
 def subst_formula(f: Formula, s: Subst) -> Formula:
-    """Capture-avoiding first-order substitution."""
+    """Capture-avoiding first-order substitution.  A bound name that occurs
+    in a substituted term is renamed first, to a name that s does not
+    replace under the binder, that no substituted term mentions and that is
+    neither bound by the same node nor free below it; a binder nested below
+    that meets the new name is renamed when the renaming reaches it."""
     if not s:
         return f
-    if isinstance(f, FAtom):
-        return FAtom(f.head, tuple(subst_term(t, s) for t in f.args), f.pvar)
-    if isinstance(f, (FAll, FEx)):
-        inner = {k: v for k, v in s.items() if k != f.var}
-        if not inner:
-            return f
-        var, sub = f.var, f.sub
-        if any(occurs_in(var, t) for t in inner.values()):
-            var = fresh_name("v", _taken_in(sub, inner))
-            sub = subst_formula(sub, {f.var: Var(var)})
-        return type(f)(var, subst_formula(sub, inner))
-    if isinstance(f, FGfp):
-        args = tuple(subst_term(t, s) for t in f.args)
-        inner = {k: v for k, v in s.items() if k not in f.params}
-        body = f.body
-        params = f.params
-        if inner:
-            clash = [p for p in params if any(occurs_in(p, t) for t in inner.values())]
-            if clash:
-                taken = _taken_in(body, inner) | set(params)
-                ren = {p: Var(fresh_name("v", taken)) for p in clash}
-                body = subst_formula(body, ren)
-                params = tuple(ren[p].name if p in ren else p for p in params)
-            body = subst_formula(body, inner)
-        return FGfp(f.pvar, params, body, args)
-    return map_children(f, lambda g: subst_formula(g, s))
+    subs, names, pnames, terms = parts(f)
+    inner = {k: t for k, t in s.items() if k not in names}
+    clash = [x for x in names if any(occurs_in(x, t) for t in inner.values())]
+    if clash:
+        taken = {*inner, *names, *(v for t in inner.values() for v in term_vars(t))}
+        taken.update(*map(formula_free_vars, subs))
+        ren = {x: Var(fresh_name("v", taken)) for x in clash}
+        subs = [subst_formula(g, ren) for g in subs]
+        names = [ren[x].name if x in ren else x for x in names]
+    subs = [subst_formula(g, inner) for g in subs]
+    return rebuild(f, subs, names, pnames, [subst_term(t, s) for t in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +719,9 @@ def apply_pred_subst(f: Formula, ps: PredSubst) -> Formula:
         if f.pvar and f.head in ps:
             return ps[f.head].apply(f.args)
         return f
-    if isinstance(f, FGfp):
-        ps = {k: v for k, v in ps.items() if k != f.pvar}
-    return map_children(f, lambda g: apply_pred_subst(g, ps))
+    subs, names, pnames, terms = parts(f)
+    ps = {k: v for k, v in ps.items() if k not in pnames}
+    return rebuild(f, [apply_pred_subst(g, ps) for g in subs], names, pnames, terms)
 
 
 def apply_pred_subst_clause(c: Clause, ps: PredSubst) -> Formula:
@@ -760,8 +747,8 @@ def _one_point(f: Union[FAll, FEx], sub: Formula) -> Optional[Formula]:
     # forall v. (v != t | rest)  ~>  rest[v <- t], and dually
     # exists v. (v = t & rest)  ~>  rest[v <- t]   (v not a proper subterm of t)
     kind = FOr if isinstance(f, FAll) else FAnd
-    parts = list(sub.subs) if isinstance(sub, kind) else [sub]
-    for i, d in enumerate(parts):
+    ds = list(sub.subs) if isinstance(sub, kind) else [sub]
+    for i, d in enumerate(ds):
         if kind is FOr:
             if not isinstance(d, FNot):
                 continue
@@ -770,7 +757,7 @@ def _one_point(f: Union[FAll, FEx], sub: Formula) -> Optional[Formula]:
             a, b = d.args
             for v, t in ((a, b), (b, a)):
                 if isinstance(v, Var) and v.name == f.var and not is_proper_subterm_var(f.var, t):
-                    return subst_formula(junction(kind, parts[:i] + parts[i + 1:]), {f.var: t})
+                    return subst_formula(junction(kind, ds[:i] + ds[i + 1:]), {f.var: t})
     return None
 
 
@@ -882,16 +869,13 @@ def canonical_pred_expr(pe: PredExpr) -> PredExpr:
         if isinstance(f, FAtom):
             head = penv.get(f.head, f.head) if f.pvar else f.head
             return FAtom(head, tuple(subst_term(a, env) for a in f.args), f.pvar)
-        if isinstance(f, (FAll, FEx)):
-            new = next(us)
-            return type(f)(new, walk(f.sub, {**env, f.var: Var(new)}, penv))
-        if isinstance(f, FGfp):
-            args = tuple(subst_term(a, env) for a in f.args)
-            newp = next(ys)
-            newparams = tuple(next(us) for _ in f.params)
-            inner = {**env, **{u: Var(v) for u, v in zip(f.params, newparams)}}
-            return FGfp(newp, newparams, walk(f.body, inner, {**penv, f.pvar: newp}), args)
-        return map_children(f, lambda g: walk(g, env, penv))
+        subs, names, pnames, terms = parts(f)
+        terms = [subst_term(t, env) for t in terms]
+        newp = [next(ys) for _ in pnames]
+        new = [next(us) for _ in names]
+        env = {**env, **{x: Var(n) for x, n in zip(names, new)}}
+        penv = {**penv, **dict(zip(pnames, newp))}
+        return rebuild(f, [walk(g, env, penv) for g in subs], new, newp, terms)
 
     params = tuple(next(us) for _ in pe.params)
     return PredExpr(params, walk(pe.body, {u: Var(v) for u, v in zip(pe.params, params)}, {}))
@@ -902,23 +886,17 @@ def canonical_pred_expr(pe: PredExpr) -> PredExpr:
 
 
 def formula_has_gfp(f: Formula) -> bool:
-    return isinstance(f, FGfp) or any(map(formula_has_gfp, children(f)))
+    return isinstance(f, FGfp) or any(map(formula_has_gfp, parts(f)[0]))
 
 
 def formula_size(f: Formula) -> int:
     """Every connective, quantifier, lambda/gfp binder and every predicate,
     function, constant and variable occurrence counts once."""
-    if isinstance(f, FAtom):
-        return 1 + sum(map(_term_size, f.args))
-    subs = children(f)
+    subs, names, pnames, terms = parts(f)
     if isinstance(f, (FAnd, FOr)):
         own = len(subs) - 1 if subs else 1
-    elif isinstance(f, (FAll, FEx)):
-        own = 2
-    elif isinstance(f, FGfp):
-        own = 2 + len(f.params) + sum(map(_term_size, f.args))
     else:
-        own = 1
+        own = 1 + len(names) + len(pnames) + sum(map(_term_size, terms))
     return own + sum(map(formula_size, subs))
 
 
@@ -975,4 +953,4 @@ def _fstr(f: Formula, outer: int) -> str:
 
 def pred_expr_str(pe: PredExpr) -> str:
     params = " ".join(pe.params) if pe.params else "_"
-    return f"lambda {params}. {_fstr(pe.body, _PREC_IFF)}"
+    return f"lambda {params}. {formula_str(pe.body)}"

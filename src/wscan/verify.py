@@ -54,13 +54,13 @@ from .logic import (
     Term,
     Var,
     apply_pred_subst_clause,
-    children,
     clause_to_formula,
     formula_free_pvars,
     formula_free_vars,
     formula_has_gfp,
     fresh_name,
     lit_to_formula,
+    parts,
     pointed,
     rename_clause_apart,
     simplify,
@@ -415,22 +415,18 @@ class Signature:
                 self.add_term(a)
 
     def add_formula(self, f: Formula) -> None:
-        if isinstance(f, FAtom):
-            for a in f.args:
-                self.add_term(a)
-            if f.head != EQ or f.pvar:
-                (self.pvars if f.pvar else self.rels).setdefault((f.head, len(f.args)))
-        elif isinstance(f, FGfp):
-            # the bound recursion variable is not part of the signature
-            inner = Signature()
-            inner.add_formula(f.body)
-            inner.pvars.pop((f.pvar, len(f.params)), None)
+        if isinstance(f, FAtom) and (f.head != EQ or f.pvar):
+            (self.pvars if f.pvar else self.rels).setdefault((f.head, len(f.args)))
+        subs, _, pnames, terms = parts(f)
+        for t in terms:
+            self.add_term(t)
+        # a bound recursion variable is not part of the signature
+        inner = Signature() if pnames else self
+        for g in subs:
+            inner.add_formula(g)
+        if inner is not self:
+            inner.pvars = {k: None for k in inner.pvars if k[0] not in pnames}
             self.merge(inner)
-            for a in f.args:
-                self.add_term(a)
-        else:
-            for g in children(f):
-                self.add_formula(g)
 
     def merge(self, other: "Signature") -> None:
         self.funcs.update(other.funcs)
@@ -894,7 +890,7 @@ def prove(
             except ReplayError:
                 pass
         return Rejected(got)
-    m = find_model(clauses, deadline=deadline + 2.0)
+    m = find_model(clauses, deadline=deadline)
     if m is not None:
         return Disproved(m)
     return Unknown("saturation budget exhausted without refutation or countermodel")

@@ -26,7 +26,6 @@ SRC = ROOT / "src" / "wscan"
 # names that may have no caller in src, and why
 ALLOWED = {
     ("cli", "main"): "the console-script entry point",
-    ("logic", "formula_str"): "the public formula printer",
     ("problems", "Problem", "origin"): "set by parse_problem's origin=, which the benchmark passes",
 }
 

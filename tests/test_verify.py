@@ -272,8 +272,20 @@ def test_prover_unknown_without_refutation_or_finite_model():
     t0 = time.monotonic()
     r = prove(premises, goal=FAtom("C", (a,)), timeout=1.0)
     assert isinstance(r, Unknown)
-    # the model search may run 2 s past the prover's deadline
-    assert time.monotonic() - t0 < 3.5
+    # the model search stops at the prover's deadline
+    assert time.monotonic() - t0 < 2.0
+
+
+def test_prove_gives_the_model_search_no_time_past_its_deadline(monkeypatch):
+    # a prover that ends without a refutation leaves the countermodel search
+    # the rest of the budget, and none when it used the budget up
+    deadlines = []
+    monkeypatch.setattr(_Prover, "run", lambda self: None)
+    monkeypatch.setattr(verify_module, "find_model", lambda clauses, deadline: deadlines.append(deadline))
+    r = prove(clauses_of("B(a)"), goal=FAtom("C", (a,)), timeout=0.5)
+    # prove started before now, so its own deadline is before now + 0.5
+    assert isinstance(r, Unknown)
+    assert len(deadlines) == 1 and deadlines[0] < time.monotonic() + 0.5
 
 
 def test_proof_steps_replay_and_respect_lineage():
