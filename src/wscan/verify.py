@@ -9,10 +9,12 @@ partners and factor pairs from `calculus` and tries each inference site once.
 A refutation is a `Derivation` in trace syntax, and it counts only once
 `saturation.replay_proof` has rebuilt it through `RULES`.
 The finite-model evaluator is the independent oracle: it knows nothing about
-the calculus.  It compiles each formula once into closures over variable
-slots, grounds a clause set once per assignment of function tables, and
-enumerates constants only up to a permutation of the domain.  It decides
-each model size, by the size alone, before building its first model.
+the calculus.  It enumerates models in blocks that share their function
+tables and differ only in their relations, with constants only up to a
+permutation of the domain, and evaluates a formula once per block: a truth
+value is an int with one bit per model of the block.  It grounds a clause
+set once per block, and decides each model size, by the size alone, before
+its first block.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .calculus import (
@@ -171,220 +172,127 @@ class FiniteModel:
         return f"|M|={self.size}; {fs}; {rs}"
 
 
-# A formula is compiled once into closures over one list of slots.  Every
-# variable, every predicate variable bound by a gfp or given by the caller,
-# and every constant has its own slot, so evaluation builds no environments.
-# Function and relation symbols become indices into tables that `load` points
-# at the current model.
+@dataclass(frozen=True)
+class Block:
+    """`count` models of one size that share their function tables, each
+    standing for `weight` models (see `blocks`).  A set of these models is an
+    int whose bit idx stands for the idx-th one.  `rels` maps (name, arity),
+    then an argument tuple, to the set of models whose relation holds the
+    tuple; a tuple it leaves out is in none."""
+
+    size: int
+    funcs: Mapping[tuple[str, int], Mapping[tuple[int, ...], int]]
+    rels: Mapping[tuple[str, int], Mapping[tuple[int, ...], int]]
+    count: int
+    weight: int
+
+    def model(self, idx: int) -> FiniteModel:
+        rels = {k: frozenset(t for t, ms in r.items() if ms >> idx & 1) for k, r in self.rels.items()}
+        return FiniteModel(self.size, self.funcs, rels)
 
 
-def _tables(tables: Mapping, keys: Iterable[tuple[str, int]], what: str) -> list:
+def _block_of(m: FiniteModel) -> Block:
+    """m as a block of one model."""
+    return Block(m.size, m.funcs, {k: dict.fromkeys(r, 1) for k, r in m.rels.items()}, 1, 1)
+
+
+def _table(tables: Mapping, key: tuple[str, int], what: str) -> Mapping:
     try:
-        return [tables[k] for k in keys]
-    except KeyError as e:
-        ((name, arity),) = e.args
-        raise KeyError(f"uninterpreted {what} {name}/{arity}") from None
+        return tables[key]
+    except KeyError:
+        raise KeyError(f"uninterpreted {what} {key[0]}/{key[1]}") from None
 
 
-def _index(symbols: dict[tuple[str, int], int], key: tuple[str, int]) -> int:
-    """The position of key among the symbols, which gains it if it is new."""
-    return symbols.setdefault(key, len(symbols))
+class _Eval:
+    """Truth values in all the models of one block at once.  Terms take one
+    value in every model of the block, so equality is all or nothing, and
+    the connectives are operations on bit sets."""
 
+    def __init__(self, b: Block):
+        self.b = b
+        self.full = (1 << b.count) - 1
+        self.gfps: dict[tuple, dict] = {}  # gfp relations (see `gfp`)
 
-class _Compiler:
-    """Compiles formulas and terms that share one slot list and one set of
-    model tables."""
-
-    def __init__(self) -> None:
-        self.nslots = 0
-        self.funcs: dict[tuple[str, int], int] = {}  # symbol -> index into F
-        self.rels: dict[tuple[str, int], int] = {}  # symbol -> index into R
-        self.consts: dict[str, int] = {}  # constant -> its slot
-        self.const_loads: list[tuple[int, int]] = []  # (slot, index into F)
-        self.F: list = []
-        self.R: list = []
-        self.D: list[int] = []  # the domain
-        self.gfp_caches: list[dict] = []
-        self.loaded: Optional[tuple] = None  # (size, function tables) of `e`
-        self.e: list = []
-
-    def slot(self) -> int:
-        self.nslots += 1
-        return self.nslots - 1
-
-    def load(self, m: FiniteModel) -> list:
-        """Point the tables at m and return the slot list, which holds the
-        constants; both are rebuilt only when the function tables change."""
-        if self.loaded != (m.size, m.funcs):
-            F = self.F
-            F[:] = _tables(m.funcs, self.funcs, "function")
-            self.D[:] = range(m.size)
-            self.e = [None] * self.nslots
-            for s, i in self.const_loads:
-                self.e[s] = F[i][()]
-            self.loaded = (m.size, m.funcs)
-        self.R[:] = _tables(m.rels, self.rels, "predicate")
-        for cache in self.gfp_caches:
-            cache.clear()
-        return self.e
-
-    # -- terms ---------------------------------------------------------------
-
-    def _slot_of(self, t: Term, vs: Mapping[str, int]) -> Optional[int]:
+    def term(self, t: Term, venv: Mapping[str, int]) -> int:
         if isinstance(t, Var):
-            if t.name not in vs:
+            if t.name not in venv:
                 raise KeyError(f"unbound variable {t.name}")
-            return vs[t.name]
-        if t.args:
-            return None
-        if t.fn not in self.consts:
-            self.consts[t.fn] = self.slot()
-            self.const_loads.append((self.consts[t.fn], _index(self.funcs, (t.fn, 0))))
-        return self.consts[t.fn]
+            return venv[t.name]
+        table = _table(self.b.funcs, (t.fn, len(t.args)), "function")
+        return table[tuple(self.term(a, venv) for a in t.args)]
 
-    def term(self, t: Term, vs: Mapping[str, int]) -> Callable[[list], int]:
-        s = self._slot_of(t, vs)
-        if s is not None:
-            return lambda e: e[s]
-        F, i = self.F, _index(self.funcs, (t.fn, len(t.args)))
-        args = self.args(t.args, vs)
-        return lambda e: F[i][args(e)]
+    def fold(self, values: Iterable[int], conj: bool) -> int:
+        """The conjunction or disjunction of values, read until it is settled."""
+        stop = 0 if conj else self.full
+        acc = self.full ^ stop
+        for v in values:
+            acc = acc & v if conj else acc | v
+            if acc == stop:
+                break
+        return acc
 
-    def args(self, ts: Sequence[Term], vs: Mapping[str, int]) -> Callable[[list], tuple]:
-        slots = [self._slot_of(t, vs) for t in ts]
-        if None not in slots:
-            if len(slots) >= 2:
-                return itemgetter(*slots)
-            if slots:
-                (s,) = slots
-                return lambda e: (e[s],)
-            return lambda e: ()
-        gs = [self.term(t, vs) for t in ts]
-        return lambda e: tuple([g(e) for g in gs])
-
-    # -- formulas ------------------------------------------------------------
-
-    def formula(self, f: Formula, vs: Mapping[str, int], ps: Mapping[str, int]) -> Callable[[list], bool]:
-        """f as a test on a slot list; vs and ps give the slots of the
-        variables and predicate variables in scope."""
-        if isinstance(f, (FTrue, FFalse)):
-            value = isinstance(f, FTrue)
-            return lambda e: value
+    def formula(self, f: Formula, venv: Mapping[str, int], penv: Mapping[str, Mapping]) -> int:
+        """The models of the block where f holds; penv maps the predicate
+        variables in scope to relations given as `Block.rels` gives them."""
         if isinstance(f, FAtom):
-            return self._atom(f, vs, ps)
-        if isinstance(f, FNot):
-            sub = self.formula(f.sub, vs, ps)
-            return lambda e: not sub(e)
+            args = tuple(self.term(a, venv) for a in f.args)
+            if f.head == EQ and not f.pvar:
+                return self.full if args[0] == args[1] else 0
+            rel = penv.get(f.head) if f.pvar else None
+            if rel is None:
+                rel = _table(self.b.rels, (f.head, len(f.args)), "predicate")
+            return rel.get(args, 0)
         if isinstance(f, (FAnd, FOr)):
-            subs = [self.formula(s, vs, ps) for s in f.subs]
-            return _junction(subs, isinstance(f, FAnd))
-        if isinstance(f, (FImp, FIff)):
-            lhs, rhs = self.formula(f.lhs, vs, ps), self.formula(f.rhs, vs, ps)
-            if isinstance(f, FImp):
-                return lambda e: not lhs(e) or rhs(e)
-            return lambda e: lhs(e) == rhs(e)
+            return self.fold((self.formula(s, venv, penv) for s in f.subs), isinstance(f, FAnd))
         if isinstance(f, (FAll, FEx)):
-            s = self.slot()
-            sub = self.formula(f.sub, {**vs, f.var: s}, ps)
-            return _quantifier(s, sub, self.D, isinstance(f, FAll))
+            subs = (self.formula(f.sub, {**venv, f.var: e}, penv) for e in range(self.b.size))
+            return self.fold(subs, isinstance(f, FAll))
+        if isinstance(f, FNot):
+            return self.full ^ self.formula(f.sub, venv, penv)
+        if isinstance(f, FImp):
+            return self.full ^ self.formula(f.lhs, venv, penv) | self.formula(f.rhs, venv, penv)
+        if isinstance(f, FIff):
+            return self.full ^ self.formula(f.lhs, venv, penv) ^ self.formula(f.rhs, venv, penv)
+        if isinstance(f, (FTrue, FFalse)):
+            return self.full if isinstance(f, FTrue) else 0
         if isinstance(f, FGfp):
-            return self._gfp(f, vs, ps)
+            return self.gfp(f, venv, penv).get(tuple(self.term(a, venv) for a in f.args), 0)
         raise TypeError(f)
 
-    def _atom(self, f: FAtom, vs: Mapping[str, int], ps: Mapping[str, int]) -> Callable[[list], bool]:
-        if f.head == EQ and not f.pvar:
-            lhs, rhs = (self.term(t, vs) for t in f.args)
-            return lambda e: lhs(e) == rhs(e)
-        args = self.args(f.args, vs)
-        if f.pvar and f.head in ps:
-            s = ps[f.head]
-            return lambda e: args(e) in e[s]
-        R, i = self.R, _index(self.rels, (f.head, len(f.args)))
-        return lambda e: args(e) in R[i]
-
-    def _gfp(self, f: FGfp, vs: Mapping[str, int], ps: Mapping[str, int]) -> Callable[[list], bool]:
-        """Downward iteration of the body operator from the full relation; on
-        a finite lattice this reaches the greatest fixpoint of a monotone
-        operator.  The relation is kept per model and per values of the
-        body's free variables and predicate variables."""
-        k = len(f.params)
-        rslot = self.slot()
-        first = self.nslots  # the parameters take consecutive slots
-        body = self.formula(
-            f.body,
-            {**vs, **{p: self.slot() for p in f.params}},
-            {**ps, f.pvar: rslot},
-        )
-        free = [vs[v] for v in sorted(formula_free_vars(f.body) - set(f.params))]
-        free += [ps[p] for p in sorted(formula_free_pvars(f.body) - {f.pvar}) if p in ps]
-        key = itemgetter(*free) if free else (lambda e: ())
-        args = self.args(f.args, vs)
-        D, cache = self.D, {}
-        self.gfp_caches.append(cache)
-
-        def holds(e: list) -> bool:
-            kv = key(e)
-            rel = cache.get(kv)
-            if rel is None:
-                tuples = list(itertools.product(D, repeat=k))
-                rel = frozenset(tuples)
-                while True:
-                    e[rslot] = rel
-                    nxt = []
-                    for t in tuples:
-                        e[first : first + k] = t
-                        if body(e):
-                            nxt.append(t)
-                    nxt = frozenset(nxt)
-                    if nxt == rel:
-                        break
-                    rel = nxt
-                cache[kv] = rel
-            return args(e) in rel
-
-        return holds
+    def gfp(self, f: FGfp, venv: Mapping[str, int], penv: Mapping[str, Mapping]) -> dict:
+        """Downward iteration of the body operator from the full relation,
+        one bit set per tuple, until no set changes.  Each model is one bit,
+        and a bit whose relation no longer changes stays fixed, so every
+        model gets the greatest fixpoint of its own monotone operator.  The
+        relation is kept per values of the body's free names."""
+        free = sorted(formula_free_vars(f.body) - set(f.params))
+        pfree = sorted(p for p in formula_free_pvars(f.body) - {f.pvar} if p in penv)
+        key = (id(f), *(venv[v] for v in free), *(tuple(penv[p].items()) for p in pfree))
+        rel = self.gfps.get(key)
+        if rel is None:
+            tuples = list(itertools.product(range(self.b.size), repeat=len(f.params)))
+            rel = dict.fromkeys(tuples, self.full)
+            while True:
+                inner = {**penv, f.pvar: rel}
+                nxt = {t: self.formula(f.body, {**venv, **dict(zip(f.params, t))}, inner) for t in tuples}
+                if nxt == rel:
+                    break
+                rel = nxt
+            self.gfps[key] = rel
+        return rel
 
 
-def _junction(subs: list, conj: bool) -> Callable[[list], bool]:
-    def holds(e: list) -> bool:
-        for sub in subs:
-            if sub(e) != conj:
-                return not conj
-        return conj
-
-    return holds
-
-
-def _quantifier(s: int, sub: Callable[[list], bool], D: list, univ: bool) -> Callable[[list], bool]:
-    def holds(e: list) -> bool:
-        for v in D:
-            e[s] = v
-            if sub(e) != univ:
-                return not univ
-        return univ
-
-    return holds
-
-
-def _compile(
-    f: Formula, free: Sequence[str] = (), pfree: Sequence[str] = ()
-) -> Callable[..., bool]:
-    """f compiled once.  The result evaluates f on a model, given the values
-    of the variables `free` and then the relations of the predicate
-    variables `pfree`, as positional arguments."""
-    comp = _Compiler()
-    slots = [comp.slot() for _ in (*free, *pfree)]
-    width = len(slots)
-    ev = comp.formula(f, dict(zip(free, slots)), dict(zip(pfree, slots[len(free) :])))
-
-    def holds(m: FiniteModel, *values) -> bool:
-        if len(values) != width:
-            raise TypeError(f"expected {width} values, got {len(values)}")
-        e = comp.load(m)
-        e[:width] = values
-        return ev(e)
-
-    return holds
+def truth(
+    b: Block,
+    f: Formula,
+    venv: Optional[Mapping[str, int]] = None,
+    penv: Optional[Mapping[str, frozenset]] = None,
+) -> int:
+    """The models of b where f holds, as a bit set, given the values of its
+    free variables and the relations of its free predicate variables, the
+    same in every model."""
+    ev = _Eval(b)
+    return ev.formula(f, venv or {}, {p: dict.fromkeys(r, ev.full) for p, r in (penv or {}).items()})
 
 
 def eval_formula(
@@ -393,9 +301,7 @@ def eval_formula(
     venv: Optional[Mapping[str, int]] = None,
     penv: Optional[Mapping[str, frozenset]] = None,
 ) -> bool:
-    venv = venv or {}
-    penv = penv or {}
-    return _compile(f, tuple(venv), tuple(penv))(m, *venv.values(), *penv.values())
+    return truth(_block_of(m), f, venv, penv) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -472,40 +378,38 @@ def _function_tables(
             yield (table, *rest), top
 
 
-def models(sig: Signature, n: int) -> Iterator[tuple[FiniteModel, int]]:
-    """The models of size n over the signature, deterministically ordered,
-    each with its weight.  Free predicate variables are enumerated as
-    ordinary relations.  Each constant takes a value at most one above the
-    largest value of the constants before it, so the constant vector stands
-    for its orbit under permutations of the domain: the n*(n-1)*...*(n-b+1)
-    vectors with its pattern of equal values (b distinct ones).  Every model
-    with a vector in the orbit is isomorphic to one with this vector.  The
-    orbit's size is the weight, so the weights add up to model_count."""
+def blocks(sig: Signature, n: int) -> Iterator[Block]:
+    """The models of size n over the signature, one block per assignment of
+    function tables, deterministically ordered.  Free predicate variables are
+    enumerated as ordinary relations, innermost and as `itertools.product`
+    lists them: of the A ground atoms (symbols in sorted order, tuples in
+    product order), atom j holds in the idx-th model iff bit A-1-j of idx is
+    set, so its set of models is a periodic bit pattern.  Each constant
+    takes a value at most one above the largest value of the constants
+    before it, so the constant vector stands for its orbit under
+    permutations of the domain: the n*(n-1)*...*(n-b+1) vectors with its
+    pattern of equal values (b distinct ones).  Every model with a vector in
+    the orbit is isomorphic to one with this vector.  The orbit's size is
+    the weight, so the weights add up to model_count."""
     fkeys = sorted(sig.funcs)
     rkeys = sorted(sig.rels) + sorted(sig.pvars)
+    atoms = [(key, p) for key in rkeys for p in itertools.product(range(n), repeat=key[1])]
+    count = 1 << len(atoms)
+    full = (1 << count) - 1
+    rels: dict[tuple[str, int], dict[tuple[int, ...], int]] = {key: {} for key in rkeys}
+    for j, (key, p) in enumerate(atoms):
+        half = 1 << (len(atoms) - 1 - j)
+        # false in `half` models, true in the next `half`, and so on
+        rels[key][p] = full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
     fdomains = []
     for (_, k) in fkeys:
         points = list(itertools.product(range(n), repeat=k))
         fdomains.append(
             [dict(zip(points, vals)) for vals in itertools.product(range(n), repeat=len(points))]
         )
-    rdomains = []
-    for (_, k) in rkeys:
-        points = list(itertools.product(range(n), repeat=k))
-        rdomains.append(
-            [
-                frozenset(p for p, keep in zip(points, mask) if keep)
-                for mask in itertools.product((False, True), repeat=len(points))
-            ]
-        )
     consts = [k == 0 for _, k in fkeys]
     for ftables, used in _function_tables(fdomains, consts):
-        weight = math.perm(n, used)
-        # one dict per assignment of function tables, shared by its models,
-        # so a consumer sees that the tables did not change by identity
-        funcs = dict(zip(fkeys, ftables))
-        for rsets in itertools.product(*rdomains):
-            yield FiniteModel(n, funcs, dict(zip(rkeys, rsets))), weight
+        yield Block(n, dict(zip(fkeys, ftables)), rels, count, math.perm(n, used))
 
 
 def fn_cap_ok(sig: Signature) -> bool:
@@ -513,16 +417,16 @@ def fn_cap_ok(sig: Signature) -> bool:
     return len(heavy) <= 2 and all(k <= 2 for _, k in heavy)
 
 
-def small_models(
+def small_blocks(
     sig: Signature,
     deadline: float,
     notes: list[str],
     too_large: Callable[[int], Optional[str]] = lambda size: None,
-) -> Iterator[tuple[FiniteModel, int]]:
-    """The models of sizes 1-3 over sig with their weights (see `models`),
-    smallest first, within the deadline and the enumeration caps; notes each
-    size skipped or cut short.  Stops before the first size that too_large
-    gives a reason against."""
+) -> Iterator[Block]:
+    """The blocks of sizes 1-3 over sig (see `blocks`), smallest first,
+    within the deadline, checked before each block, and the enumeration
+    caps; notes each size skipped or cut short.  Stops before the first size
+    that too_large gives a reason against."""
     for size in range(1, 4):
         if time.monotonic() > deadline:
             notes.append(f"model check stopped before size {size} (timeout)")
@@ -537,11 +441,19 @@ def small_models(
         if why is not None:
             notes.append(f"soqe enumeration skipped: {why}")
             return
-        for m, weight in models(sig, size):
+        for b in blocks(sig, size):
             if time.monotonic() > deadline:
                 notes.append(f"model check interrupted at size {size} (timeout)")
                 return
-            yield m, weight
+            yield b
+
+
+def _bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of x, in ascending order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -553,33 +465,26 @@ MAX_GROUND_INSTANCES = 3**6
 
 
 class _Soqe:
-    """soqe_holds for one clause set on model after model.  The clauses are
-    ground once per assignment of function tables: that settles the equality
-    literals and every argument tuple, so each relation assignment only tests
-    tuples against its relations and runs DPLL over what is left."""
+    """soqe_holds for one clause set on block after block.  The clauses are
+    ground once per block: that settles the equality literals and every
+    argument tuple, and leaves each instance as its predicate-variable atoms
+    and the set of models where its other literals are all false.  Each model
+    then only runs DPLL over the atoms of the instances left in it."""
 
     def __init__(self, n: Sequence[Clause], xars: Mapping[str, int]):
         self.xars = dict(xars)
-        self.comp = _Compiler()
-        self.rels: dict[tuple[str, int], int] = {}
-        # per clause: the clause, its first variable slot, its variable count
-        # and its literals as (kind, pos, symbol, argument tuple getter)
-        self.clauses = []
-        for c in n:
-            first, cvars = self.comp.nslots, sorted(c.vars)
-            vs = {v: self.comp.slot() for v in cvars}
-            lits = []
-            for l in c.lits:
-                args = self.comp.args(l.args, vs)
-                if l.pvar and l.head in xars:
-                    lits.append(("pvar", l.pos, l.head, args))
-                elif l.is_eq:
-                    lits.append(("eq", l.pos, None, args))
-                else:
-                    lits.append(("rel", l.pos, _index(self.rels, (l.head, len(l.args))), args))
-            self.clauses.append((c, first, len(cvars), lits))
-        self.ground_for: Optional[tuple] = None  # (size, function tables)
-        self.ground: list[tuple[tuple, frozenset]] = []
+        # per clause: the clause, its variables, its other literals as
+        # formulas and its predicate-variable literals
+        self.clauses = [
+            (
+                c,
+                sorted(c.vars),
+                [lit_to_formula(l) for l in c.lits if not (l.pvar and l.head in xars)],
+                [l for l in c.lits if l.pvar and l.head in xars],
+            )
+            for c in n
+        ]
+        self.live: dict[frozenset, int] = {}  # atoms -> models where they are all that is left
         self.solved: dict[tuple, bool] = {}  # DPLL's answer per ground clause set
 
     def too_large(self, size: int) -> Optional[str]:
@@ -589,49 +494,38 @@ class _Soqe:
         for x, k in self.xars.items():
             if size**k > 9:
                 return f"{x}/{k} over domain size {size}"
-        for c, _, k, _ in self.clauses:
-            if size**k > MAX_GROUND_INSTANCES:
+        for c, vs, _, _ in self.clauses:
+            if size ** len(vs) > MAX_GROUND_INSTANCES:
                 return f"too many ground instances of {c}"
         return None
 
-    def _ground(self, m: FiniteModel) -> None:
-        """The ground instances that no equality literal satisfies, each as its
-        relation tests (index, tuple, polarity) and its predicate-variable
-        atoms, without repeats and in order."""
-        e = self.comp.load(m)
-        ground: dict[tuple[tuple, frozenset], None] = {}
-        for _, first, k, lits in self.clauses:
-            for vals in itertools.product(range(m.size), repeat=k):
-                e[first : first + k] = vals
-                tests, atoms = [], []
-                for kind, pos, sym, args in lits:
-                    t = args(e)
-                    if kind == "eq":
-                        if (t[0] == t[1]) == pos:
-                            break
-                    elif kind == "rel":
-                        tests.append((sym, t, pos))
-                    else:
-                        atoms.append((pos, sym, t))
+    def ground(self, b: Block) -> int:
+        """Ground the clauses over b; the models of b where no instance
+        without predicate-variable atoms is false, the ones `holds` decides."""
+        ev, unsat = _Eval(b), 0
+        self.live, self.solved = {}, {}
+        for _, vs, rest, xlits in self.clauses:
+            for vals in itertools.product(range(b.size), repeat=len(vs)):
+                venv = dict(zip(vs, vals))
+                false = ev.full
+                for f in rest:
+                    false &= ~ev.formula(f, venv, {})
+                    if not false:
+                        break
                 else:
-                    ground.setdefault((tuple(tests), frozenset(atoms)))
-        self.ground = list(ground)
-        self.solved = {}
+                    atoms = frozenset(
+                        (l.pos, l.head, tuple(ev.term(t, venv) for t in l.args)) for l in xlits
+                    )
+                    if atoms:
+                        self.live[atoms] = self.live.get(atoms, 0) | false
+                    else:
+                        unsat |= false
+        return ev.full ^ unsat
 
-    def holds(self, m: FiniteModel) -> bool:
-        if self.ground_for != (m.size, m.funcs):
-            self._ground(m)
-            self.ground_for = (m.size, m.funcs)
-        R = _tables(m.rels, self.rels, "predicate")
-        cnf = []
-        for tests, atoms in self.ground:
-            for i, t, pos in tests:
-                if (t in R[i]) == pos:
-                    break
-            else:
-                if not atoms:
-                    return False
-                cnf.append(atoms)
+    def holds(self, idx: int) -> bool:
+        """Solvability in the idx-th model of the block last ground, a model
+        in the set that `ground` returned."""
+        cnf = [atoms for atoms, false in self.live.items() if false >> idx & 1]
         key = tuple(cnf)
         got = self.solved.get(key)
         if got is None:
@@ -642,7 +536,8 @@ class _Soqe:
 def soqe_holds(m: FiniteModel, n: Sequence[Clause], xars: Mapping[str, int]) -> bool:
     """Does some assignment of relations to the predicate variables satisfy
     every clause of n on m?  Ground the clauses and run DPLL over the atoms."""
-    return _Soqe(n, xars).holds(m)
+    solvable = _Soqe(n, xars)
+    return solvable.ground(_block_of(m)) == 1 and solvable.holds(0)
 
 
 def _dpll(clauses: list[frozenset], assign: dict) -> bool:
@@ -861,9 +756,12 @@ class _Prover:
 def find_model(clauses: Sequence[Clause], deadline: float = float("inf")) -> Optional[FiniteModel]:
     """A finite model of all the clauses (free predicate variables enumerated
     as relations), or None within the size/effort bounds."""
-    holds = _compile(FAnd(tuple(clause_to_formula(c) for c in clauses)))
-    candidates = small_models(signature_of(clauses), deadline, [])
-    return next((m for m, _ in candidates if holds(m)), None)
+    f = FAnd(tuple(clause_to_formula(c) for c in clauses))
+    for b in small_blocks(signature_of(clauses), deadline, []):
+        found = truth(b, f)
+        if found:
+            return b.model(next(_bits(found)))
+    return None
 
 
 def prove(
@@ -964,20 +862,30 @@ def check_witness(
                 prover_results.append((i, "unknown"))
     sig = signature_of(list(n) + list(conclusion), goals)
     sig.pvars = {k: None for k in sig.pvars if k[0] not in xars}
-    solvable, under_w = _Soqe(n, xars), _compile(FAnd(tuple(goals)))
-    checked = evaluated = 0
-    for m, weight in small_models(sig, deadline, notes, solvable.too_large):
+    solvable, under_w = _Soqe(n, xars), FAnd(tuple(goals))
+    checked = evaluated = disagreements = 0
+    for b in small_blocks(sig, deadline, notes, solvable.too_large):
         # where n under w holds, w's relations solve n, so only the models
-        # where it fails need the solvability test
-        rhs = under_w(m)
-        lhs = rhs or solvable.holds(m)
-        checked += weight
-        evaluated += 1
-        if lhs != rhs:
-            failures.append(
-                f"model disagreement ({m.describe()}): solvable={lhs}, witness gives {rhs}"
-            )
-            if sum(1 for s in failures if s.startswith("model disagreement")) >= 5:
-                notes.append("model check stopped after 5 disagreements")
+        # where it fails need the solvability test, in enumeration order
+        todo = (1 << b.count) - 1 ^ truth(b, under_w)
+        if todo:
+            todo &= solvable.ground(b)
+        done, stop = b.count, None
+        for idx in _bits(todo):
+            if time.monotonic() > deadline:
+                done, stop = idx, f"model check interrupted at size {b.size} (timeout)"
                 break
+            if solvable.holds(idx):
+                failures.append(
+                    f"model disagreement ({b.model(idx).describe()}): solvable=True, witness gives False"
+                )
+                disagreements += 1
+                if disagreements == 5:
+                    done, stop = idx + 1, "model check stopped after 5 disagreements"
+                    break
+        checked += b.weight * done
+        evaluated += done
+        if stop is not None:
+            notes.append(stop)
+            break
     return CheckReport(tuple(prover_results), checked, evaluated, tuple(failures), tuple(notes))

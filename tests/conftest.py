@@ -8,9 +8,9 @@ library's backtracking search as it was before the feature prefilter, with
 the copying term matcher it used then, the definition the filtered in-place
 matcher in `subsumption` must agree with.  The reference evaluator walks the
 formula tree with a fresh environment per binder, the definition the
-compiled evaluator in `verify` must agree with.
+block evaluator in `verify` must agree with in every model of a block.
 The reference model enumerator yields every interpretation, the full set
-that `verify.models` covers with one model per orbit of constant vectors.
+that `verify.blocks` covers with one model per orbit of constant vectors.
 The reference certificate depth backtracks over every choice of covers, the
 search that `witness.find_acyclic` replaces by a least fixpoint.
 The Ackermann witness is a second witness oracle: a closed-form witness for
@@ -52,7 +52,8 @@ from wscan.logic import (
 from wscan.problems import merge_theory, parse_problem
 from wscan.saturation import RULES, Derivation, ReplayError, Step, replay, replay_proof, search
 from wscan.subsumption import subsumes
-from wscan.verify import FiniteModel
+import wscan.verify as verify_module
+from wscan.verify import FiniteModel, blocks, eval_formula
 from wscan.witness import Witness
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "wscan" / "corpus"
@@ -437,6 +438,34 @@ def ref_models(sig, n):
         funcs = dict(zip(fkeys, ftables))
         for rsets in itertools.product(*rdomains):
             yield FiniteModel(n, funcs, dict(zip(rkeys, rsets)))
+
+
+def models(sig, n):
+    """The models of size n that `verify.blocks` stands for, each with its
+    weight, in enumeration order."""
+    for b in blocks(sig, n):
+        for idx in range(b.count):
+            yield b.model(idx), b.weight
+
+
+def full_enumeration(monkeypatch):
+    """Make `verify.blocks` give every assignment of function tables, each
+    constant vector at weight 1, so the model route sees every model."""
+    monkeypatch.setattr(
+        verify_module, "_function_tables",
+        lambda domains, consts: ((tables, 0) for tables in itertools.product(*domains)),
+    )
+
+
+def evaluator(f, free=(), pfree=()):
+    """f as a test on one model, given the values of the variables `free`
+    and then the relations of the predicate variables `pfree`."""
+
+    def holds(m, *values):
+        assert len(values) == len(free) + len(pfree), values
+        return eval_formula(m, f, dict(zip(free, values)), dict(zip(pfree, values[len(free):])))
+
+    return holds
 
 
 # -- reference certificate depth ---------------------------------------------

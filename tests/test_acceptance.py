@@ -7,7 +7,9 @@ of random inference steps in every small model, agreement of the subsumption
 family with brute force, the shipped problem corpus, and prover smoke tests.
 """
 
+import functools
 import itertools
+import operator
 import random
 import time
 from pathlib import Path
@@ -45,12 +47,13 @@ from wscan.subsumption import subsumes, subsumes_L, subsumes_L_velim
 from wscan.verify import (
     FiniteModel,
     Proved,
-    _compile,
+    blocks,
     check_witness,
     eval_formula,
     prove,
     signature_of,
     soqe_holds,
+    truth,
 )
 from wscan.witness import (
     ClausePredicate,
@@ -67,6 +70,8 @@ from conftest import (
     brute_subsumes,
     brute_subsumes_velim,
     cl,
+    evaluator,
+    full_enumeration,
     random_clause,
     ref_models,
     same_up_to_consts,
@@ -185,9 +190,9 @@ def test_criterion_05_purity_rejects_the_uncovered_tautology_case():
         {("B", 1): frozenset({(1,)})},
     )
     x = frozenset({(0,), (1,)})
-    assert all(_compile(clause_to_formula(c), pfree=("X",))(m, x) for c in clauses[1:])
+    assert all(evaluator(clause_to_formula(c), pfree=("X",))(m, x) for c in clauses[1:])
     resolvent = clause_to_formula(cl("X(f(f(a))) | B(f(a)) | B(a)"))
-    assert not _compile(resolvent, pfree=("X",))(m, x)
+    assert not evaluator(resolvent, pfree=("X",))(m, x)
 
 
 # -- 6: a deletion with no bounded certificate --------------------------------
@@ -301,30 +306,36 @@ def _steps_from(rng, c1, c2):
     return steps
 
 
-_MODELS_BY_SIG: dict = {}
+_BLOCKS_BY_SIG: dict = {}
 _TRUTH: dict = {}
 
 
 def _entails_everywhere(premises, conclusion) -> bool:
+    """Whether every model of sizes 1-3 over the signature of the step that
+    satisfies the premises satisfies the conclusion; the caller makes
+    `verify.blocks` give every model (`full_enumeration`)."""
     sig = signature_of(list(premises) + [conclusion])
     key = (tuple(sorted(sig.funcs)), tuple(sorted(sig.rels)), tuple(sorted(sig.pvars)))
-    if key not in _MODELS_BY_SIG:
-        _MODELS_BY_SIG[key] = [m for n in (1, 2, 3) for m in ref_models(sig, n)]
+    if key not in _BLOCKS_BY_SIG:
+        _BLOCKS_BY_SIG[key] = [b for n in (1, 2, 3) for b in blocks(sig, n)]
+    bs = _BLOCKS_BY_SIG[key]
 
-    def truth(c):
-        """c's truth value in each model of the signature, compiled once."""
+    def holds(c):
+        """The models where c holds, per block of the signature, found once."""
         got = _TRUTH.get((c, key))
         if got is None:
-            holds = _compile(clause_to_formula(c))
-            got = _TRUTH[(c, key)] = [holds(m) for m in _MODELS_BY_SIG[key]]
+            f = clause_to_formula(c)
+            got = _TRUTH[(c, key)] = [truth(b, f) for b in bs]
         return got
 
     return not any(
-        all(ps) and not concl for *ps, concl in zip(*map(truth, premises), truth(conclusion))
+        functools.reduce(operator.and_, ps, (1 << b.count) - 1) & ~concl
+        for b, *ps, concl in zip(bs, *map(holds, premises), holds(conclusion))
     )
 
 
-def test_criterion_09_random_inference_steps_are_sound_in_small_models():
+def test_criterion_09_random_inference_steps_are_sound_in_small_models(monkeypatch):
+    full_enumeration(monkeypatch)
     rng = random.Random(2026)
     checked = 0
     while checked < 500:

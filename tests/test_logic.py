@@ -181,6 +181,25 @@ def test_canonical_form_matches_the_permutation_search(lits):
     assert Clause.make(lits).lits == brute_force_order(uniq)
 
 
+def test_a_long_chain_from_a_resolution_closure_keeps_its_canonical_form():
+    # a 22-literal clause of the p01_d2 resolution-mode closure, as `lres`
+    # builds it; its 20 `B` literals share one shape, so `_least_order`
+    # picks their order, and the canonical text is pinned against any
+    # rewrite of that search
+    built = (
+        "?u0 != ?u9 | B(?u0,?u1) | X(?u1) | B(?v0,?v1) | B(?v1,?u2) | B(?u2,?u3) | B(?u3,?u4) "
+        "| B(?u4,?u5) | B(?u5,?u6) | B(?u6,?u7) | B(?u7,?u8) | B(?u8,?u9) | B(?u10,?v0) "
+        "| B(?u11,?u10) | B(?u12,?u11) | B(?u13,?u12) | B(?u14,?u13) | B(?u15,?u14) "
+        "| B(?u16,?u15) | B(?u17,?u16) | B(?u18,?u17) | B(c0,?u18)"
+    )
+    assert str(cl(built)) == (
+        "?u0 != ?u1 | B(?u0,?u2) | B(?u3,?u1) | B(?u4,?u3) | B(?u5,?u4) | B(?u6,?u5) "
+        "| B(?u7,?u6) | B(?u8,?u7) | B(?u9,?u10) | B(?u10,?u11) | B(?u11,?u12) | B(?u12,?u13) "
+        "| B(?u13,?u14) | B(?u14,?u15) | B(?u15,?u16) | B(?u16,?u17) | B(?u17,?u18) "
+        "| B(?u18,?u19) | B(?u19,?u20) | B(?u20,?u8) | B(c0,?u9) | X(?u2)"
+    )
+
+
 def _shuffled_renamed(rng, lits):
     lits = list(lits)
     rng.shuffle(lits)

@@ -3,6 +3,8 @@ end-to-end witness checker."""
 
 import dataclasses
 import itertools
+import json
+import pathlib
 import random
 import time
 from collections import Counter
@@ -17,6 +19,7 @@ from wscan.logic import (
     FAnd,
     FAtom,
     FEx,
+    FFalse,
     FGfp,
     FIff,
     FImp,
@@ -41,26 +44,30 @@ from wscan.verify import (
     Rejected,
     Signature,
     Unknown,
-    _compile,
     _Prover,
+    blocks,
     check_witness,
     clausify,
     eval_formula,
     find_model,
     fn_cap_ok,
     model_count,
-    models,
     prove,
     signature_of,
     soqe_holds,
+    truth,
 )
 from wscan.saturation import RULES, Derivation, ReplayError, Step, replay_proof, trace_line
 from wscan.witness import Witness, extract_witness
 
 from conftest import (
+    CORPUS_RUNS,
     cl,
     clauses_of,
     corpus_derivation,
+    evaluator,
+    full_enumeration,
+    models,
     proof_of_lines,
     random_clause,
     random_lit,
@@ -134,7 +141,7 @@ def test_eval_gfp_greatest_fixpoint():
 
 
 def clause_holds(m, c):
-    return _compile(clause_to_formula(c))(m)
+    return evaluator(clause_to_formula(c))(m)
 
 
 def test_eval_clause_universal_closure():
@@ -167,7 +174,7 @@ def test_fn_cap_guards_binary_functions():
 
 def brute_soqe(m, clauses, xars):
     """Try every interpretation of the second-order variables outright."""
-    holds = _compile(FAnd(tuple(clause_to_formula(c) for c in clauses)))
+    holds = evaluator(FAnd(tuple(clause_to_formula(c) for c in clauses)))
     names = sorted(xars)
     spaces = []
     for x in names:
@@ -447,7 +454,7 @@ def test_prover_tries_each_site_once():
     assert self_parmods and len(self_parmods) == len(set(self_parmods))
 
 
-# -- the compiled evaluator against the reference walker ------------------------
+# -- the evaluator on single models against the reference walker ---------------
 
 
 def random_formula(rng, depth, vs, ps, pos_only=()):
@@ -524,6 +531,38 @@ def test_compiled_evaluator_agrees_with_the_reference_walker():
                         assert eval_formula(m, f, venv, penv) == ref_eval_formula(m, f, venv, penv), (
                             f, m.describe(), venv, penv)
                         compared += 1
+    assert compared > 10_000
+
+
+def test_block_evaluator_agrees_with_the_reference_in_every_model_of_a_block(monkeypatch):
+    """Bit idx of a block's truth value is the formula's value in the
+    block's idx-th model: with every function table enumerated, the blocks'
+    models in turn are `ref_models`'s models in order."""
+    full_enumeration(monkeypatch)
+    rng = random.Random(2424)
+    formulas = compared = 0
+    while formulas < 120:
+        f = random_formula(rng, 3, ["w"], ["P"])
+        sig = signature_of(formulas=[f])
+        sig.pvars.clear()
+        if model_count(sig, 2) > 256:
+            continue
+        formulas += 1
+        for n in (1, 2):
+            subsets = [frozenset(s) for r in range(n + 1)
+                       for s in itertools.combinations([(e,) for e in range(n)], r)]
+            for w, p in itertools.product(range(n), subsets):
+                venv, penv = {"w": w}, {"P": p}
+                reference = ref_models(sig, n)
+                for blk in blocks(sig, n):
+                    got = truth(blk, f, venv, penv)
+                    assert 0 <= got < 1 << blk.count
+                    for idx in range(blk.count):
+                        m = next(reference)
+                        assert bool(got >> idx & 1) == ref_eval_formula(m, f, venv, penv), (
+                            f, m.describe(), venv, penv)
+                        compared += 1
+                assert next(reference, None) is None
     assert compared > 10_000
 
 
@@ -699,13 +738,6 @@ def test_models_stand_for_their_orbits_of_constant_vectors():
             assert Counter(model_key(representative(m)) for m in full) == canonical
 
 
-def full_enumeration(monkeypatch):
-    """Make the model route enumerate every model, each with weight 1."""
-    monkeypatch.setattr(
-        verify_module, "models", lambda sig, n: ((m, 1) for m in ref_models(sig, n))
-    )
-
-
 WITNESS_BODIES = [
     FTrue(),
     FNot(FTrue()),
@@ -758,7 +790,7 @@ def test_find_model_finds_a_model_exactly_when_full_enumeration_does(monkeypatch
             want = find_model(clauses)
         assert (got is None) == (want is None), clauses
         if got is not None:
-            assert _compile(FAnd(tuple(clause_to_formula(c) for c in clauses)))(got)
+            assert evaluator(FAnd(tuple(clause_to_formula(c) for c in clauses)))(got)
         outcomes[got is None] += 1
     assert outcomes[True] >= 3 and outcomes[False] >= 3, outcomes
 
@@ -778,13 +810,82 @@ def test_the_set_is_solvable_in_every_model_where_the_witness_holds():
         if model_count(sig, 3) > 3000:
             continue
         problems += 1
-        under_w = _compile(FAnd(tuple(goals)))
+        under_w = evaluator(FAnd(tuple(goals)))
         for n in (1, 2, 3):
             for m in ref_models(sig, n):
                 if under_w(m):
                     witness_true += 1
                     assert soqe_holds(m, clauses, {"X": 1}), (clauses, w, m.describe())
     assert problems >= 30 and witness_true >= 5000, (problems, witness_true)
+
+
+def test_the_model_route_checks_the_deadline_between_blocks(monkeypatch):
+    # the clock passes the deadline once the first size-3 block is done
+    monkeypatch.setattr(verify_module, "prove", lambda *args, **kwargs: Unknown("not run"))
+    now = [0.0]
+    monkeypatch.setattr(verify_module.time, "monotonic", lambda: now[0])
+    real_blocks, done = verify_module.blocks, []
+
+    def blocks_until_timeout(sig, n):
+        for blk in real_blocks(sig, n):
+            if n == 3 and done[-1].size == 3:
+                now[0] = float("inf")
+            else:
+                done.append(blk)
+            yield blk
+
+    monkeypatch.setattr(verify_module, "blocks", blocks_until_timeout)
+    clauses, d = main_pieces()
+    w = Witness({"X": PredExpr(("z",), FAtom("=", (a, Var("z"))))}, ())
+    rep = check_witness(clauses, {"X": 1}, d.conclusion(), w, timeout=20.0)
+    assert [blk.size for blk in done].count(3) == 1 and now[0] == float("inf")
+    assert rep.failures == ()
+    assert rep.notes == ("model check interrupted at size 3 (timeout)",)
+    # sizes 1 and 2 in full, then a = c at size 3 (weight 3, 2**9 relations B)
+    assert rep.models_checked == sum(blk.weight * blk.count for blk in done) == 2 + 64 + 3 * 512
+    assert rep.models_evaluated == sum(blk.count for blk in done) == 2 + 32 + 512
+
+
+# -- the FAIL path: constant witnesses on every corpus derivation ------------------
+
+
+CONSTANT_PINS = pathlib.Path(__file__).resolve().parent / "constant_witnesses.json"
+CONSTANTS = {"false": FFalse(), "true": FTrue()}
+
+
+def constant_witness_records():
+    """What the model route makes of the witness that gives every predicate
+    variable of a corpus derivation the same constant body: its failure
+    lines, notes and counts.  The prover is left out (the caller stubs
+    `verify.prove`), so nothing depends on a deadline."""
+    out = {}
+    for problem, trace in CORPUS_RUNS:
+        prob, d = corpus_derivation(problem, trace)
+        for name, body in CONSTANTS.items():
+            w = Witness(
+                {x: PredExpr(tuple(f"z{i}" for i in range(k)), body) for x, k in prob.xvars.items()}, ()
+            )
+            rep = check_witness(prob.clauses, prob.xvars, d.conclusion(), w)
+            key = f"{name}:{trace}.trace" if trace else f"{name}:{problem}.wscan"
+            out[key] = {
+                "failures": list(rep.failures),
+                "notes": list(rep.notes),
+                "models_checked": rep.models_checked,
+                "models_evaluated": rep.models_evaluated,
+            }
+    return out
+
+
+def test_constant_witnesses_fail_as_recorded(monkeypatch):
+    """Re-record with `python tests/test_verify.py` from the repository root
+    with `src` on PYTHONPATH."""
+    monkeypatch.setattr(verify_module, "prove", lambda *args, **kwargs: Unknown("not run"))
+    pins = json.loads(CONSTANT_PINS.read_text())
+    got = constant_witness_records()
+    assert sorted(got) == sorted(pins)
+    for key, record in got.items():
+        assert record == pins[key], key
+    assert sum(1 for r in got.values() if r["failures"]) >= 10
 
 
 # -- Skolem constants are named per prove call -----------------------------------
@@ -927,3 +1028,8 @@ def test_the_prover_is_sound_against_the_finite_model_oracle(monkeypatch):
         outcomes[kind, isinstance(r, Proved)] += 1
     assert outcomes["weakened", True] >= 40 and outcomes["planted", False] >= 40, outcomes
     assert outcomes["random", True] + outcomes["negated", True] >= 5, outcomes
+
+
+if __name__ == "__main__":
+    verify_module.prove = lambda *args, **kwargs: Unknown("not run")
+    CONSTANT_PINS.write_text(json.dumps(constant_witness_records(), indent=1, sort_keys=True) + "\n")

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from wscan.logic import FNot, PointedClause, PredExpr, pred_expr_size, pred_expr_str, simplify_pred_expr
 from wscan.saturation import SearchLimits, replay, search
-from wscan.verify import _compile, check_witness, eval_formula, model_count, signature_of
+from wscan.verify import check_witness, eval_formula, model_count, signature_of
 from wscan.witness import (
     FirstOrderUnavailable,
     LresBudgetExceeded,
@@ -28,6 +28,7 @@ from conftest import (
     cl,
     clauses_of,
     corpus_derivation,
+    evaluator,
     random_clause,
     ref_find_acyclic,
     ref_models,
@@ -383,7 +384,7 @@ def gfp_certificate_breaks(d):
         b = b_k(p, k).to_pred_expr(negate=neg)
         flat = k >= 1 and not any(l.same_kind(p.designated.dual()) for l in p.rest)
         sig = signature_of(formulas=[g.body, b.body])
-        g_holds, b_holds = _compile(g.body, g.params), _compile(b.body, b.params)
+        g_holds, b_holds = evaluator(g.body, g.params), evaluator(b.body, b.params)
         for n in (1, 2):
             if model_count(sig, n) > 4096:
                 break
