@@ -496,6 +496,10 @@ def parse_graph(text: str) -> GraphSpec:
         except ValueError:
             raise ParseError(f"expected numbers after {parts[0]!r}", ln, 1)
         if parts[0] == "nodes" and len(nums) == 1:
+            if nodes is not None:
+                raise ParseError("a second `nodes` line", ln, 1)
+            if nums[0] < 1:
+                raise ParseError(f"a graph needs at least one node, got `nodes {nums[0]}`", ln, 1)
             nodes = nums[0]
         elif parts[0] == "edge" and len(nums) == 2:
             edges.append((nums[0], nums[1]))

@@ -13,8 +13,10 @@ the calculus.  It enumerates models in blocks that share their function
 tables and differ only in their relations, with constants only up to a
 permutation of the domain, and evaluates a formula once per block: a truth
 value is an int with one bit per model of the block.  It grounds a clause
-set once per block, and decides each model size, by the size alone, before
-its first block.
+set once per block and decides its solvability in all the block's models in
+one pass of ground Davis-Putnam elimination, each clause carrying the set of
+models where it is live; it decides whether to enumerate a model size, by
+the size alone, before its first block.
 """
 
 from __future__ import annotations
@@ -465,14 +467,20 @@ MAX_GROUND_INSTANCES = 3**6
 
 
 class _Soqe:
-    """soqe_holds for one clause set on block after block.  The clauses are
-    ground once per block: that settles the equality literals and every
-    argument tuple, and leaves each instance as its predicate-variable atoms
-    and the set of models where its other literals are all false.  Each model
-    then only runs DPLL over the atoms of the instances left in it."""
+    """Solvability of one clause set in every model of block after block.
+    The clauses are ground once per block: that settles the equality
+    literals and every argument tuple, and leaves each instance as its
+    predicate-variable literals, live in the models where its other literals
+    are all false.  Then the ground predicate-variable atoms are resolved
+    away one at a time (Davis and Putnam's elimination), each clause carrying
+    the set of models where it is live, so one pass decides every model:
+    the set is unsolvable where the empty clause is live at the end."""
 
-    def __init__(self, n: Sequence[Clause], xars: Mapping[str, int]):
+    def __init__(
+        self, n: Sequence[Clause], xars: Mapping[str, int], deadline: float = float("inf")
+    ):
         self.xars = dict(xars)
+        self.deadline = deadline
         # per clause: the clause, its variables, its other literals as
         # formulas and its predicate-variable literals
         self.clauses = [
@@ -484,8 +492,6 @@ class _Soqe:
             )
             for c in n
         ]
-        self.live: dict[frozenset, int] = {}  # atoms -> models where they are all that is left
-        self.solved: dict[tuple, bool] = {}  # DPLL's answer per ground clause set
 
     def too_large(self, size: int) -> Optional[str]:
         """Why models of this size are out of reach, if they are: a predicate
@@ -499,79 +505,62 @@ class _Soqe:
                 return f"too many ground instances of {c}"
         return None
 
-    def ground(self, b: Block) -> int:
-        """Ground the clauses over b; the models of b where no instance
-        without predicate-variable atoms is false, the ones `holds` decides."""
-        ev, unsat = _Eval(b), 0
-        self.live, self.solved = {}, {}
+    def models(self, b: Block, among: int) -> Optional[int]:
+        """The models in among (a set of models of b) where some assignment
+        of relations to the predicate variables satisfies every clause, or
+        None once the deadline has passed, checked before each atom."""
+        if not among:
+            return 0
+        ev = _Eval(b)
+        live: dict[frozenset, int] = {}  # ground clause -> models where it is live
         for _, vs, rest, xlits in self.clauses:
             for vals in itertools.product(range(b.size), repeat=len(vs)):
                 venv = dict(zip(vs, vals))
-                false = ev.full
+                false = among
                 for f in rest:
                     false &= ~ev.formula(f, venv, {})
                     if not false:
                         break
                 else:
-                    atoms = frozenset(
+                    lits = frozenset(
                         (l.pos, l.head, tuple(ev.term(t, venv) for t in l.args)) for l in xlits
                     )
-                    if atoms:
-                        self.live[atoms] = self.live.get(atoms, 0) | false
-                    else:
-                        unsat |= false
-        return ev.full ^ unsat
+                    if not _complementary(lits):
+                        live[lits] = live.get(lits, 0) | false
+        unsolvable = live.pop(frozenset(), 0)  # where the empty clause is live
+        for atom in sorted({lit[1:] for c in live for lit in c}):
+            if time.monotonic() > self.deadline:
+                return None
+            pos, neg = (True, *atom), (False, *atom)
+            ps = [(c - {pos}, m) for c, m in live.items() if pos in c]
+            ns = [(c - {neg}, m) for c, m in live.items() if neg in c]
+            live = {c: m for c, m in live.items() if pos not in c and neg not in c}
+            for p, m in ps:
+                for q, n in ns:
+                    r, keep = p | q, m & n & ~unsolvable
+                    if not keep or _complementary(r):
+                        continue
+                    if not r:
+                        unsolvable |= keep
+                        continue
+                    # r adds nothing where a live clause inside it is live
+                    for c, k in live.items():
+                        if k & keep and c <= r:
+                            keep &= ~k
+                    if keep:
+                        live[r] = live.get(r, 0) | keep
+        return among & ~unsolvable
 
-    def holds(self, idx: int) -> bool:
-        """Solvability in the idx-th model of the block last ground, a model
-        in the set that `ground` returned."""
-        cnf = [atoms for atoms, false in self.live.items() if false >> idx & 1]
-        key = tuple(cnf)
-        got = self.solved.get(key)
-        if got is None:
-            got = self.solved[key] = _dpll(cnf, {})
-        return got
+
+def _complementary(lits: frozenset) -> bool:
+    """Whether the ground literals hold some atom with both signs."""
+    return any((not pos, x, t) in lits for pos, x, t in lits)
 
 
 def soqe_holds(m: FiniteModel, n: Sequence[Clause], xars: Mapping[str, int]) -> bool:
     """Does some assignment of relations to the predicate variables satisfy
-    every clause of n on m?  Ground the clauses and run DPLL over the atoms."""
-    solvable = _Soqe(n, xars)
-    return solvable.ground(_block_of(m)) == 1 and solvable.holds(0)
-
-
-def _dpll(clauses: list[frozenset], assign: dict) -> bool:
-    while True:
-        clauses2 = []
-        unit = None
-        for cl in clauses:
-            alive = []
-            satisfied = False
-            for (pos, x, t) in cl:
-                v = assign.get((x, t))
-                if v is None:
-                    alive.append((pos, x, t))
-                elif v == pos:
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if not alive:
-                return False
-            if len(alive) == 1:
-                unit = alive[0]
-            clauses2.append(frozenset(alive))
-        clauses = clauses2
-        if unit is None:
-            break
-        (pos, x, t) = unit
-        assign = {**assign, (x, t): pos}
-    if not clauses:
-        return True
-    (pos, x, t) = next(iter(clauses[0]))
-    return _dpll(clauses, {**assign, (x, t): True}) or _dpll(
-        clauses, {**assign, (x, t): False}
-    )
+    every clause of n on m?"""
+    return _Soqe(n, xars).models(_block_of(m), 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -840,8 +829,10 @@ def check_witness(
     else:
         budget = max(0.5, (deadline - time.monotonic()) * 0.6 / max(1, len(goals)))
         for i, g in enumerate(goals):
+            # no goal runs past the check's deadline
+            left = max(0.0, deadline - time.monotonic())
             try:
-                got = prove(conclusion, g, timeout=budget)
+                got = prove(conclusion, g, timeout=min(budget, left))
             except ClausifyError as e:
                 got = Unknown(str(e))
                 notes.append(f"clause {i + 1} under the witness was not clausified: {e}")
@@ -862,30 +853,27 @@ def check_witness(
                 prover_results.append((i, "unknown"))
     sig = signature_of(list(n) + list(conclusion), goals)
     sig.pvars = {k: None for k in sig.pvars if k[0] not in xars}
-    solvable, under_w = _Soqe(n, xars), FAnd(tuple(goals))
+    solvable, under_w = _Soqe(n, xars, deadline), FAnd(tuple(goals))
     checked = evaluated = disagreements = 0
     for b in small_blocks(sig, deadline, notes, solvable.too_large):
         # where n under w holds, w's relations solve n, so only the models
-        # where it fails need the solvability test, in enumeration order
-        todo = (1 << b.count) - 1 ^ truth(b, under_w)
-        if todo:
-            todo &= solvable.ground(b)
-        done, stop = b.count, None
-        for idx in _bits(todo):
-            if time.monotonic() > deadline:
-                done, stop = idx, f"model check interrupted at size {b.size} (timeout)"
+        # where it fails need the solvability test
+        wrong = solvable.models(b, (1 << b.count) - 1 ^ truth(b, under_w))
+        if wrong is None:
+            notes.append(f"model check interrupted at size {b.size} (timeout)")
+            break
+        done = b.count
+        for idx in _bits(wrong):
+            failures.append(
+                f"model disagreement ({b.model(idx).describe()}): solvable=True, witness gives False"
+            )
+            disagreements += 1
+            if disagreements == 5:
+                done = idx + 1
+                notes.append("model check stopped after 5 disagreements")
                 break
-            if solvable.holds(idx):
-                failures.append(
-                    f"model disagreement ({b.model(idx).describe()}): solvable=True, witness gives False"
-                )
-                disagreements += 1
-                if disagreements == 5:
-                    done, stop = idx + 1, "model check stopped after 5 disagreements"
-                    break
         checked += b.weight * done
         evaluated += done
-        if stop is not None:
-            notes.append(stop)
+        if disagreements == 5:
             break
     return CheckReport(tuple(prover_results), checked, evaluated, tuple(failures), tuple(notes))

@@ -162,6 +162,17 @@ def test_parse_graph_and_validation():
         parse_graph("edge 1 2\n")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("nodes 0\n", 1), ("# none\nnodes -2\n", 2), ("nodes 2\nedge 1 2\nnodes 3\n", 3)],
+    ids=["no-nodes", "negative", "second-nodes-line"],
+)
+def test_parse_graph_rejects_degenerate_node_counts_at_their_line(text, line):
+    with pytest.raises(ParseError) as e:
+        parse_graph(text)
+    assert e.value.line == line
+
+
 def test_encode_single_node_graph():
     p = encode_graph(GraphSpec(1, (), (1,), ()))
     body = print_problem(p)

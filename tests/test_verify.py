@@ -216,6 +216,50 @@ def test_soqe_holds_random_agreement():
             agree += 1
 
 
+def random_soqe_clause(rng, xars):
+    """One to three literals: mostly predicate-variable literals of xars, else
+    B/1 or a negated equation, over u, v, a, b and f(u)."""
+    terms = (u, v, a, b, App("f", (u,)))
+    lits = []
+    for _ in range(rng.randrange(1, 4)):
+        roll, pos = rng.random(), rng.random() < 0.5
+        if roll < 0.6:
+            x = rng.choice(sorted(xars))
+            lits.append(Lit(pos, x, tuple(rng.choice(terms) for _ in range(xars[x])), True))
+        elif roll < 0.85:
+            lits.append(Lit(pos, "B", (rng.choice(terms),)))
+        else:
+            lits.append(Lit(False, "=", (rng.choice(terms), rng.choice(terms))))
+    return Clause.make(lits)
+
+
+def test_block_solvability_matches_brute_force():
+    """Bit idx of `_Soqe.models(b, among)` is set iff idx is in among and
+    some relations for the predicate variables satisfy the clauses in the
+    idx-th model, for one or two predicate variables of arity 1 and 2, in
+    every block up to the size where brute force takes too long."""
+    rng = random.Random(2525)
+    outcomes = Counter()
+    for _ in range(60):
+        arities = [("X", rng.choice((1, 2))), ("Y", rng.choice((1, 2)))]
+        xars = dict(rng.sample(arities, rng.choice((1, 2))))
+        clauses = [random_soqe_clause(rng, xars) for _ in range(rng.randrange(2, 6))]
+        sig = signature_of(clauses)
+        for n in (1, 2, 3):
+            # sig counts the predicate variables as relations, as brute force does
+            if model_count(sig, n) > 4096:
+                continue
+            bare = Signature(sig.funcs, sig.rels, {})
+            for blk in blocks(bare, n):
+                among = rng.getrandbits(blk.count)
+                got = verify_module._Soqe(clauses, xars).models(blk, among)
+                for idx in range(blk.count):
+                    want = bool(among >> idx & 1) and brute_soqe(blk.model(idx), clauses, xars)
+                    assert bool(got >> idx & 1) == want, (clauses, xars, blk.model(idx).describe())
+                    outcomes[want, among >> idx & 1] += 1
+    assert min(outcomes.values()) >= 200 and len(outcomes) == 3, outcomes
+
+
 # -- prover -------------------------------------------------------------------
 
 
@@ -844,6 +888,55 @@ def test_the_model_route_checks_the_deadline_between_blocks(monkeypatch):
     # sizes 1 and 2 in full, then a = c at size 3 (weight 3, 2**9 relations B)
     assert rep.models_checked == sum(blk.weight * blk.count for blk in done) == 2 + 64 + 3 * 512
     assert rep.models_evaluated == sum(blk.count for blk in done) == 2 + 32 + 512
+
+
+def test_the_model_route_checks_the_deadline_inside_a_block(monkeypatch):
+    # the clock passes the deadline once the first size-3 block's solvability
+    # test has eliminated its first atom
+    monkeypatch.setattr(verify_module, "prove", lambda *args, **kwargs: Unknown("not run"))
+    size, reads = [0], []
+
+    def clock():
+        if size[0] == 3:
+            reads.append(size[0])
+        return float("inf") if len(reads) > 1 else 0.0
+
+    real_models = verify_module._Soqe.models
+
+    def models(self, blk, among):
+        size[0] = blk.size
+        return real_models(self, blk, among)
+
+    monkeypatch.setattr(verify_module.time, "monotonic", clock)
+    monkeypatch.setattr(verify_module._Soqe, "models", models)
+    clauses, d = main_pieces()
+    w = Witness({"X": PredExpr(("z",), FAtom("=", (a, Var("z"))))}, ())
+    rep = check_witness(clauses, {"X": 1}, d.conclusion(), w, timeout=20.0)
+    assert len(reads) == 2
+    assert rep.failures == ()
+    assert rep.notes == ("model check interrupted at size 3 (timeout)",)
+    # sizes 1 and 2 in full, none of the interrupted block
+    assert rep.models_checked == 2 + 64
+    assert rep.models_evaluated == 2 + 32
+
+
+def test_the_prover_gets_no_time_past_the_checks_deadline(monkeypatch):
+    # a prover that runs until its deadline returns once the clock is past it
+    now, given = [0.0], []
+    monkeypatch.setattr(verify_module.time, "monotonic", lambda: now[0])
+
+    def prove(premises, goal, timeout):
+        given.append(timeout)
+        now[0] += timeout + 0.01
+        return Unknown("saturation budget exhausted")
+
+    monkeypatch.setattr(verify_module, "prove", prove)
+    prob, d = corpus_derivation("p06_graph3", "p06_graph3")
+    w = Witness({"X": PredExpr(("z",), FFalse())}, ())
+    rep = check_witness(prob.clauses, prob.xvars, d.conclusion(), w, timeout=1.0)
+    assert len(given) == len(prob.clauses) == 16
+    assert sum(given) <= 1.0 and min(given) == 0.0
+    assert rep.notes == ("model check stopped before size 1 (timeout)",)
 
 
 # -- the FAIL path: constant witnesses on every corpus derivation ------------------
