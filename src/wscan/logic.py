@@ -762,17 +762,11 @@ def _one_point(f: Union[FAll, FEx], sub: Formula) -> Optional[Formula]:
 
 
 def simplify(f: Formula) -> Formula:
-    """Equivalence-preserving cleanup: double negation, t=t, top/bottom
-    absorption, vacuous quantifiers and the one-point rule."""
-    for _ in range(64):
-        g = _simplify1(f)
-        if g == f:
-            return g
-        f = g
-    return f
-
-
-def _simplify1(f: Formula) -> Formula:
+    """Equivalence-preserving cleanup in one bottom-up pass: double
+    negation, t=t, top/bottom absorption, vacuous quantifiers, the one-point
+    rule and negation pushed inward.  Every node is built from simplified
+    children and simplified again where a rule builds a new one, so the
+    result is its own simplification."""
     if isinstance(f, (FTrue, FFalse)):
         return f
     if isinstance(f, FAtom):
@@ -780,7 +774,7 @@ def _simplify1(f: Formula) -> Formula:
             return TRUE
         return f
     if isinstance(f, FNot):
-        s = _simplify1(f.sub)
+        s = simplify(f.sub)
         if isinstance(s, FNot):
             return s.sub
         if isinstance(s, FTrue):
@@ -790,17 +784,17 @@ def _simplify1(f: Formula) -> Formula:
         # Negation-normal form: push the negation through the propositional
         # and quantifier structure.  Gfp applications stay opaque.
         if isinstance(s, (FAnd, FOr)):
-            return DUAL[type(s)](tuple(FNot(x) for x in s.subs))
+            return simplify(DUAL[type(s)](tuple(FNot(x) for x in s.subs)))
         if isinstance(s, FImp):
-            return FAnd((s.lhs, FNot(s.rhs)))
+            return simplify(FAnd((s.lhs, FNot(s.rhs))))
         if isinstance(s, (FAll, FEx)):
-            return DUAL[type(s)](s.var, FNot(s.sub))
+            return simplify(DUAL[type(s)](s.var, FNot(s.sub)))
         return FNot(s)
     if isinstance(f, (FAnd, FOr)):
         kind = type(f)
         subs: list[Formula] = []
         for x in f.subs:
-            x = _simplify1(x)
+            x = simplify(x)
             if x == UNIT[DUAL[kind]]:  # absorbs the junction
                 return x
             if x == UNIT[kind]:
@@ -811,16 +805,16 @@ def _simplify1(f: Formula) -> Formula:
                 subs.append(x)
         return junction(kind, dict.fromkeys(subs))
     if isinstance(f, FImp):
-        a, b = _simplify1(f.lhs), _simplify1(f.rhs)
+        a, b = simplify(f.lhs), simplify(f.rhs)
         if isinstance(a, FTrue):
             return b
         if isinstance(a, FFalse) or isinstance(b, FTrue):
             return TRUE
         if isinstance(b, FFalse):
-            return _simplify1(FNot(a))
+            return simplify(FNot(a))
         return FImp(a, b)
     if isinstance(f, FIff):
-        a, b = _simplify1(f.lhs), _simplify1(f.rhs)
+        a, b = simplify(f.lhs), simplify(f.rhs)
         if a == b:
             return TRUE
         if isinstance(a, FTrue):
@@ -828,25 +822,25 @@ def _simplify1(f: Formula) -> Formula:
         if isinstance(b, FTrue):
             return a
         if isinstance(a, FFalse):
-            return _simplify1(FNot(b))
+            return simplify(FNot(b))
         if isinstance(b, FFalse):
-            return _simplify1(FNot(a))
+            return simplify(FNot(a))
         return FIff(a, b)
     if isinstance(f, (FAll, FEx)):
-        sub = _simplify1(f.sub)
+        sub = simplify(f.sub)
         if isinstance(sub, (FTrue, FFalse)):
             return sub
         if f.var not in formula_free_vars(sub):
             return sub
         got = _one_point(f, sub)
         if got is not None:
-            return _simplify1(got)
+            return simplify(got)
         return type(f)(f.var, sub)
     if isinstance(f, FGfp):
-        body = _simplify1(f.body)
+        body = simplify(f.body)
         if f.pvar not in formula_free_pvars(body):
             # the fixpoint variable is gone: the gfp is the body itself
-            return _simplify1(subst_formula(body, dict(zip(f.params, f.args))))
+            return simplify(subst_formula(body, dict(zip(f.params, f.args))))
         return FGfp(f.pvar, f.params, body, f.args)
     raise TypeError(f)
 

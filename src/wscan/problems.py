@@ -483,9 +483,8 @@ class GraphSpec:
 
 def parse_graph(text: str) -> GraphSpec:
     nodes = None
-    edges: list[tuple[int, int]] = []
-    init: list[int] = []
-    fail: list[int] = []
+    # (line, edges, init nodes, fail nodes) of each edge, init and fail line
+    named: list[tuple[int, tuple, tuple, tuple]] = []
     for ln, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -502,19 +501,22 @@ def parse_graph(text: str) -> GraphSpec:
                 raise ParseError(f"a graph needs at least one node, got `nodes {nums[0]}`", ln, 1)
             nodes = nums[0]
         elif parts[0] == "edge" and len(nums) == 2:
-            edges.append((nums[0], nums[1]))
+            named.append((ln, (tuple(nums),), (), ()))
         elif parts[0] == "init":
-            init.extend(nums)
+            named.append((ln, (), tuple(nums), ()))
         elif parts[0] == "fail":
-            fail.extend(nums)
+            named.append((ln, (), (), tuple(nums)))
         else:
             raise ParseError(f"unknown graph directive {body!r}", ln, 1)
     if nodes is None:
         raise ParseError("missing `nodes <n>` line", 1, 1)
-    try:
-        return GraphSpec(nodes, tuple(edges), tuple(init), tuple(fail))
-    except ValueError as e:
-        raise ParseError(str(e), 1, 1)
+    for ln, *line in named:
+        try:  # `nodes` may come later, so each line's range is checked here
+            GraphSpec(nodes, *line)
+        except ValueError as e:
+            raise ParseError(str(e), ln, 1)
+    edges, init, fail = (tuple(x for line in named for x in line[k]) for k in (1, 2, 3))
+    return GraphSpec(nodes, edges, init, fail)
 
 
 def encode_graph(g: GraphSpec) -> Problem:

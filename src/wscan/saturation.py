@@ -112,10 +112,6 @@ class SearchLimits:
             raise ValueError("limits must be positive")
 
 
-# resolvents one purification may add before it gives up
-PURIFY_BUDGET = 100
-
-
 class ReplayError(Exception):
     def __init__(self, index: int, reason: str):
         super().__init__(f"step {index + 1}: {reason}")
@@ -464,10 +460,10 @@ def purify(st: _State, p_id: int, p_idx: int) -> bool:
     repeatedly add constraint resolvents not subsumed (modulo constraint
     unfolding) by the live set, with eager variable elimination and subsumption
     deletion -- but no tautology deletion -- until the pointed clause is
-    purified, then delete it.  Returns False when stuck or over budget."""
+    purified, then delete it.  Returns False when stuck or when the search's
+    step or time budget runs out."""
     p = pointed(st.live[p_id], p_idx)
     like = p.designated.dual()
-    spent = 0
     try:
         while True:
             # a state that may take no further step is not worth a purity check
@@ -476,8 +472,6 @@ def purify(st: _State, p_id: int, p_idx: int) -> bool:
             if step is not None:
                 st.apply(step)
                 return True
-            if spent >= PURIFY_BUDGET:
-                return False
             for cid, k in _partner_positions(st, p, skip=p_id):
                 step = _res(st, p_id, p_idx, cid, k)
                 if not any(
@@ -488,7 +482,6 @@ def purify(st: _State, p_id: int, p_idx: int) -> bool:
             else:
                 return False
             st.apply(step)
-            spent += 1
             velim = _attempt(_varelim, st, step.new_id)
             if velim is not None:
                 st.apply(velim)

@@ -4,8 +4,12 @@ evaluation, and witness checking.
 
 The prover is deliberately plain -- given-clause, smallest first (the
 passive clauses are a heap on size), plain subsumption -- which is enough for
-the desk-scale goals produced by witness checking.  It takes resolution
-partners and factor pairs from `calculus` and tries each inference site once.
+the desk-scale goals produced by witness checking.  As in E's DISCOUNT loop,
+only active clauses subsume or get subsumed, and only when a clause is
+selected: it is dropped if an active clause subsumes it, and otherwise drops
+the active clauses it subsumes.  A clause that arrives is only deduplicated
+and unit-deleted.  It takes resolution partners and factor pairs from
+`calculus` and tries each inference site once.
 A refutation is a `Derivation` in trace syntax, and it counts only once
 `saturation.replay_proof` has rebuilt it through `RULES`.
 The finite-model evaluator is the independent oracle: it knows nothing about
@@ -610,9 +614,8 @@ class _Prover:
         # id -> (rule, args in trace order, clause); inputs have rule "input"
         self.recs: dict[int, tuple[str, tuple, Clause]] = {}
         self.next_id = 1
-        self.active: list[tuple[int, Clause]] = []
+        self.active: dict[int, Clause] = {}
         self.passive: list[tuple[int, int]] = []  # (size, id)
-        self.dead: set[int] = set()
         self.seen: set[Clause] = set()
         self.units: dict[Lit, int] = {}  # ground unit literal -> id of its clause
         self.empty_id: Optional[int] = None
@@ -644,26 +647,20 @@ class _Prover:
             return
         if self._unit_deleted(cid, c):
             return
-        if any(
-            _redundant(a, c) for i, a in self.active if i not in self.dead
-        ):
-            return
         self.seen.add(c)
-        for i, a in self.active:
-            if i not in self.dead and _redundant(c, a):
-                self.dead.add(i)
         heapq.heappush(self.passive, (c.size, cid))
         if len(c.lits) == 1 and not c.vars:
             self.units[c.lits[0]] = cid
 
     def _unit_deleted(self, cid: int, c: Clause) -> bool:
-        """Unit deletion: if a queued ground unit refutes a literal of c,
-        admit their resolvent instead of c.  Its constraints are reflexive,
-        so it becomes c without that literal, which deletes c by one-way
-        subsumption as `_redundant` would."""
+        """Unit deletion, on arrival and again on selection: if a derived
+        ground unit (queued, active or since made redundant) refutes a
+        literal of c, admit their resolvent instead of c.  Its constraints
+        are reflexive, so it becomes c without that literal, which deletes c
+        by one-way subsumption as `_redundant` would."""
         for i, l in enumerate(c.lits):
             uid = self.units.get(l.dual())
-            if uid is not None and uid not in self.dead:
+            if uid is not None:
                 unit = pointed(self.recs[uid][2], 0)
                 self._admit(constraint_resolve(pointed(c, i), unit), "res", (cid, i, uid, 0))
                 return True
@@ -679,11 +676,14 @@ class _Prover:
                 return None
             _, gid = heapq.heappop(self.passive)
             g = self.recs[gid][2]
+            # only active clauses subsume or get subsumed, and only here
             if self._unit_deleted(gid, g):
                 continue
-            if any(i not in self.dead and _redundant(a, g) for i, a in self.active):
+            if any(_redundant(a, g) for a in self.active.values()):
                 continue
-            self.active.append((gid, g))
+            for i in [i for i, a in self.active.items() if _redundant(g, a)]:
+                del self.active[i]
+            self.active[gid] = g
             self._generate(gid, g)
         if self.empty_id is None:
             return None
@@ -709,12 +709,11 @@ class _Prover:
     def _generate(self, gid: int, g: Clause) -> None:
         """Every inference between g and an active clause, each site once:
         resolution only with g's literal first (the other order builds the
-        same clauses), paramodulation both ways between distinct clauses."""
-        for hid, h in list(self.active):
+        same clauses), paramodulation both ways between distinct clauses.
+        `_admit` leaves `active` alone, so the loop may iterate it."""
+        for hid, h in self.active.items():
             if self.empty_id is not None:
                 return
-            if hid in self.dead:
-                continue
             # renamed apart once per pair, so constraint_resolve's renaming is a no-op
             hr = rename_clause_apart(h, g.vars)
             for i in range(len(g.lits)):

@@ -9,6 +9,9 @@ the copying term matcher it used then, the definition the filtered in-place
 matcher in `subsumption` must agree with.  The reference evaluator walks the
 formula tree with a fresh environment per binder, the definition the
 block evaluator in `verify` must agree with in every model of a block.
+The reference simplifier applies one bottom-up rewriting pass until the
+formula stops changing, the definition the one-pass `logic.simplify` must
+agree with.
 The reference model enumerator yields every interpretation, the full set
 that `verify.blocks` covers with one model per orbit of constant vectors.
 The reference certificate depth backtracks over every choice of covers, the
@@ -22,7 +25,11 @@ import pathlib
 
 from wscan.calculus import resolvent_covers
 from wscan.logic import (
+    DUAL,
     EQ,
+    FALSE,
+    TRUE,
+    UNIT,
     App,
     Clause,
     FAll,
@@ -39,14 +46,19 @@ from wscan.logic import (
     Lit,
     PredExpr,
     Var,
+    _one_point,
     canonical_pred_expr,
     for_,
     forall,
+    formula_free_pvars,
+    formula_free_vars,
     is_proper_subterm_var,
+    junction,
     lit_to_formula,
     lit_vars,
     simplify_pred_expr,
     subst_consts,
+    subst_formula,
     subst_lit,
 )
 from wscan.problems import merge_theory, parse_problem
@@ -409,6 +421,82 @@ def ref_gfp_relation(m, f, venv, penv):
         if nxt == rel:
             return rel
         rel = nxt
+
+
+# -- reference simplifier -----------------------------------------------------
+
+
+def ref_simplify(f):
+    """One rewriting pass at a time until a fixpoint, at most 64 passes."""
+    for _ in range(64):
+        g = _ref_simplify_pass(f)
+        if g == f:
+            return g
+        f = g
+    return f
+
+
+def _ref_simplify_pass(f):
+    """One bottom-up pass: each node rewritten once from its rewritten
+    children, the node that pushing a negation inward builds left as is."""
+    if isinstance(f, (FTrue, FFalse)):
+        return f
+    if isinstance(f, FAtom):
+        if f.head == EQ and not f.pvar and f.args[0] == f.args[1]:
+            return TRUE
+        return f
+    if isinstance(f, FNot):
+        s = _ref_simplify_pass(f.sub)
+        if isinstance(s, FNot):
+            return s.sub
+        if isinstance(s, (FTrue, FFalse)):
+            return FALSE if isinstance(s, FTrue) else TRUE
+        if isinstance(s, (FAnd, FOr)):
+            return DUAL[type(s)](tuple(FNot(x) for x in s.subs))
+        if isinstance(s, FImp):
+            return FAnd((s.lhs, FNot(s.rhs)))
+        if isinstance(s, (FAll, FEx)):
+            return DUAL[type(s)](s.var, FNot(s.sub))
+        return FNot(s)
+    if isinstance(f, (FAnd, FOr)):
+        kind = type(f)
+        subs = []
+        for x in map(_ref_simplify_pass, f.subs):
+            if x == UNIT[DUAL[kind]]:
+                return x
+            if x != UNIT[kind]:
+                subs.extend(x.subs if isinstance(x, kind) else [x])
+        return junction(kind, dict.fromkeys(subs))
+    if isinstance(f, FImp):
+        a, b = _ref_simplify_pass(f.lhs), _ref_simplify_pass(f.rhs)
+        if isinstance(a, FTrue):
+            return b
+        if isinstance(a, FFalse) or isinstance(b, FTrue):
+            return TRUE
+        if isinstance(b, FFalse):
+            return _ref_simplify_pass(FNot(a))
+        return FImp(a, b)
+    if isinstance(f, FIff):
+        a, b = _ref_simplify_pass(f.lhs), _ref_simplify_pass(f.rhs)
+        if a == b:
+            return TRUE
+        if isinstance(a, FTrue) or isinstance(b, FTrue):
+            return b if isinstance(a, FTrue) else a
+        if isinstance(a, FFalse) or isinstance(b, FFalse):
+            return _ref_simplify_pass(FNot(b if isinstance(a, FFalse) else a))
+        return FIff(a, b)
+    if isinstance(f, (FAll, FEx)):
+        sub = _ref_simplify_pass(f.sub)
+        if isinstance(sub, (FTrue, FFalse)) or f.var not in formula_free_vars(sub):
+            return sub
+        got = _one_point(f, sub)
+        return _ref_simplify_pass(got) if got is not None else type(f)(f.var, sub)
+    if isinstance(f, FGfp):
+        body = _ref_simplify_pass(f.body)
+        if f.pvar not in formula_free_pvars(body):
+            return _ref_simplify_pass(subst_formula(body, dict(zip(f.params, f.args))))
+        return FGfp(f.pvar, f.params, body, f.args)
+    raise TypeError(f)
 
 
 # -- reference model enumerator -----------------------------------------------

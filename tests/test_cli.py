@@ -408,6 +408,7 @@ BAD_INPUTS = {
     "graph-without-nodes": ("encode-graph", "nodes0.graph"),
     "graph-with-negative-nodes": ("encode-graph", "nodes-2.graph"),
     "graph-with-two-nodes-lines": ("encode-graph", "nodes_twice.graph"),
+    "graph-node-out-of-range": ("encode-graph", "edge_out_of_range.graph"),
     "non-utf8-premises": ("prove", "latin1.bin", "goal.txt"),
     "non-numeric-timeout": ("solve", MAIN, "--timeout", "abc"),
     "unknown-option": ("solve", MAIN, "--bogus"),
@@ -436,6 +437,7 @@ def test_bad_input_exits_three_with_one_error_line(capsys, tmp_path, monkeypatch
     (tmp_path / "nodes0.graph").write_text("nodes 0\n")
     (tmp_path / "nodes-2.graph").write_text("nodes -2\n")
     (tmp_path / "nodes_twice.graph").write_text("nodes 2\nedge 1 2\nnodes 3\n")
+    (tmp_path / "edge_out_of_range.graph").write_text("nodes 2\nedge 1 5\n")
     (tmp_path / "deep.wscan").write_text(f"exists X/1.\nX(a)\n~X(?u) | B({_deep_term(3000)})\n")
     (tmp_path / "deep_goal.txt").write_text("~" * 3000 + "B(a)\n")
     (tmp_path / "deep_witness.txt").write_text(f"X := lambda u. B({_deep_term(3000)})\n")

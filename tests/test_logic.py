@@ -50,7 +50,7 @@ from wscan.logic import (
 from wscan.problems import parse_formula
 from wscan.verify import model_count, signature_of
 
-from conftest import cl, match_terms, ref_eval_formula, ref_eval_term, ref_models
+from conftest import cl, match_terms, ref_eval_formula, ref_eval_term, ref_models, ref_simplify
 from test_verify import random_formula
 
 a, b, c = const("a"), const("b"), const("c")
@@ -340,6 +340,17 @@ def test_simplify_drops_constants():
     assert s == FAtom("B", (a,))
     fm2 = FOr((FFalse(), FFalse()))
     assert simplify(fm2) == FFalse()
+
+
+def test_simplify_is_the_fixpoint_of_the_rewriting_pass_in_one_pass():
+    """Pushing a negation inward builds a node from simplified parts, so
+    simplifying that node again is all a second pass would do."""
+    rng = random.Random(2626)
+    for k in range(3000):
+        fm = random_formula(rng, 1 + k % 6, ["w"], ["P"])
+        got = simplify(fm)
+        assert got == ref_simplify(fm), fm
+        assert simplify(got) == got, fm
 
 
 def test_apply_pred_subst_clause():

@@ -164,8 +164,13 @@ def test_parse_graph_and_validation():
 
 @pytest.mark.parametrize(
     "text, line",
-    [("nodes 0\n", 1), ("# none\nnodes -2\n", 2), ("nodes 2\nedge 1 2\nnodes 3\n", 3)],
-    ids=["no-nodes", "negative", "second-nodes-line"],
+    [("nodes 0\n", 1), ("# none\nnodes -2\n", 2), ("nodes 2\nedge 1 2\nnodes 3\n", 3),
+     # a node out of range is reported at the first line that names one,
+     # even when `nodes` comes later
+     ("nodes 2\nedge 1 5\n", 2), ("init 1\n# c\nfail 4\nnodes 3\n", 3),
+     ("edge 1 2\ninit 0\nedge 9 1\nnodes 2\n", 2)],
+    ids=["no-nodes", "negative", "second-nodes-line", "edge-out-of-range", "fail-before-nodes",
+         "first-of-two-out-of-range"],
 )
 def test_parse_graph_rejects_degenerate_node_counts_at_their_line(text, line):
     with pytest.raises(ParseError) as e:

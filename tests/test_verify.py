@@ -658,6 +658,47 @@ def test_prover_pops_its_smallest_passive_clause(monkeypatch):
     assert pops and all(pops)
 
 
+# -- the prover tests subsumption only on the clause it selects -----------------
+
+
+def test_prover_tests_subsumption_only_between_its_selected_and_active_clauses(monkeypatch):
+    """Every `subsumes` call of a prover run pairs the clause the run popped
+    last from the passive heap with an active clause, either way round: a
+    clause that arrives is never tested before it is selected."""
+    import heapq
+
+    provers, popped, pairs = [], [], []
+    real_init, real_pop, real_subsumes = _Prover.__init__, heapq.heappop, verify_module.subsumes
+
+    def init(self, *args):
+        provers.append(self)
+        popped.clear()
+        real_init(self, *args)
+
+    def pop(heap):
+        got = real_pop(heap)
+        popped.append(provers[-1].recs[got[1]][2])
+        return got
+
+    def recorded(s, c):
+        g = popped[-1] if popped else None
+        active = dict(provers[-1].active).values()  # a list of pairs at the parent
+        pairs.append((s is g and any(c is x for x in active))
+                     or (c is g and any(s is x for x in active)))
+        return real_subsumes(s, c)
+
+    monkeypatch.setattr(_Prover, "__init__", init)
+    monkeypatch.setattr(heapq, "heappop", pop)
+    monkeypatch.setattr(verify_module, "subsumes", recorded)
+    for problem, trace in [("p01_main", "p01_d1"), ("p06_graph3", "p06_graph3")]:
+        prob, d = corpus_derivation(problem, trace)
+        w = extract_witness(d)
+        for c in prob.clauses:
+            r = prove(d.conclusion(), simplify(apply_pred_subst_clause(c, w.psub)))
+            assert isinstance(r, Proved), (trace, str(c))
+    assert pairs and all(pairs), pairs.count(False)
+
+
 # -- proofs replay before they count --------------------------------------------
 
 
