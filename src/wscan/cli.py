@@ -133,7 +133,7 @@ def _report_lines(rep: CheckReport) -> list[str]:
 
 
 def _derivation_block(
-    d: Derivation, w: Optional[Witness], rep: Optional[CheckReport], show_trace: bool
+    d: Derivation, w: Witness, rep: Optional[CheckReport], show_trace: bool
 ) -> tuple[list[str], dict]:
     lines: list[str] = []
     blob: dict = {}
@@ -142,14 +142,13 @@ def _derivation_block(
         lines.append(str(c))
     blob["conclusion"] = [to_json(c) for c in d.conclusion()]
     blob["conclusion_text"] = [str(c) for c in d.conclusion()]
-    if w is not None:
-        lines.append("witness:")
-        lines.extend(_witness_lines(w))
-        blob["witness"] = witness_to_json(w)
-        blob["witness_text"] = _witness_lines(w)
-        if w.modes:
-            lines.append("modes:")
-            lines.extend(f"  step {i + 1}: {note}" for i, note in w.modes)
+    lines.append("witness:")
+    lines.extend(_witness_lines(w))
+    blob["witness"] = witness_to_json(w)
+    blob["witness_text"] = _witness_lines(w)
+    if w.modes:
+        lines.append("modes:")
+        lines.extend(f"  step {i + 1}: {note}" for i, note in w.modes)
     if show_trace:
         lines.append("trace:")
         lines.extend(d.trace_lines())
@@ -187,6 +186,13 @@ def _extract(args, d: Derivation) -> Witness:
     return extract_witness(d, mode=args.witness_mode, k_override=args.fo_k, **budget)
 
 
+def _verify(args, prob: Problem, d: Derivation, w: Witness) -> Optional[CheckReport]:
+    """The `--verify` check of w on d, or None without `--verify`."""
+    if not args.verify:
+        return None
+    return check_witness(prob.clauses, prob.xvars, d.conclusion(), w, timeout=args.verify_timeout)
+
+
 def cmd_solve(args) -> int:
     prob = _load_problem(args.problem)
     found: list[Derivation] = []
@@ -210,11 +216,7 @@ def cmd_solve(args) -> int:
             blocks.append({"error": str(e)})
             code = max(code, 2)
             continue
-        rep = (
-            check_witness(prob.clauses, prob.xvars, d.conclusion(), w, timeout=args.verify_timeout)
-            if args.verify
-            else None
-        )
+        rep = _verify(args, prob, d, w)
         if rep is not None and not rep.passed:
             code = max(code, 1)
         block_lines, blob = _derivation_block(d, w, rep, args.trace)
@@ -232,11 +234,7 @@ def cmd_replay(args) -> int:
     except (FirstOrderUnavailable, LresBudgetExceeded, ValueError) as e:
         _err(str(e))
         return 2
-    rep = (
-        check_witness(prob.clauses, prob.xvars, d.conclusion(), w, timeout=args.verify_timeout)
-        if args.verify
-        else None
-    )
+    rep = _verify(args, prob, d, w)
     lines, blob = _derivation_block(d, w, rep, args.trace)
     _emit(args, lines, blob)
     return 1 if rep is not None and not rep.passed else 0
@@ -341,11 +339,8 @@ def _bench_one(path: str, args) -> dict:
         return row
     row["witness_ms"] = round((time.perf_counter() - t1) * 1000.0, 1)
     row["witness_size"] = sum(pred_expr_size(pe) for pe in w.psub.values())
-    if args.verify:
-        rep = check_witness(prob.clauses, prob.xvars, d.conclusion(), w, timeout=args.verify_timeout)
-        row["verification"] = "PASS" if rep.passed else "FAIL"
-    else:
-        row["verification"] = "skipped"
+    rep = _verify(args, prob, d, w)
+    row["verification"] = "skipped" if rep is None else "PASS" if rep.passed else "FAIL"
     return row
 
 

@@ -369,24 +369,20 @@ def _attempt(rule: Callable[..., Step], st: _State, *args) -> Optional[Step]:
 # preprocessing
 
 
-def _clause_pass(st: _State, rule: Callable[..., Step]) -> bool:
+def _clause_pass(st: _State, rule: Callable[..., Step]) -> None:
     """Apply a one-clause rule to every live clause it applies to."""
-    changed = False
     for i in list(st.live):
         step = _attempt(rule, st, i)
         if step is not None:
             st.apply(step)
-            changed = True
-    return changed
 
 
-def _subsumption_pass(st: _State, protect: frozenset[int] = frozenset()) -> bool:
+def _subsumption_pass(st: _State, protect: frozenset[int] = frozenset()) -> None:
     """Delete clauses subsumed by another live clause, largest first, one at a
     time (mutually subsuming pairs keep the canonically smaller member).  One
     visit per clause suffices: a deletion only shrinks the set of subsumers,
     so a clause kept once stays kept.  Each test goes through the memo, and
     `_subsumed` builds the step of a hit."""
-    changed = False
     for i in sorted(st.live.keys() - protect, key=lambda i: (str(st.live[i]), i), reverse=True):
         c = st.live[i]
         j = next(
@@ -394,8 +390,6 @@ def _subsumption_pass(st: _State, protect: frozenset[int] = frozenset()) -> bool
         )
         if j is not None:
             st.apply(_subsumed(st, i, j))
-            changed = True
-    return changed
 
 
 def _extpurdel_pass(st: _State) -> bool:
@@ -409,13 +403,17 @@ def _extpurdel_pass(st: _State) -> bool:
 
 
 def _deletion_fixpoint(st: _State) -> None:
-    while True:
-        changed = _clause_pass(st, _varelim)
-        changed |= _clause_pass(st, _tautology)
-        changed |= _subsumption_pass(st)
-        changed |= _extpurdel_pass(st)
-        if not changed:
-            return
+    """Variable elimination, tautology deletion and subsumption deletion
+    once each, then external-purity deletion until it applies nothing.  One
+    round of the first three suffices: variable elimination is exhaustive,
+    and every later step only deletes clauses, which creates no eliminable
+    constraint, no tautology and no new subsumption.  Deleting every clause
+    that mentions one predicate variable can leave another one pure."""
+    _clause_pass(st, _varelim)
+    _clause_pass(st, _tautology)
+    _subsumption_pass(st)
+    while _extpurdel_pass(st):
+        pass
 
 
 def _factor_pass(st: _State) -> bool:
@@ -434,9 +432,8 @@ def _factor_pass(st: _State) -> bool:
 
 
 def preprocess(st: _State) -> None:
-    """Deletion fixpoint (variable elimination, tautology and subsumption
-    deletion, external-purity deletion), then one round of non-redundant
-    constraint factors, then the fixpoint again."""
+    """The deletion fixpoint (`_deletion_fixpoint`), then one round of
+    non-redundant constraint factors, then the deletion fixpoint again."""
     _deletion_fixpoint(st)
     if _factor_pass(st):
         _deletion_fixpoint(st)

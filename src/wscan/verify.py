@@ -326,33 +326,29 @@ class Signature:
             for a in t.args:
                 self.add_term(a)
 
-    def add_formula(self, f: Formula) -> None:
-        if isinstance(f, FAtom) and (f.head != EQ or f.pvar):
+    def add_formula(self, f: Formula, bound: frozenset[str] = frozenset()) -> None:
+        """Add f's symbols; a predicate variable in `bound` (bound by an
+        enclosing `gfp`, or eliminated) is not part of the signature."""
+        if isinstance(f, FAtom) and (f.head not in bound if f.pvar else f.head != EQ):
             (self.pvars if f.pvar else self.rels).setdefault((f.head, len(f.args)))
         subs, _, pnames, terms = parts(f)
         for t in terms:
             self.add_term(t)
-        # a bound recursion variable is not part of the signature
-        inner = Signature() if pnames else self
         for g in subs:
-            inner.add_formula(g)
-        if inner is not self:
-            inner.pvars = {k: None for k in inner.pvars if k[0] not in pnames}
-            self.merge(inner)
-
-    def merge(self, other: "Signature") -> None:
-        self.funcs.update(other.funcs)
-        self.rels.update(other.rels)
-        self.pvars.update(other.pvars)
+            self.add_formula(g, bound.union(pnames))
 
 
-def signature_of(clauses: Sequence[Clause] = (), formulas: Sequence[Formula] = ()) -> Signature:
-    sig = Signature()
+def signature_of(
+    clauses: Sequence[Clause] = (), formulas: Sequence[Formula] = (), bound: Iterable[str] = ()
+) -> Signature:
+    """The symbols of the clauses and formulas, without the predicate
+    variables named in `bound`."""
+    sig, bound = Signature(), frozenset(bound)
     for c in clauses:
         for l in c.lits:
-            sig.add_formula(lit_to_formula(l))
+            sig.add_formula(lit_to_formula(l), bound)
     for f in formulas:
-        sig.add_formula(f)
+        sig.add_formula(f, bound)
     return sig
 
 
@@ -850,8 +846,7 @@ def check_witness(
                 )
             else:
                 prover_results.append((i, "unknown"))
-    sig = signature_of(list(n) + list(conclusion), goals)
-    sig.pvars = {k: None for k in sig.pvars if k[0] not in xars}
+    sig = signature_of(list(n) + list(conclusion), goals, bound=xars)
     solvable, under_w = _Soqe(n, xars, deadline), FAnd(tuple(goals))
     checked = evaluated = disagreements = 0
     for b in small_blocks(sig, deadline, notes, solvable.too_large):

@@ -12,6 +12,9 @@ block evaluator in `verify` must agree with in every model of a block.
 The reference simplifier applies one bottom-up rewriting pass until the
 formula stops changing, the definition the one-pass `logic.simplify` must
 agree with.
+The reference deletion fixpoint re-runs all four deletion passes until a
+round applies no step, the definition `saturation._deletion_fixpoint`, which
+repeats only external-purity deletion, must agree with.
 The reference model enumerator yields every interpretation, the full set
 that `verify.blocks` covers with one model per orbit of constant vectors.
 The reference certificate depth backtracks over every choice of covers, the
@@ -61,6 +64,7 @@ from wscan.logic import (
     subst_formula,
     subst_lit,
 )
+from wscan import saturation
 from wscan.problems import merge_theory, parse_problem
 from wscan.saturation import RULES, Derivation, ReplayError, Step, replay, replay_proof, search
 from wscan.subsumption import subsumes
@@ -497,6 +501,22 @@ def _ref_simplify_pass(f):
             return _ref_simplify_pass(subst_formula(body, dict(zip(f.params, f.args))))
         return FGfp(f.pvar, f.params, body, f.args)
     raise TypeError(f)
+
+
+# -- reference deletion fixpoint ---------------------------------------------
+
+
+def ref_deletion_fixpoint(st):
+    """Variable elimination, tautology, subsumption and external-purity
+    deletion, round after round, until a round applies no step."""
+    while True:
+        n = len(st.steps)
+        saturation._clause_pass(st, saturation._varelim)
+        saturation._clause_pass(st, saturation._tautology)
+        saturation._subsumption_pass(st)
+        saturation._extpurdel_pass(st)
+        if len(st.steps) == n:
+            return
 
 
 # -- reference model enumerator -----------------------------------------------

@@ -8,8 +8,10 @@ import time
 
 import pytest
 
+from wscan import cli
 from wscan.cli import main
 from wscan.problems import MAX_NESTING
+from wscan.verify import CheckReport
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "src" / "wscan" / "corpus"
 
@@ -98,6 +100,32 @@ def test_replay_refuses_a_resolution_closure_that_does_not_stabilize(capsys, pro
     )
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_reports_a_witness_extraction_that_runs_out_of_budget(capsys, fmt):
+    code, out, _ = run(
+        capsys, "solve", MAIN, "--witness-mode", "resolution", "--lres-budget", "1", "--format", fmt
+    )
+    why = (
+        "local resolution closure did not stabilize within 1 work units "
+        "(1 inferences, 1 subsumption tests)"
+    )
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out) == {"solved": True, "derivations": [{"error": why}]}
+    else:
+        assert out == f"witness extraction failed: {why}\n"
+
+
+def test_solve_verify_exits_one_when_the_check_fails(capsys, monkeypatch):
+    # every --verify check goes through `cli._verify`, which calls check_witness
+    failed = CheckReport((), 0, 0, ("injected failure",), ())
+    monkeypatch.setattr(cli, "check_witness", lambda *args, **kw: failed)
+    code, out, _ = run(capsys, "solve", MAIN, "--verify")
+    assert code == 1
+    assert "verification: FAIL (prover 0/0 clauses, 0 models checked)\n" in out
+    assert "  failure: injected failure\n" in out
+
+
 def test_replay_ok(capsys):
     code, out, _ = run(capsys, "replay", MAIN, TRACE)
     assert code == 0
@@ -151,6 +179,18 @@ def test_check_rejects_a_witness_that_binds_a_variable_twice(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert err == "error: line 2, col 1: second binding for X\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_without_a_conclusion_exits_two_when_search_finds_none(capsys, tmp_path, fmt):
+    w = tmp_path / "w.txt"
+    w.write_text("X := lambda u. B(a, u)\n")
+    code, out, _ = run(capsys, "check", GRAPH_PROBLEM, w, "--max-steps", "1", "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out) == {"solved": False}
+    else:
+        assert out == "no derivation within limits\n"
 
 
 def test_check_with_explicit_conclusion(capsys, tmp_path):
@@ -424,6 +464,23 @@ BAD_INPUTS = {
     # existentially in a goal and crashed the witness check
     "free-variable-goal": ("prove", "premises.wscan", "free_goal.txt"),
     "free-variable-witness": ("check", MAIN, "free_witness.txt"),
+    # trace steps that replay refuses on p01_main
+    "res-same-polarity": ("replay", MAIN, "res_same_polarity.trace"),
+    "extpurdel-unknown-variable": ("replay", MAIN, "extpurdel_z.trace"),
+    "parmod-from-a-non-equation": ("replay", MAIN, "parmod_non_equation.trace"),
+}
+
+# the one line a refused trace prints, by the case's trace file
+INVALID_TRACES = {
+    "res_same_polarity.trace": (
+        "res 2.1 3.3 -> 5",
+        "designated literals must have opposite polarity: X(a) vs X(?u1)",
+    ),
+    "extpurdel_z.trace": ("extpurdel Z +", "unknown predicate variable Z"),
+    "parmod_non_equation.trace": (
+        "parmod 1.1 2@1.1 -> 5",
+        "paramodulation does not apply at 'parmod 1.1 2@1.1 -> 5'",
+    ),
 }
 
 
@@ -446,10 +503,15 @@ def test_bad_input_exits_three_with_one_error_line(capsys, tmp_path, monkeypatch
     (tmp_path / "free_witness.txt").write_text("X := lambda y. exists u0. (B(u0, y) /\\ C(?v0))\n")
     for k in "09":
         (tmp_path / f"constrelim_{k}.trace").write_text(f"res 1.1 2.1 -> 3\nconstrelim 3.{k} -> 4\n")
+    for name, (line, _) in INVALID_TRACES.items():
+        (tmp_path / name).write_text(line + "\n")
     code, out, err = run(capsys, *BAD_INPUTS[case])
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    trace = INVALID_TRACES.get(BAD_INPUTS[case][-1])
+    if trace is not None:
+        assert err == f"error: invalid trace: step 1: {trace[1]}\n"
 
 
 @pytest.mark.parametrize(

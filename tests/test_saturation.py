@@ -1,15 +1,25 @@
 """Derivation search, trace replay, and the deletion side conditions."""
 
+import json
+import random
 from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from wscan import saturation
+from wscan.logic import Clause, Lit
 from wscan.problems import encode_graph, merge_theory, parse_graph, parse_problem
 from wscan.saturation import ReplayError, SearchLimits, replay, search
 
-from conftest import CORPUS_RUNS, cl, clauses_of, corpus_derivation
+from conftest import (
+    CORPUS_RUNS,
+    cl,
+    clauses_of,
+    corpus_derivation,
+    random_clause,
+    ref_deletion_fixpoint,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "wscan" / "corpus"
 # p06 is not solved by blind search within the default limits
@@ -60,6 +70,55 @@ def test_step_budget_is_charged_per_step(path):
     if n > 1:
         tighter = search(prob.clauses, prob.xvars, SearchLimits(max_steps=n - 1))
         assert all(len(e.steps) <= n - 1 for e in islice(tighter, 8))
+
+
+SEARCH_PINS = Path(__file__).resolve().parent / "search_derivations.json"
+
+
+def search_record(path):
+    """The trace lines and printed conclusion of the first derivation that
+    search finds at the default limits."""
+    _, d = corpus_derivation(path.stem, None)
+    return {"trace": d.trace_lines(), "conclusion": [str(c) for c in d.conclusion()]}
+
+
+@pytest.mark.parametrize("path", SEARCH_SOLVED, ids=lambda p: p.stem)
+def test_search_derivation_matches_its_pinned_record(path):
+    """Search derives exactly what it did when recorded; re-record with
+    `PYTHONPATH=src python tests/test_saturation.py` from the repository
+    root."""
+    assert search_record(path) == json.loads(SEARCH_PINS.read_text())[path.stem]
+
+
+def _two_variable_set(rng):
+    """Two to six random clauses over X/1 and Y/1: each predicate-variable
+    literal of `random_clause` gets one of the two heads at random."""
+    return [
+        Clause.make(Lit(l.pos, rng.choice("XY"), l.args, True) if l.pvar else l for l in c.lits)
+        for c in (random_clause(rng) for _ in range(rng.randrange(2, 7)))
+    ]
+
+
+def test_deletion_fixpoint_matches_rerunning_every_pass():
+    """One round of variable elimination, tautology and subsumption
+    deletion, then external-purity deletion until it applies nothing, takes
+    the steps of re-running all four passes until a round applies none, and
+    a second call applies no step."""
+    rng = random.Random(5)
+    chained = 0
+    for _ in range(400):
+        clauses = _two_variable_set(rng)
+        st, ref = (saturation._State.start(clauses, {"X": 1, "Y": 1}) for _ in range(2))
+        saturation._deletion_fixpoint(st)
+        ref_deletion_fixpoint(ref)
+        assert st.steps == ref.steps, clauses
+        n = len(st.steps)
+        saturation._deletion_fixpoint(st)
+        assert len(st.steps) == n, clauses
+        # deleting Y's clauses left X pure, which only a second
+        # external-purity pass (X comes first) deletes
+        chained += [s.args[0] for s in st.steps if s.rule == "extpurdel"] == ["Y", "X"]
+    assert chained >= 5
 
 
 def test_search_is_deterministic_across_runs():
@@ -321,3 +380,10 @@ def test_replay_rule_row(rule, text, good, printed, bad, reason):
     with pytest.raises(ReplayError) as e:
         replay(clauses, {"X": 1}, bad)
     assert e.value.index == 0 and e.value.reason == reason
+
+
+if __name__ == "__main__":
+    SEARCH_PINS.write_text(
+        json.dumps({p.stem: search_record(p) for p in SEARCH_SOLVED}, indent=1, sort_keys=True)
+        + "\n"
+    )

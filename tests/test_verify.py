@@ -57,6 +57,7 @@ from wscan.verify import (
     soqe_holds,
     truth,
 )
+from wscan.problems import parse_formula
 from wscan.saturation import RULES, Derivation, ReplayError, Step, replay_proof, trace_line
 from wscan.witness import Witness, extract_witness
 
@@ -170,6 +171,16 @@ def test_models_are_deterministic():
 def test_fn_cap_guards_binary_functions():
     assert fn_cap_ok(signature_of(clauses_of("B(f(?u), a)")))
     assert not fn_cap_ok(signature_of(clauses_of("B(f(?u, ?v), g(?u, ?v)) | B(h(?u), ?v)")))
+
+
+def test_signature_leaves_out_predicate_variables_that_a_gfp_or_bound_names():
+    # the free X is unary; the gfp's binary X is bound in its body
+    f = parse_formula("X(a) /\\ Y(b) /\\ (gfp X u v. B(u, v) /\\ X(v, u))@(a, b)", {"X": 1, "Y": 1})
+    sig = signature_of(formulas=[f])
+    assert list(sig.pvars) == [("X", 1), ("Y", 1)]
+    assert list(sig.rels) == [("B", 2)] and list(sig.funcs) == [("a", 0), ("b", 0)]
+    assert list(signature_of(formulas=[f], bound=["Y"]).pvars) == [("X", 1)]
+    assert not signature_of(formulas=[f], bound=["X", "Y"]).pvars
 
 
 def brute_soqe(m, clauses, xars):
