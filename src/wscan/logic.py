@@ -359,9 +359,10 @@ class Clause:
     # Computed once per clause object: the hash, which dict and set lookups
     # (the search's memo among them) would otherwise take over the whole
     # term tree each time, the text, which the canonical sort keys read,
-    # the subsumption features and the constraint unfoldings.  A cached
-    # property lives in the instance dict, so equality and hashing (which
-    # read only ``lits``) are unaffected, and it goes with the clause.
+    # the subsumption features, argument index and pattern orders, and the
+    # constraint unfoldings.  A cached property lives in the instance dict,
+    # so equality and hashing (which read only ``lits``) are unaffected, and
+    # it goes with the clause.
 
     def __hash__(self) -> int:
         return self._hash
@@ -380,9 +381,22 @@ class Clause:
         return {k: tuple(ix) for k, ix in out.items()}
 
     @cached_property
-    def lit_var_sets(self) -> tuple[frozenset[str], ...]:
-        """The variables of each literal."""
-        return tuple(frozenset(lit_vars(l)) for l in self.lits)
+    def lits_by_arg(self) -> dict[tuple, tuple[int, ...]]:
+        """Literal indices by ``(Lit.kind, position, argument)``.  An equation
+        files each side under position ``None``, so either orientation finds it."""
+        out: dict[tuple, list[int]] = {}
+        for i, l in enumerate(self.lits):
+            for p, t in enumerate(l.args):
+                ix = out.setdefault((l.kind, None if l.is_eq else p, t), [])
+                if not ix or ix[-1] != i:
+                    ix.append(i)
+        return {k: tuple(ix) for k, ix in out.items()}
+
+    @cached_property
+    def pattern_orders(self) -> dict[tuple[int, ...], tuple]:
+        """The subsumption matcher's literal orders for this clause as a
+        pattern, by rank vector; ``subsumption._subsumes`` fills it."""
+        return {}
 
     @cached_property
     def fn_symbols(self) -> frozenset[tuple[str, int]]:

@@ -20,7 +20,16 @@ counts.  The features are computed once per clause (``Clause.lits_by_kind``,
 ``Clause.fn_symbols``).  The search then tries the literals of S with the
 fewest candidates in C, the literals of C of their kind, first, and among
 those the literal with the fewest variables not yet bound, so that it
-follows shared variables from one literal to the next.  It binds into one
+follows shared variables from one literal to the next.  That order compares
+C's candidate counts only with each other, so S computes it once per rank
+vector of those counts and keeps it (``Clause.pattern_orders``; Gottlob &
+Leitsch, "On the efficiency of subsumption algorithms", JACM 1985).  Each
+literal in it carries a probe, its first argument that is fixed when it is
+reached: a variable bound by an earlier literal, or a ground term.  Its
+candidates are then the literals of C that hold the probe's value at that
+position, or on either side of an equation, read from C's argument index
+(``Clause.lits_by_arg``; Sekar, Ramakrishnan & Voronkov, "Term indexing",
+Handbook of Automated Reasoning 2001).  The search binds into one
 substitution and undoes the bindings of a failed candidate from a trail.
 
 Nothing here keeps an answer: a clause computes its own unfoldings once
@@ -34,7 +43,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .logic import Clause, Lit, Term, Var
+from .logic import Clause, Lit, Term, Var, lit_vars, term_vars
 
 
 def is_tautology(c: Clause) -> bool:
@@ -79,6 +88,25 @@ def _bind(ps: Sequence[Term], ts: Sequence[Term], sigma: dict, trail: list) -> b
     return True
 
 
+def _pattern_order(s: Clause, ranks: tuple[int, ...]) -> tuple:
+    """The literals of s in matching order against a target whose candidate
+    counts, per kind of ``s.lits_by_kind``, rank as `ranks`; each as
+    (literal, kind, probe position, probe), with probe None if it has none."""
+    todo = [(r, i, k) for r, (k, ix) in zip(ranks, s.lits_by_kind.items()) for i in ix]
+    var_sets = [frozenset(lit_vars(l)) for l in s.lits]
+    bound: frozenset[str] = frozenset()
+    out = []
+    while todo:
+        best = min(todo, key=lambda r: (r[0], len(var_sets[r[1]] - bound)))
+        todo.remove(best)
+        lit = s.lits[best[1]]
+        at, fixed = next(((p, t) for p, t in enumerate(lit.args)
+                          if (t.name in bound if type(t) is Var else not any(term_vars(t)))), (None, None))
+        out.append((lit, best[2], None if lit.is_eq else at, fixed))
+        bound |= var_sets[best[1]]
+    return tuple(out)
+
+
 def _subsumes(s: Clause, c: Clause, like: Optional[Lit]) -> bool:
     """Backtracking matcher; when `like` is given, the literals of s of that
     kind must map onto pairwise distinct literals of c."""
@@ -88,20 +116,13 @@ def _subsumes(s: Clause, c: Clause, like: Optional[Lit]) -> bool:
     lk = None if like is None else like.kind
     if lk in sk and len(sk[lk]) > len(ck[lk]):
         return False
-    # (pattern, candidate target indices, injective): greedily the literal
-    # with the fewest candidates, then with the fewest variables that the
-    # literals before it leave unbound, so that a chain is matched from its
-    # ground end along its shared variables
-    todo = [(len(ck[k]), i, k) for k, ix in sk.items() for i in ix]
-    var_sets = s.lit_var_sets
-    bound: frozenset[str] = frozenset()
-    pats = []
-    while todo:
-        best = min(todo, key=lambda r: (r[0], len(var_sets[r[1]] - bound)))
-        todo.remove(best)
-        bound |= var_sets[best[1]]
-        pats.append((s.lits[best[1]], ck[best[2]], best[2] == lk))
-    tgt = c.lits
+    counts = [len(ck[k]) for k in sk]
+    levels = sorted(set(counts))
+    ranks = tuple(map(levels.index, counts))
+    pats = s.pattern_orders.get(ranks)
+    if pats is None:
+        pats = s.pattern_orders[ranks] = _pattern_order(s, ranks)
+    tgt, index = c.lits, c.lits_by_arg
     sigma: dict[str, Term] = {}
     trail: list[str] = []
 
@@ -112,7 +133,12 @@ def _subsumes(s: Clause, c: Clause, like: Optional[Lit]) -> bool:
     def go(k: int, used: int) -> bool:
         if k == len(pats):
             return True
-        pat, cands, inj = pats[k]
+        pat, kind, at, fixed = pats[k]
+        inj = kind == lk
+        if fixed is None:
+            cands = ck[kind]
+        else:
+            cands = index.get((kind, at, sigma[fixed.name] if type(fixed) is Var else fixed), ())
         mark = len(trail)
         for j in cands:
             if inj and used >> j & 1:

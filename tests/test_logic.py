@@ -116,7 +116,7 @@ def test_clause_renames_variables_canonically():
     assert [t.name for t in c1.lits[0].args] == ["u0", "u1"]
     # the hash and the subsumption features are cached in the instance; a
     # clause stays a dict and set key that its renamed copy finds
-    c1.lits_by_kind, c1.fn_symbols, c1.lit_var_sets
+    c1.lits_by_kind, c1.lits_by_arg, c1.fn_symbols
     assert hash(c1) == hash(c2) == hash(Clause(c2.lits))
     assert {c1: 1}[c2] == 1 and c2 in frozenset([c1])
     assert {c1, c2, cl("B(?y, ?x)")} == {c1}

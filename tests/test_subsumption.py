@@ -1,9 +1,11 @@
 """Subsumption relations, their brute-force counterparts, and edge cases."""
 
+import itertools
 import random
 
 import pytest
 
+from wscan import subsumption
 from wscan.logic import App, Clause, Lit, Var, lit_vars, subst_lit
 from wscan.subsumption import (
     has_reflexive_equation,
@@ -12,12 +14,14 @@ from wscan.subsumption import (
     subsumes_L,
     subsumes_L_velim,
 )
+from wscan.witness import LresBudgetExceeded, extract_witness
 
 from conftest import (
     brute_subsumes,
     brute_subsumes_velim,
     brute_velim_closure,
     cl,
+    corpus_derivation,
     match_terms,
     random_clause,
     random_lit,
@@ -289,21 +293,27 @@ def _chain_target(rng, s_lits, link):
     return lits
 
 
+def _chain_pairs(seed):
+    """Pairs of the chain generator, in order: each a chain in chain order,
+    the same literals shuffled, a target clause and a marked literal."""
+    rng = random.Random(seed)
+    for k in itertools.count():
+        link = ("B", "=")[k % 3 == 2]
+        chain = _chain(rng, rng.randrange(1, 31), link, rng.random() < 0.8)
+        shuffled = rng.sample(chain, len(chain))
+        c = Clause.make(_chain_target(rng, chain, link))
+        yield chain, shuffled, c, rng.choice((POS_B, POS_X))
+
+
 def test_long_chains_agree_with_reference():
     """Chains of 1-30 links of one literal kind: the in-place matcher must
     follow the shared variables from the ground end of the chain in whatever
     order its literals come, and agree with the copying reference matcher,
     plain, injective and modulo constraint unfolding.  The reference gets the
     chain in chain order, which keeps its search linear."""
-    rng = random.Random(1602)
     hits = {"plain": 0, "injective": 0, "velim": 0, "collapsed": 0, "unfolded": 0, "long": 0}
-    for k in range(80):
-        link = ("B", "=")[k % 3 == 2]
-        chain = _chain(rng, rng.randrange(1, 31), link, rng.random() < 0.8)
-        shuffled = rng.sample(chain, len(chain))
+    for chain, shuffled, c, like in itertools.islice(_chain_pairs(1602), 80):
         ref_s, s = Clause(tuple(chain)), Clause.make(shuffled)
-        c = Clause.make(_chain_target(rng, chain, link))
-        like = rng.choice((POS_B, POS_X))
         plain = subsumes(s, c)
         assert plain == ref_subsumes(ref_s, c) == subsumes(Clause(tuple(shuffled)), c), (s, c)
         injective = subsumes_L(s, c, like)
@@ -318,3 +328,140 @@ def test_long_chains_agree_with_reference():
         hits["long"] += plain and len(s.lits) > 20
     assert min(hits.values()) > 3, hits
     assert min(hits["plain"], hits["injective"], hits["velim"]) > 20, hits
+
+
+# -- the argument index: probes by ground and bound arguments -----------------
+
+GROUND = (App("a", ()), C0, App("f", (C0,)), App("f", (App("a", ()),)))
+
+
+def _index_target(rng):
+    """A target as generated, not canonicalized, so that its equations keep
+    either orientation: B and X literals over constants, nested ground terms
+    and rigid variables, equations and disequations, and often a reflexive
+    equation t = t."""
+    terms = GROUND + (Var("w0"), Var("w1"))
+    lits = []
+    for _ in range(rng.randrange(1, 6)):
+        roll = rng.random()
+        if roll < 0.4:
+            lits.append(Lit(rng.random() < 0.7, "B", (rng.choice(terms), rng.choice(terms))))
+        elif roll < 0.6:
+            lits.append(Lit(rng.random() < 0.7, "X", (rng.choice(terms),), True))
+        else:
+            t = rng.choice(terms)
+            lits.append(Lit(rng.random() < 0.6, "=", (t, t if roll < 0.72 else rng.choice(terms))))
+    return Clause(tuple(dict.fromkeys(lits)))
+
+
+def _index_pattern(rng, c):
+    """Mostly some literals of c in which each argument either stays (a
+    ground argument, nested or not, is a probe from the start) or becomes
+    one of three variables, which may repeat inside a literal and link the
+    literals (a probe once bound); an equation may have its sides swapped.
+    A literal picked twice gives two that may collapse onto one.  Sometimes
+    a random literal is added, and sometimes the pattern is empty."""
+    if rng.random() < 0.05:
+        return Clause(())
+    names = [Var(n) for n in ("u0", "u1", "u2")]
+    picked = [l for l in c.lits if rng.random() < 0.6] or [rng.choice(c.lits)]
+    if rng.random() < 0.3:
+        picked.append(rng.choice(picked))
+    lits = []
+    for l in picked:
+        args = tuple(t if type(t) is App and rng.random() < 0.6 else rng.choice(names) for t in l.args)
+        if len(args) == 2 and rng.random() < 0.2:
+            args = (args[0], args[0])
+        if l.is_eq and rng.random() < 0.5:
+            args = args[::-1]
+        lits.append(Lit(l.pos, l.head, args, l.pvar))
+    if rng.random() < 0.25:
+        lits.append(Lit(True, "B", (rng.choice(names + list(GROUND)), rng.choice(names))))
+    return Clause(tuple(dict.fromkeys(lits)))
+
+
+def _matches_only_swapped(l, c):
+    """An equation of the pattern with a ground side that matches a literal
+    of c only with its sides swapped."""
+    if not l.is_eq or all(isinstance(t, Var) for t in l.args):
+        return False
+    same = [m.args for m in c.lits if m.kind == l.kind]
+    return all(match_terms(l.args, a) is None for a in same) and any(
+        match_terms(l.args[::-1], a) is not None for a in same
+    )
+
+
+def test_indexed_matcher_agrees_with_reference_and_brute_force():
+    """Candidates read from the target's argument index under a probe's
+    value must give the answers of the reference matcher and of brute force,
+    plain, injective and modulo constraint unfolding."""
+    rng = random.Random(2801)
+    hits = {"plain": 0, "injective": 0, "velim": 0, "collapsed": 0, "swapped": 0, "reflexive": 0, "empty": 0}
+    for k in range(600):
+        c = _index_target(rng)
+        s = _index_pattern(rng, c)
+        like = (POS_B, POS_X)[k % 2]
+        plain = subsumes(s, c)
+        assert plain == ref_subsumes(s, c) == brute_subsumes(s, c), (s, c)
+        injective = subsumes_L(s, c, like)
+        assert injective == ref_subsumes(s, c, like) == brute_subsumes(s, c, like), (s, c, like)
+        velim = subsumes_L_velim(s, c, like)
+        assert velim == _ref_subsumes_velim(s, c, like) == brute_subsumes_velim(s, c, like), (s, c, like)
+        hits["plain"] += plain
+        hits["injective"] += injective
+        hits["velim"] += velim
+        hits["collapsed"] += plain and not injective
+        hits["swapped"] += plain and any(_matches_only_swapped(l, c) for l in s.lits)
+        hits["reflexive"] += plain and any(l.is_eq and l.args[0] == l.args[1] for l in c.lits)
+        hits["empty"] += not s.lits
+    # accepted pairs of every relation, pairs that only plain subsumption
+    # accepts, ground equations matched against their swapped side, targets
+    # with t = t, and empty patterns
+    assert min(hits["plain"], hits["injective"], hits["velim"]) > 100, hits
+    assert min(hits["swapped"], hits["reflexive"], hits["empty"], hits["collapsed"]) > 5, hits
+
+
+# -- deterministic work bounds: matcher steps, not seconds ----------------------
+
+
+def _counting_binds(monkeypatch):
+    """Count every call of the matcher's `_bind`, the nested ones included."""
+    calls = [0]
+    bind = subsumption._bind
+
+    def counted(*args):
+        calls[0] += 1
+        return bind(*args)
+
+    monkeypatch.setattr(subsumption, "_bind", counted)
+    return calls
+
+
+def test_p01_d2_refusal_binds_within_bound(monkeypatch):
+    """The resolution closure of p01_d2 makes its 491 subsumption tests
+    between B chains of 13-24 literals.  With candidates read under a bound
+    argument it makes about 4,000 `_bind` calls (48,611 when every literal
+    of the right kind was tried)."""
+    _, d = corpus_derivation("p01_main", "p01_d2")
+    calls = _counting_binds(monkeypatch)
+    with pytest.raises(LresBudgetExceeded) as got:
+        extract_witness(d, mode="resolution")
+    assert got.value.tests == 491
+    assert calls[0] <= 6000, calls
+
+
+def test_chain_against_two_cycles_binds_within_bound(monkeypatch):
+    """Pair 130 of the chain generator at seed 7: a 29-literal B chain that
+    ends in X against a 32-literal target with B(c0,?x)/B(?x,c0) 2-cycles.
+    The search still backtracks, but each literal tries only the target
+    literals that hold its bound argument: about 92,000 `_bind` calls
+    (921,485 when every B literal was tried)."""
+    _, shuffled, c, _ = next(itertools.islice(_chain_pairs(7), 130, None))
+    s = Clause.make(shuffled)
+    assert (len(s.lits), len(c.lits)) == (29, 32)
+    calls = _counting_binds(monkeypatch)
+    got = subsumes(s, c)
+    assert calls[0] <= 200_000, calls
+    # the reference tries every B literal of the target at each step, so it
+    # takes seconds here
+    assert got == ref_subsumes(s, c)
