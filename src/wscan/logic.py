@@ -743,16 +743,6 @@ def apply_pred_subst_clause(c: Clause, ps: PredSubst) -> Formula:
     return apply_pred_subst(clause_to_formula(c), ps)
 
 
-def compose_pred_subst(tau: PredSubst, sigma: PredSubst) -> dict[str, PredExpr]:
-    """The predicate substitution that first applies tau, then sigma."""
-    out: dict[str, PredExpr] = {}
-    for x, pe in tau.items():
-        out[x] = PredExpr(pe.params, apply_pred_subst(pe.body, sigma))
-    for x, pe in sigma.items():
-        out.setdefault(x, pe)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # simplification
 

@@ -23,8 +23,9 @@ keyed by the function and its argument values, not by clause ids, which
 sibling branches reuse for different clauses.  Every branch cloned from the
 state shares it, so one search decides each question once, and the memo
 goes with the search.  The subsumption pass, the factoring and resolvent
-filters and the purity check read it; a rule function still checks its side
-conditions when it builds a step.
+filters and the purity check read it; `purify` makes the purity check once,
+when its resolvent filter leaves nothing to add.  A rule function still
+checks its side conditions when it builds a step.
 """
 
 from __future__ import annotations
@@ -456,19 +457,18 @@ def purify(st: _State, p_id: int, p_idx: int) -> bool:
     """Saturate the designated literal of clause `p_id` against the rest:
     repeatedly add constraint resolvents not subsumed (modulo constraint
     unfolding) by the live set, with eager variable elimination and subsumption
-    deletion -- but no tautology deletion -- until the pointed clause is
-    purified, then delete it.  Returns False when stuck or when the search's
-    step or time budget runs out."""
+    deletion -- but no tautology deletion -- until none is left to add, then
+    delete the pointed clause if it is purified.  The purity check is made
+    once, at the end: a purified clause's resolvents are all covered by the
+    rest, so no earlier round could have deleted it.  Returns False when it is
+    not purified then (a resolvent only its own clause covers) or when the
+    search's step or time budget runs out."""
     p = pointed(st.live[p_id], p_idx)
     like = p.designated.dual()
     try:
         while True:
-            # a state that may take no further step is not worth a purity check
+            # a state that may take no further step is not worth a scan
             st.charge()
-            step = _attempt(_purdel, st, p_id, p_idx)
-            if step is not None:
-                st.apply(step)
-                return True
             for cid, k in _partner_positions(st, p, skip=p_id):
                 step = _res(st, p_id, p_idx, cid, k)
                 if not any(
@@ -477,7 +477,10 @@ def purify(st: _State, p_id: int, p_idx: int) -> bool:
                 ):
                     break
             else:
-                return False
+                step = _attempt(_purdel, st, p_id, p_idx)
+                if step is not None:
+                    st.apply(step)
+                return step is not None
             st.apply(step)
             velim = _attempt(_varelim, st, step.new_id)
             if velim is not None:

@@ -361,23 +361,15 @@ def model_count(sig: Signature, n: int) -> int:
     return total
 
 
-def _function_tables(
-    domains: Sequence[list], consts: Sequence[bool], used: int = 0
-) -> Iterator[tuple[tuple, int]]:
-    """Every choice of one table per domain, in lexicographic order, with one
-    above the largest constant value in it: for a canonical constant vector,
-    its number of distinct values.  A constant's domain lists its tables by
-    value, and a constant takes a value at most one above the largest value
-    of the constants before it."""
-    if not domains:
-        yield (), used
-        return
-    head = domains[0][: used + 1] if consts[0] else domains[0]
-    for v, table in enumerate(head):
-        for rest, top in _function_tables(
-            domains[1:], consts[1:], max(used, v + 1) if consts[0] else used
-        ):
-            yield (table, *rest), top
+def _function_tables(domains: Sequence[list], consts: Sequence[bool]) -> Iterator[tuple[tuple, int]]:
+    """Every choice of one table per domain, in lexicographic order, in which
+    each constant takes a value at most one above the largest value of the
+    constants before it (a constant's domain lists its tables by value), with
+    the number of distinct constant values in it."""
+    for choice in itertools.product(*(enumerate(d) for d in domains)):
+        vals = [v for (v, _), const in zip(choice, consts) if const]
+        if all(v <= max(vals[:j], default=-1) + 1 for j, v in enumerate(vals)):
+            yield tuple(table for _, table in choice), len(set(vals))
 
 
 def blocks(sig: Signature, n: int) -> Iterator[Block]:

@@ -32,6 +32,7 @@ from .logic import (
     PredExpr,
     Term,
     Var,
+    apply_pred_subst,
     canonical_pred_expr,
     fand,
     for_,
@@ -43,7 +44,6 @@ from .logic import (
     simplify_pred_expr,
     subst_consts,
     subst_lit,
-    compose_pred_subst,
 )
 from .saturation import Derivation
 from .subsumption import subsumes
@@ -61,7 +61,9 @@ class ClausePredicate:
     consts: tuple[str, ...]
     clauses: frozenset[Clause]
 
-    def to_pred_expr(self, negate: bool = False) -> PredExpr:
+    def to_pred_expr(self) -> PredExpr:
+        """The conjunction with the handles abstracted, never negated:
+        `_purdel_pred` complements it where the deleted literal is positive."""
         # not `u`: canonical clause variables are u0, u1, ..., and a parameter
         # of that name would be captured by the clause's quantifier
         params = tuple(f"w{k}" for k in range(len(self.consts)))
@@ -70,10 +72,7 @@ class ClausePredicate:
             forall(c.vars, for_(*[lit_to_formula(_lit_subst_consts(l, m)) for l in c.lits]))
             for c in sorted(self.clauses, key=lambda c: (len(c.lits), str(c)))
         ]
-        body = fand(*parts)
-        if negate:
-            body = FNot(body)
-        return simplify_pred_expr(PredExpr(params, body))
+        return simplify_pred_expr(PredExpr(params, fand(*parts)))
 
 
 def _lit_subst_consts(l: Lit, m: dict[str, Term]) -> Lit:
@@ -294,25 +293,23 @@ def _purdel_pred(
     i: int, p: PointedClause, n: frozenset[Clause], mode: str, k_override: Optional[int], budget: int
 ) -> tuple[PredExpr, str]:
     """The predicate for the PurDel at step i, which deletes p's clause and
-    leaves n."""
-    if mode in ("first-order", "auto"):
-        k = find_acyclic(p, n)
-        if k is not None:
-            k = k if k_override is None else max(k, k_override)
-            pe = b_k(p, k).to_pred_expr(negate=p.designated.pos)
-            return pe, f"first-order k={k}"
-        if mode == "first-order":
-            raise FirstOrderUnavailable(i, "cyclic")
-        mode = "fixpoint"
-    if mode == "fixpoint":
-        pe = gfp_pred_expr(p)
-        if p.designated.pos:
-            pe = simplify_pred_expr(PredExpr(pe.params, FNot(pe.body)))
-        return pe, "fixpoint"
-    if mode == "resolution":
-        pe = lres(p, budget).to_pred_expr(negate=p.designated.pos)
-        return pe, "resolution"
-    raise ValueError(f"unknown witness mode {mode!r}")
+    leaves n: the mode's predicate, complemented here, and only here, when
+    the deleted literal is positive."""
+    k = find_acyclic(p, n) if mode in ("first-order", "auto") else None
+    if k is not None:
+        k = k if k_override is None else max(k, k_override)
+        pe, note = b_k(p, k).to_pred_expr(), f"first-order k={k}"
+    elif mode == "first-order":
+        raise FirstOrderUnavailable(i, "cyclic")
+    elif mode in ("fixpoint", "auto"):
+        pe, note = gfp_pred_expr(p), "fixpoint"
+    elif mode == "resolution":
+        pe, note = lres(p, budget).to_pred_expr(), "resolution"
+    else:
+        raise ValueError(f"unknown witness mode {mode!r}")
+    if p.designated.pos:
+        pe = simplify_pred_expr(PredExpr(pe.params, FNot(pe.body)))
+    return pe, note
 
 
 def extract_witness(
@@ -322,7 +319,10 @@ def extract_witness(
     lres_budget: int = 512,
 ) -> Witness:
     """Fold the per-step substitutions over the derivation, last step first;
-    only PurDel and ExtPurDel steps contribute, everything else is identity."""
+    only PurDel and ExtPurDel steps contribute, everything else is identity.
+    A step's predicate for its variable x is composed with the substitution
+    of the later steps and simplified once; it replaces any later entry for
+    x, and the other entries, simplified when they were folded in, stay."""
     if not d.eliminating():
         raise ValueError("derivation does not eliminate its predicate variables")
     sigma: dict[str, PredExpr] = {}
@@ -332,20 +332,18 @@ def extract_witness(
         if step.rule == "extpurdel":
             x, pol, arity = step.args
             params = tuple(f"v{k}" for k in range(arity))  # the body is constant
-            tau = {x: PredExpr(params, TRUE if pol == "+" else FALSE)}
+            pe = PredExpr(params, TRUE if pol == "+" else FALSE)
             modes.append((i, f"ext {pol}"))
         elif step.rule == "purdel":
             cid, k = step.args
             live = d.alive(i)
             p = pointed(live.pop(cid), k)
+            x = p.designated.head
             pe, note = _purdel_pred(i, p, frozenset(live.values()), mode, k_override, lres_budget)
-            tau = {p.designated.head: pe}
             modes.append((i, note))
         else:
             continue
-        sigma = {
-            x: simplify_pred_expr(pe) for x, pe in compose_pred_subst(tau, sigma).items()
-        }
+        sigma[x] = simplify_pred_expr(PredExpr(pe.params, apply_pred_subst(pe.body, sigma)))
     modes.reverse()
     # each step names its bound variables apart only from what it must not
     # meet, so steps reuse names; renaming every binder positionally makes

@@ -15,8 +15,14 @@ agree with.
 The reference deletion fixpoint re-runs all four deletion passes until a
 round applies no step, the definition `saturation._deletion_fixpoint`, which
 repeats only external-purity deletion, must agree with.
+The reference purification tries the purity deletion before every scan for
+a resolvent, the steps `saturation.purify`, which tries it once, must agree
+with.
 The reference model enumerator yields every interpretation, the full set
-that `verify.blocks` covers with one model per orbit of constant vectors.
+that `verify.blocks` covers with one model per orbit of constant vectors,
+and the reference function tables are the recursion that picked those
+constant vectors, the sequence the one-test `verify._function_tables` must
+agree with.
 The reference certificate depth backtracks over every choice of covers, the
 search that `witness.find_acyclic` replaces by a least fixpoint.
 The Ackermann witness is a second witness oracle: a closed-form witness for
@@ -26,7 +32,7 @@ the single-occurrence pattern, built without any derivation.
 import itertools
 import pathlib
 
-from wscan.calculus import resolvent_covers
+from wscan.calculus import memoized, resolvent_covers
 from wscan.logic import (
     DUAL,
     EQ,
@@ -59,6 +65,7 @@ from wscan.logic import (
     junction,
     lit_to_formula,
     lit_vars,
+    pointed,
     simplify_pred_expr,
     subst_consts,
     subst_formula,
@@ -67,7 +74,7 @@ from wscan.logic import (
 from wscan import saturation
 from wscan.problems import merge_theory, parse_problem
 from wscan.saturation import RULES, Derivation, ReplayError, Step, replay, replay_proof, search
-from wscan.subsumption import subsumes
+from wscan.subsumption import subsumes, subsumes_L_velim
 import wscan.verify as verify_module
 from wscan.verify import FiniteModel, blocks, eval_formula
 from wscan.witness import Witness
@@ -519,6 +526,36 @@ def ref_deletion_fixpoint(st):
             return
 
 
+def ref_purify(st, p_id, p_idx):
+    """`saturation.purify` trying the purity deletion at the top of every
+    round, before it scans for a resolvent to add."""
+    p = pointed(st.live[p_id], p_idx)
+    like = p.designated.dual()
+    try:
+        while True:
+            st.charge()
+            step = saturation._attempt(saturation._purdel, st, p_id, p_idx)
+            if step is not None:
+                st.apply(step)
+                return True
+            for cid, k in saturation._partner_positions(st, p, skip=p_id):
+                step = saturation._res(st, p_id, p_idx, cid, k)
+                if not any(
+                    memoized(st.memo, subsumes_L_velim, s, step.added, like)
+                    for s in st.live.values()
+                ):
+                    break
+            else:
+                return False
+            st.apply(step)
+            velim = saturation._attempt(saturation._varelim, st, step.new_id)
+            if velim is not None:
+                st.apply(velim)
+            saturation._subsumption_pass(st, protect=frozenset([p_id]))
+    except saturation._Budget:
+        return False
+
+
 # -- reference model enumerator -----------------------------------------------
 
 
@@ -546,6 +583,21 @@ def ref_models(sig, n):
         funcs = dict(zip(fkeys, ftables))
         for rsets in itertools.product(*rdomains):
             yield FiniteModel(n, funcs, dict(zip(rkeys, rsets)))
+
+
+def ref_function_tables(domains, consts, used=0):
+    """One table per domain, in lexicographic order, each constant at most
+    one above the largest value of the constants before it, with the number
+    of distinct constant values, recursively: `used` is that number so far."""
+    if not domains:
+        yield (), used
+        return
+    head = domains[0][: used + 1] if consts[0] else domains[0]
+    for v, table in enumerate(head):
+        for rest, top in ref_function_tables(
+            domains[1:], consts[1:], max(used, v + 1) if consts[0] else used
+        ):
+            yield (table, *rest), top
 
 
 def models(sig, n):

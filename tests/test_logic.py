@@ -24,7 +24,6 @@ from wscan.logic import (
     apply_pred_subst,
     apply_pred_subst_clause,
     canonical_pred_expr,
-    compose_pred_subst,
     _lit_kind,
     _lit_shape,
     _orient_eq,
@@ -366,15 +365,6 @@ def test_pred_expr_arity_mismatch_prints_its_terms_as_wscan_text():
     with pytest.raises(ValueError) as e:
         expr.apply((a, App("f", (u,))))
     assert str(e.value) == "arity mismatch applying lambda z. B(?z) to (a,f(?u))"
-
-
-def test_compose_pred_subst_applies_later_bindings():
-    inner = {"X": PredExpr(("z",), FAtom("X", (App("f", (Var("z"),)),), True))}
-    outer = {"X": PredExpr(("y",), FAtom("B", (Var("y"),)))}
-    combined = compose_pred_subst(inner, outer)
-    body = combined["X"].body
-    assert "B" in formula_str(body)
-    assert "X" not in formula_str(body)
 
 
 def test_formula_size_counts_connectives():

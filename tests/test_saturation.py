@@ -19,6 +19,7 @@ from conftest import (
     corpus_derivation,
     random_clause,
     ref_deletion_fixpoint,
+    ref_purify,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "wscan" / "corpus"
@@ -119,6 +120,48 @@ def test_deletion_fixpoint_matches_rerunning_every_pass():
         # external-purity pass (X comes first) deletes
         chained += [s.args[0] for s in st.steps if s.rule == "extpurdel"] == ["Y", "X"]
     assert chained >= 5
+
+
+def test_purify_takes_the_reference_steps_with_one_purity_check(monkeypatch):
+    """After preprocessing, purifying any predicate-variable literal takes
+    the steps and gives the answer of the reference that tries the purity
+    deletion before every scan, with at most one purity check: a purified
+    clause's resolvents are all covered by the rest, so the scan adds
+    nothing before the check succeeds."""
+    checks = [0]
+    real = saturation.is_purified
+
+    def counted(*args):
+        checks[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(saturation, "is_purified", counted)
+    # a step budget stops the closures that grow for ever
+    limits = SearchLimits(max_steps=40, timeout=1e9)
+    rng = random.Random(5)
+    outcomes = {}
+    for _ in range(1000):
+        st = saturation._State.start(_two_variable_set(rng), {"X": 1, "Y": 1}, limits)
+        try:
+            saturation.preprocess(st)
+        except saturation._Budget:
+            continue
+        for i, c in list(st.live.items()):
+            for k, l in enumerate(c.lits):
+                if not l.pvar:
+                    continue
+                got, ref = st.clone(), st.clone()
+                want = ref_purify(ref, i, k)
+                checks[0] = 0
+                ok = saturation.purify(got, i, k)
+                assert (ok, got.steps) == (want, ref.steps), (c, k)
+                assert checks[0] <= 1, (c, k, checks[0])
+                added = any(s.rule == "res" for s in got.steps[len(st.steps):])
+                outcomes[ok, added] = outcomes.get((ok, added), 0) + 1
+    # purified with or without adding resolvents, refused with nothing to
+    # add (a resolvent only the clause itself covers), and refused after
+    # adding resolvents (mostly at the step budget)
+    assert min(outcomes.get((ok, added), 0) for ok in (True, False) for added in (True, False)) >= 5, outcomes
 
 
 def test_search_is_deterministic_across_runs():

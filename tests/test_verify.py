@@ -4,6 +4,7 @@ end-to-end witness checker."""
 import dataclasses
 import itertools
 import json
+import math
 import pathlib
 import random
 import time
@@ -73,6 +74,7 @@ from conftest import (
     random_clause,
     random_lit,
     ref_eval_formula,
+    ref_function_tables,
     ref_models,
     replays,
 )
@@ -832,6 +834,29 @@ def test_models_stand_for_their_orbits_of_constant_vectors():
             assert rgs == list(canonical)
             # ... and each is the representative of as many models as its weight
             assert Counter(model_key(representative(m)) for m in full) == canonical
+
+
+def test_function_tables_match_the_recursive_reference():
+    """The one-test filter over the product of the domains yields the
+    tables and constant counts of the recursion it replaces, in its order,
+    over mixes of constants and unary or binary functions at sizes 1-3,
+    with no constants and with constants only among them."""
+    rng = random.Random(29)
+
+    def domain(n, k):
+        points = list(itertools.product(range(n), repeat=k))
+        return [dict(zip(points, vals)) for vals in itertools.product(range(n), repeat=len(points))]
+
+    mixes = [(3, [0, 0, 0, 0]), (2, [1, 2]), (3, []), (1, [0, 2, 0])]
+    while len(mixes) < 60:
+        n, arities = rng.randint(1, 3), rng.choices([0, 0, 1, 2], k=rng.randint(1, 4))
+        if math.prod(n ** (n**k) for k in arities) <= 20_000:
+            mixes.append((n, arities))
+    for n, arities in mixes:
+        domains, consts = [domain(n, k) for k in arities], [k == 0 for k in arities]
+        got = list(verify_module._function_tables(domains, consts))
+        assert got == list(ref_function_tables(domains, consts)), (n, arities)
+        assert sum(math.perm(n, used) for _, used in got) == math.prod(len(d) for d in domains)
 
 
 WITNESS_BODIES = [

@@ -10,12 +10,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wscan.logic import FNot, PointedClause, PredExpr, pred_expr_size, pred_expr_str, simplify_pred_expr
+from wscan.logic import (
+    FNot,
+    PointedClause,
+    PredExpr,
+    formula_free_pvars,
+    pred_expr_size,
+    pred_expr_str,
+    simplify_pred_expr,
+)
 from wscan.saturation import SearchLimits, replay, search
 from wscan.verify import check_witness, eval_formula, model_count, signature_of
 from wscan.witness import (
     FirstOrderUnavailable,
     LresBudgetExceeded,
+    _purdel_pred,
     b_k,
     extract_witness,
     find_acyclic,
@@ -96,6 +105,19 @@ def test_lres_spends_three_units_on_a_closure_of_one_resolvent():
         lres(p, budget=2)
 
 
+@pytest.mark.parametrize("pos,want", [(False, "X(?u0)"), (True, "~X(?u0)")])
+def test_lres_drops_a_resolvent_that_the_closure_subsumes(pos, want):
+    """The first resolvent, X(?u0) from the start clause X(k0) when ~X(?y) is
+    designated, subsumes the start clause and replaces it; the second, the
+    same clause again, is subsumed by the first and dropped.  That takes
+    2 inferences and 3 subsumption tests, so a budget of 4 refuses."""
+    p = pointed("X(?x) | ~X(?y)", pos=pos)
+    got = lres(p, budget=5)
+    assert [str(c) for c in got.clauses] == [want]
+    with pytest.raises(LresBudgetExceeded, match=r"within 4 work units \(2 inferences, 3 subsumption tests\)"):
+        lres(p, budget=4)
+
+
 def test_lres_terminates_on_nonrecursive_clause():
     got = lres(pointed("~X(?u) | B(?u)", pos=False))
     assert expect_cp(got, ["X(k0)", "B(k0)"])
@@ -123,9 +145,9 @@ def pe_text(e):
 
 def test_b_k_level_two_display():
     p = pointed(CHAIN, pos=False)
-    e1 = simplify_pred_expr(b_k(p, 1).to_pred_expr(negate=False))
+    e1 = simplify_pred_expr(b_k(p, 1).to_pred_expr())
     assert pe_text(e1) == "lambda p0. (forall u0. B(?p0,?u0)) /\\ X(?p0)"
-    e2 = simplify_pred_expr(b_k(p, 2).to_pred_expr(negate=False))
+    e2 = simplify_pred_expr(b_k(p, 2).to_pred_expr())
     assert pe_text(e2) == (
         "lambda p0. X(?p0)"
         " /\\ (forall u0. forall u1. B(?u0,?u1) \\/ B(?p0,?u0))"
@@ -137,7 +159,7 @@ def test_b_k_chain_is_monotone_in_models():
     """Raising k strengthens the expression: B^k implies B^{k+1} everywhere."""
     p = pointed(CHAIN, pos=False)
     exprs = [
-        simplify_pred_expr(b_k(p, k).to_pred_expr(negate=False)) for k in range(4)
+        simplify_pred_expr(b_k(p, k).to_pred_expr()) for k in range(4)
     ]
     sig = signature_of([p.clause])
     for k in range(3):
@@ -243,6 +265,27 @@ def run_main():
     return clauses, replay(
         clauses, {"X": 1}, "res 2.1 4.1 -> 5\npurdel 2.1\nextpurdel X -"
     )
+
+
+def test_extract_witness_substitutes_later_steps_into_earlier_predicates():
+    """The first deletion's predicate for X mentions X and Y; the later
+    deletions give X and Y their predicates, and folding those in leaves no
+    predicate variable in the witness."""
+    header = {"X": 1, "Y": 1}
+    clauses = clauses_of("X(a)\n~X(?u) | Y(?u)\n~Y(c)", "X/1, Y/1")
+    d = replay(clauses, header, "\n".join([
+        "res 2.1 1.1 -> 4", "varelim 4 -> 5", "purdel 2.1", "purdel 1.1",
+        "res 5.1 3.1 -> 6", "purdel 5.1", "extpurdel Y -",
+    ]))
+    live = d.alive(2)
+    first = _purdel_pred(2, PointedClause(live.pop(2), 0), frozenset(live.values()), "auto", None, 512)
+    assert pred_expr_str(first[0]) == "lambda w0. X(?w0) /\\ Y(?w0)"
+    w = extract_witness(d)
+    assert {x: pred_expr_str(pe) for x, pe in w.psub.items()} == {
+        "X": "lambda u0. (a = ?u0)", "Y": "lambda u0. (a = ?u0)"
+    }
+    assert not any(formula_free_pvars(pe.body) for pe in w.psub.values())
+    assert check_witness(clauses, header, d.conclusion(), w, timeout=20.0).passed
 
 
 def test_extract_witness_first_order_main():
@@ -381,7 +424,9 @@ def gfp_certificate_breaks(d):
         g = gfp_pred_expr(p)
         if neg:
             g = PredExpr(g.params, FNot(g.body))
-        b = b_k(p, k).to_pred_expr(negate=neg)
+        b = b_k(p, k).to_pred_expr()
+        if neg:
+            b = simplify_pred_expr(PredExpr(b.params, FNot(b.body)))
         flat = k >= 1 and not any(l.same_kind(p.designated.dual()) for l in p.rest)
         sig = signature_of(formulas=[g.body, b.body])
         g_holds, b_holds = evaluator(g.body, g.params), evaluator(b.body, b.params)
