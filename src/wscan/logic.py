@@ -45,12 +45,12 @@ EQ = "="
 # terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     fn: str
     args: tuple["Term", ...] = ()
@@ -72,16 +72,23 @@ def term_str(t: Term) -> str:
     return f"{t.fn}({','.join(term_str(a) for a in t.args)})"
 
 
-def term_vars(t: Term) -> Iterator[str]:
-    if isinstance(t, Var):
-        yield t.name
+def term_vars(t: Term) -> list[str]:
+    """The variable occurrences of t, left to right."""
+    out: list[str] = []
+    _collect_vars(t, out)
+    return out
+
+
+def _collect_vars(t: Term, out: list[str]) -> None:
+    if type(t) is Var:
+        out.append(t.name)
     else:
         for a in t.args:
-            yield from term_vars(a)
+            _collect_vars(a, out)
 
 
 def occurs_in(v: str, t: Term) -> bool:
-    return any(name == v for name in term_vars(t))
+    return v in term_vars(t)
 
 
 def is_proper_subterm_var(v: str, t: Term) -> bool:
@@ -150,7 +157,7 @@ def fresh_name(prefix: str, taken: set[str]) -> str:
 # literals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit:
     pos: bool
     head: str
@@ -195,12 +202,18 @@ def lit_str(l: Lit) -> str:
 
 
 def subst_lit(l: Lit, s: Subst) -> Lit:
-    return Lit(l.pos, l.head, tuple(subst_term(t, s) for t in l.args), l.pvar)
+    return Lit(l.pos, l.head, tuple([subst_term(t, s) for t in l.args]), l.pvar)
 
 
-def lit_vars(l: Lit) -> Iterator[str]:
+def lit_vars(l: Lit) -> list[str]:
+    """The variable occurrences of l, left to right."""
+    out: list[str] = []
     for t in l.args:
-        yield from term_vars(t)
+        if type(t) is Var:
+            out.append(t.name)
+        elif t.args:
+            _collect_vars(t, out)
+    return out
 
 
 def lit_size(l: Lit) -> int:
@@ -234,14 +247,18 @@ def _lit_kind(l: Lit) -> int:
     return _KIND_PVAR if l.pvar else _KIND_SYM
 
 
+_VAR_SHAPE = ("*",)
+
+
 def _term_shape(t: Term):
-    if isinstance(t, Var):
-        return ("*",)
-    return (t.fn, tuple(_term_shape(a) for a in t.args))
+    if type(t) is Var:
+        return _VAR_SHAPE
+    return (t.fn, tuple([_VAR_SHAPE if type(a) is Var else _term_shape(a) for a in t.args]))
 
 
 def _lit_shape(l: Lit):
-    return (_lit_kind(l), l.head, l.pos, tuple(_term_shape(t) for t in l.args))
+    args = tuple([_VAR_SHAPE if type(t) is Var else _term_shape(t) for t in l.args])
+    return (_lit_kind(l), l.head, l.pos, args)
 
 
 def _canonical_order(lits: list[Lit]) -> tuple[Lit, ...]:
@@ -253,8 +270,10 @@ def _canonical_order(lits: list[Lit]) -> tuple[Lit, ...]:
     among orders that give it, the first in input-index order wins.  This
     holds at every clause size.  When no two literals share a shape the sort
     alone is the order; otherwise ``_least_order`` finds it, in time that is
-    exponential only on highly symmetric clauses.  Returns the renamed
-    literals in that order.
+    exponential only on highly symmetric clauses.  Equal literals share a
+    shape, so only a group of two or more can hold a duplicate, and only the
+    first of equal literals is kept.  Returns the renamed literals in that
+    order; a ground literal is returned as it is.
     """
     shapes = [_lit_shape(l) for l in lits]
     order = sorted(range(len(lits)), key=shapes.__getitem__)
@@ -264,18 +283,33 @@ def _canonical_order(lits: list[Lit]) -> tuple[Lit, ...]:
             groups[-1].append(i)
         else:
             groups.append([i])
-    seq = order if len(groups) == len(lits) else _least_order(lits, groups)
+    tied = False
+    for group in groups:
+        if len(group) > 1:
+            first: dict[Lit, int] = {}
+            for i in group:
+                first.setdefault(lits[i], i)
+            group[:] = first.values()
+            tied = tied or len(group) > 1
+    occs = [lit_vars(l) for l in lits]
+    seq = _least_order(occs, groups) if tied else [group[0] for group in groups]
     ren: dict[str, Term] = {}
+    out = []
     for i in seq:
-        for v in lit_vars(lits[i]):
+        if not occs[i]:
+            out.append(lits[i])
+            continue
+        for v in occs[i]:
             if v not in ren:
                 ren[v] = Var(f"u{len(ren)}")
-    return tuple(subst_lit(lits[i], ren) for i in seq)
+        out.append(subst_lit(lits[i], ren))
+    return tuple(out)
 
 
-def _least_order(lits: list[Lit], groups: list[list[int]]) -> Sequence[int]:
+def _least_order(occs: list[list[str]], groups: list[list[int]]) -> Sequence[int]:
     """The first index sequence, through the shape groups in turn, whose
-    renamed literals give the least sequence of literal keys.
+    renamed literals give the least sequence of literal keys; ``occs[i]``
+    lists the variable occurrences of literal i.
 
     Renaming by first occurrence makes the key of the literal at a position
     depend only on that literal and the ones before it, so the least sequence
@@ -283,55 +317,79 @@ def _least_order(lits: list[Lit], groups: list[list[int]]) -> Sequence[int]:
     extended by each unused literal of the current group, and only the
     extensions with the least key at that position are kept.  Literals of
     one shape differ only in their variables, so that key compares as the
-    tuple of names their variable occurrences get, as strings, in order.  Partial orders are kept
-    in index order, and two that used the same literals and named the
-    variables of the unused literals alike have the same completions, so only
-    the first of them is kept.  A literal whose variables occur in no other
-    literal can trade places with any such literal of its group that has the
-    same variable pattern, so only the first unused one of those is tried.
+    tuple of names their variable occurrences get, in order.  The variables
+    are numbered once, and the name ``uk`` is held as the int k; a key
+    compares the ranks of its names in the sorted strings ``u0 ... u{V-1}``,
+    so ``u10`` still comes before ``u2``, and a candidate whose first name
+    alone ranks above the least key so far is dropped before its key is
+    built.  Partial orders are kept in index order, and two that used the
+    same literals and named the variables of the unused literals alike have
+    the same completions, so only the first of them is kept.  A literal
+    whose variables occur in no other literal can trade places with any
+    such literal of its group that has the same variable pattern, so only
+    the first unused one of those is tried.
 
     The work grows exponentially only on highly symmetric clauses, such as
     the edge literals of a complete graph, where many partial orders tie and
     stay distinct.
     """
-    occs = [tuple(lit_vars(l)) for l in lits]
-    holders: dict[str, int] = {}  # variable -> bit set of the literals it occurs in
-    for i, vs in enumerate(occs):
-        for v in vs:
-            holders[v] = holders.get(v, 0) | 1 << i
-    pattern: list[Optional[tuple[int, ...]]] = []
-    for i, vs in enumerate(occs):
-        local: dict[str, int] = {}
-        lone = all(holders[v] == 1 << i for v in vs)
-        pattern.append(tuple(local.setdefault(v, len(local)) for v in vs) if lone else None)
-    # (index sequence, names given so far, bit set of the literals used)
-    partials: list[tuple[tuple[int, ...], dict[str, str], int]] = [((), {}, 0)]
+    number: dict[str, int] = {}
+    ixs = [[number.setdefault(v, len(number)) for v in vs] for vs in occs]
+    nvars = len(number)
+    holders = [0] * nvars  # variable -> bit set of the literals it occurs in
+    for group in groups:
+        for i in group:
+            for v in ixs[i]:
+                holders[v] |= 1 << i
+    pattern: list[Optional[tuple[int, ...]]] = [None] * len(ixs)
+    for group in groups:
+        for i in group:
+            if all(holders[v] == 1 << i for v in ixs[i]):
+                local: dict[int, int] = {}
+                pattern[i] = tuple([local.setdefault(v, len(local)) for v in ixs[i]])
+    by_text = sorted(range(nvars), key=lambda k: f"u{k}")
+    rank = [0] * nvars
+    for r, k in enumerate(by_text):
+        rank[k] = r
+    # (index sequence, name of each live variable or -1, names given, bit set of the literals used)
+    partials: list[tuple[tuple[int, ...], list[int], int, int]] = [((), [-1] * nvars, 0, 0)]
     for group in groups:
         for _ in group:
-            best: Optional[tuple[str, ...]] = None
-            kept: dict[tuple, tuple[tuple[int, ...], dict[str, str], int]] = {}
-            for seq, ren, used in partials:
+            best: Optional[tuple[int, ...]] = None
+            kept: dict[tuple, tuple[tuple[int, ...], list[int], int, int]] = {}
+            for seq, ren, given, used in partials:
                 tried = set()
                 for i in group:
                     if used >> i & 1 or pattern[i] in tried:
                         continue
                     if pattern[i] is not None:
                         tried.add(pattern[i])
-                    named = dict(ren)
-                    for v in occs[i]:
-                        if v not in named:
-                            named[v] = f"u{len(named)}"
-                    key = tuple(map(named.__getitem__, occs[i]))
+                    if best is not None and ixs[i]:
+                        n = ren[ixs[i][0]]
+                        if rank[n if n >= 0 else given] > best[0]:
+                            continue
+                    named = ren.copy()
+                    now_given = given
+                    for v in ixs[i]:
+                        if named[v] < 0:
+                            named[v] = now_given
+                            now_given += 1
+                    key = tuple([rank[named[v]] for v in ixs[i]])
                     if best is not None and key > best:
                         continue
                     if best is None or key < best:
                         best, kept = key, {}
                     now_used = used | 1 << i
                     # what the completions depend on: the unused literals and
-                    # the names of the variables that occur in them
-                    live = frozenset((v, n) for v, n in named.items() if holders[v] & ~now_used)
-                    if (now_used, live) not in kept:
-                        kept[now_used, live] = (seq + (i,), named, now_used)
+                    # the names of the variables that occur in them; a
+                    # variable that occurs in no unused literal is never read
+                    # again, so it loses its name
+                    for v in ixs[i]:
+                        if not holders[v] & ~now_used:
+                            named[v] = -1
+                    live = (now_used, tuple(named))
+                    if live not in kept:
+                        kept[live] = (seq + (i,), named, now_given, now_used)
             partials = list(kept.values())
     return partials[0][0]
 
@@ -345,24 +403,25 @@ class Clause:
         return pointed_make(lits)
 
     @property
-    def vars(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for l in self.lits:
-            for v in lit_vars(l):
-                seen.setdefault(v)
-        return tuple(seen)
-
-    @property
     def size(self) -> int:
         return sum(lit_size(l) for l in self.lits)
 
-    # Computed once per clause object: the hash, which dict and set lookups
+    # Computed once per clause object: the variables, which renaming apart
+    # reads once per inference, the hash, which dict and set lookups
     # (the search's memo among them) would otherwise take over the whole
     # term tree each time, the text, which the canonical sort keys read,
     # the subsumption features, argument index and pattern orders, and the
     # constraint unfoldings.  A cached property lives in the instance dict,
     # so equality and hashing (which read only ``lits``) are unaffected, and
     # it goes with the clause.
+
+    @cached_property
+    def vars(self) -> tuple[str, ...]:
+        seen: dict[str, None] = {}
+        for l in self.lits:
+            for v in lit_vars(l):
+                seen.setdefault(v)
+        return tuple(seen)
 
     def __hash__(self) -> int:
         return self._hash
@@ -453,8 +512,7 @@ def _orient_eq(l: Lit) -> Lit:
 def pointed_make(lits: Iterable[Lit]) -> Clause:
     """The canonical clause of `lits`.  ``Clause.make`` calls it through the module
     global, because the benchmark's tracer wraps this name as ``logic.canon``."""
-    uniq = list(dict.fromkeys(_orient_eq(l) for l in lits))
-    return Clause(_canonical_order(uniq) if uniq else ())
+    return Clause(_canonical_order([_orient_eq(l) for l in lits]))
 
 
 @dataclass(frozen=True)

@@ -51,14 +51,12 @@ def is_tautology(c: Clause) -> bool:
 
     Reflexive equations t = t do NOT make a clause a tautology here; they are
     handled by formula simplification and by the prover's own redundancy
-    checks, never during purification.
+    checks, never during purification.  The atoms of the positive literals,
+    as ``(head, args, pvar)``, are looked up for each negative one, so no
+    dual literal is built.
     """
-    seen = set()
-    for l in c.lits:
-        if l.dual() in seen:
-            return True
-        seen.add(l)
-    return False
+    atoms = {(l.head, l.args, l.pvar) for l in c.lits if l.pos}
+    return any((l.head, l.args, l.pvar) in atoms for l in c.lits if not l.pos)
 
 
 def has_reflexive_equation(c: Clause) -> bool:

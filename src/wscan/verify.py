@@ -9,7 +9,8 @@ only active clauses subsume or get subsumed, and only when a clause is
 selected: it is dropped if an active clause subsumes it, and otherwise drops
 the active clauses it subsumes.  A clause that arrives is only deduplicated
 and unit-deleted.  It takes resolution partners and factor pairs from
-`calculus` and tries each inference site once.
+`calculus` and tries each inference site once.  A witness check admits its
+conclusion into one prover, and each goal runs on a copy of it.
 A refutation is a `Derivation` in trace syntax, and it counts only once
 `saturation.replay_proof` has rebuilt it through `RULES`.
 The finite-model evaluator is the independent oracle: it knows nothing about
@@ -596,17 +597,30 @@ MAX_INFERENCES = 20_000
 
 
 class _Prover:
-    def __init__(self, clauses: Sequence[Clause], deadline: float):
+    """A given-clause run over the clauses of `base` (none when it is None)
+    and then `clauses`, all admitted as inputs.  Admission depends only on
+    the clauses admitted before, so a prover that has admitted a clause set
+    and run no inference is a base that many goals share: each goal's prover
+    copies its state and admits only the goal's clauses, and gets the ids,
+    selection order and proof that a prover of both lists would."""
+
+    def __init__(self, clauses: Sequence[Clause], deadline: float, base: Optional[_Prover] = None):
         self.deadline = deadline
         self.inferences = 0
-        # id -> (rule, args in trace order, clause); inputs have rule "input"
-        self.recs: dict[int, tuple[str, tuple, Clause]] = {}
-        self.next_id = 1
         self.active: dict[int, Clause] = {}
-        self.passive: list[tuple[int, int]] = []  # (size, id)
-        self.seen: set[Clause] = set()
-        self.units: dict[Lit, int] = {}  # ground unit literal -> id of its clause
-        self.empty_id: Optional[int] = None
+        if base is None:
+            # id -> (rule, args in trace order, clause); inputs have rule "input"
+            self.recs: dict[int, tuple[str, tuple, Clause]] = {}
+            self.next_id = 1
+            self.passive: list[tuple[int, int]] = []  # a heap of (size, id)
+            self.seen: set[Clause] = set()
+            # the literal a derived ground unit refutes (the unit's dual) -> the unit's id
+            self.units: dict[Lit, int] = {}
+            self.empty_id: Optional[int] = None
+        else:
+            self.recs, self.next_id = dict(base.recs), base.next_id
+            self.passive, self.seen = list(base.passive), set(base.seen)
+            self.units, self.empty_id = dict(base.units), base.empty_id
         for c in clauses:
             self._admit(c, "input", ())
 
@@ -638,16 +652,18 @@ class _Prover:
         self.seen.add(c)
         heapq.heappush(self.passive, (c.size, cid))
         if len(c.lits) == 1 and not c.vars:
-            self.units[c.lits[0]] = cid
+            self.units[c.lits[0].dual()] = cid
 
     def _unit_deleted(self, cid: int, c: Clause) -> bool:
         """Unit deletion, on arrival and again on selection: if a derived
         ground unit (queued, active or since made redundant) refutes a
         literal of c, admit their resolvent instead of c.  Its constraints
         are reflexive, so it becomes c without that literal, which deletes c
-        by one-way subsumption as `_redundant` would."""
+        by one-way subsumption as `_redundant` would.  `units` is keyed by
+        the literal a unit refutes, so each literal of c is looked up as it
+        is."""
         for i, l in enumerate(c.lits):
-            uid = self.units.get(l.dual())
+            uid = self.units.get(l)
             if uid is not None:
                 unit = pointed(self.recs[uid][2], 0)
                 self._admit(constraint_resolve(pointed(c, i), unit), "res", (cid, i, uid, 0))
@@ -744,16 +760,21 @@ def prove(
     premises: Sequence[Clause],
     goal: Optional[Formula] = None,
     timeout: float = 5.0,
+    base: Optional[_Prover] = None,
 ) -> ProverResult:
-    """Refute premises + the negated goal.  Proved carries a refutation that
-    starts from those clauses and replays through `RULES`, Rejected one that
-    does not; Disproved carries a countermodel found by finite-model search;
-    Unknown reports the exhausted budget."""
+    """Refute premises + the negated goal.  The premises are admitted into a
+    base prover, or taken from `base`, a prover that has admitted exactly
+    them and run nothing; a copy of it admits the goal's clauses and runs.
+    Proved carries a refutation that starts from those clauses and replays
+    through `RULES`, Rejected one that does not; Disproved carries a
+    countermodel found by finite-model search; Unknown reports the exhausted
+    budget."""
     deadline = time.monotonic() + timeout
     symbols = (name for c in premises for name, _ in c.fn_symbols)
-    clauses = list(premises) + (clausify(FNot(goal), symbols) if goal is not None else [])
+    negated = clausify(FNot(goal), symbols) if goal is not None else []
+    clauses = list(premises) + negated
     try:
-        got = _Prover(clauses, deadline).run()
+        got = _Prover(negated, deadline, base or _Prover(premises, deadline)).run()
     except RecursionError:  # pathological nesting; treat as budget
         got = None
     if got is not None:
@@ -804,10 +825,17 @@ def check_witness(
     witnesses), and on every small model, solvability of n for the predicate
     variables must coincide with truth of n under w.  Both sides are
     invariant under isomorphism, so the model route evaluates one model per
-    orbit of constant vectors and counts it by the orbit's size."""
+    orbit of constant vectors and counts it by the orbit's size.  The
+    conclusion is admitted into one prover, and each goal runs on a copy of
+    it (see `prove`).  A witness that still mentions a predicate variable
+    being eliminated is no witness, whatever the routes find, so it fails."""
     deadline = time.monotonic() + timeout
     goals = [simplify(apply_pred_subst_clause(c, w.psub)) for c in n]
     failures: list[str] = []
+    for x, pe in w.psub.items():
+        mentioned = sorted(formula_free_pvars(pe.body) & xars.keys())
+        if mentioned:
+            failures.append(f"the witness of {x} still mentions the eliminated {', '.join(mentioned)}")
     notes: list[str] = []
     prover_results: list[tuple[int, str]] = []
     if w.has_gfp():
@@ -815,11 +843,12 @@ def check_witness(
         prover_results = [(i, "skipped") for i in range(len(goals))]
     else:
         budget = max(0.5, (deadline - time.monotonic()) * 0.6 / max(1, len(goals)))
+        base = _Prover(conclusion, deadline)  # the conclusion, admitted once for every goal
         for i, g in enumerate(goals):
             # no goal runs past the check's deadline
             left = max(0.0, deadline - time.monotonic())
             try:
-                got = prove(conclusion, g, timeout=min(budget, left))
+                got = prove(conclusion, g, timeout=min(budget, left), base=base)
             except ClausifyError as e:
                 got = Unknown(str(e))
                 notes.append(f"clause {i + 1} under the witness was not clausified: {e}")

@@ -25,6 +25,9 @@ constant vectors, the sequence the one-test `verify._function_tables` must
 agree with.
 The reference certificate depth backtracks over every choice of covers, the
 search that `witness.find_acyclic` replaces by a least fixpoint.
+The reference canonical form deduplicates every literal by hashing and
+names the variables of each candidate order by strings, the definition the
+integer-keyed `logic._least_order` must agree with.
 The Ackermann witness is a second witness oracle: a closed-form witness for
 the single-occurrence pattern, built without any derivation.
 """
@@ -55,7 +58,9 @@ from wscan.logic import (
     Lit,
     PredExpr,
     Var,
+    _lit_shape,
     _one_point,
+    _orient_eq,
     canonical_pred_expr,
     for_,
     forall,
@@ -727,3 +732,68 @@ def ackermann_witness(p, x):
             body = FNot(body)
         return Witness({x: canonical_pred_expr(simplify_pred_expr(PredExpr(params, body)))}, ())
     return None
+
+
+def ref_canonical_order(lits, name=lambda k: f"u{k}"):
+    """The canonical literal tuple of `lits` as the string-keyed search
+    computes it: deduplicate by hashing, sort by shape, and in each tie pick
+    the least sequence of literal keys, comparing the names ``u0, u1, ...``
+    as strings.  A test passes another `name` for the k-th variable named
+    to see whether a case depends on that comparison."""
+    lits = list(dict.fromkeys(_orient_eq(l) for l in lits))
+    shapes = [_lit_shape(l) for l in lits]
+    order = sorted(range(len(lits)), key=shapes.__getitem__)
+    groups = []
+    for i in order:
+        if groups and shapes[groups[-1][-1]] == shapes[i]:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    seq = order if len(groups) == len(lits) else _ref_least_order(lits, groups, name)
+    ren = {}
+    for i in seq:
+        for v in lit_vars(lits[i]):
+            if v not in ren:
+                ren[v] = Var(f"u{len(ren)}")
+    return tuple(subst_lit(lits[i], ren) for i in seq)
+
+
+def _ref_least_order(lits, groups, name):
+    occs = [tuple(lit_vars(l)) for l in lits]
+    holders = {}  # variable -> bit set of the literals it occurs in
+    for i, vs in enumerate(occs):
+        for v in vs:
+            holders[v] = holders.get(v, 0) | 1 << i
+    pattern = []
+    for i, vs in enumerate(occs):
+        local = {}
+        lone = all(holders[v] == 1 << i for v in vs)
+        pattern.append(tuple(local.setdefault(v, len(local)) for v in vs) if lone else None)
+    # (index sequence, names given so far, bit set of the literals used)
+    partials = [((), {}, 0)]
+    for group in groups:
+        for _ in group:
+            best = None
+            kept = {}
+            for seq, ren, used in partials:
+                tried = set()
+                for i in group:
+                    if used >> i & 1 or pattern[i] in tried:
+                        continue
+                    if pattern[i] is not None:
+                        tried.add(pattern[i])
+                    named = dict(ren)
+                    for v in occs[i]:
+                        if v not in named:
+                            named[v] = name(len(named))
+                    key = tuple(map(named.__getitem__, occs[i]))
+                    if best is not None and key > best:
+                        continue
+                    if best is None or key < best:
+                        best, kept = key, {}
+                    now_used = used | 1 << i
+                    live = frozenset((v, n) for v, n in named.items() if holders[v] & ~now_used)
+                    if (now_used, live) not in kept:
+                        kept[now_used, live] = (seq + (i,), named, now_used)
+            partials = list(kept.values())
+    return partials[0][0]

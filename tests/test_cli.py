@@ -140,6 +140,33 @@ def test_replay_invalid_trace_exits_three(capsys, tmp_path):
     assert "invalid trace" in (out + err)
 
 
+OWN_VARIABLE_PROBLEM = "exists X/1, Y/1.\nX(a)\n~X(?u) | Y(?u)\n~Y(c)\n"
+# X's last deletion is a `purdel`, with no `extpurdel X` after it
+OWN_VARIABLE_TRACE = (
+    "res 2.1 1.1 -> 4\nvarelim 4 -> 5\npurdel 2.1\npurdel 1.1\n"
+    "res 5.1 3.1 -> 6\npurdel 5.1\nextpurdel Y -\n"
+)
+
+
+@pytest.mark.parametrize("mode, code", [("auto", 0), ("first-order", 0), ("fixpoint", 1), ("resolution", 1)])
+def test_a_witness_that_mentions_its_own_variable_fails(capsys, tmp_path, mode, code):
+    problem, trace = tmp_path / "own.wscan", tmp_path / "own.trace"
+    problem.write_text(OWN_VARIABLE_PROBLEM)
+    trace.write_text(OWN_VARIABLE_TRACE)
+    got, out, _ = run(capsys, "replay", problem, trace, "--witness-mode", mode, "--verify")
+    assert got == code
+    failure = "  failure: the witness of X still mentions the eliminated X"
+    if code:
+        # the fold leaves `X(?u0) \/ ...` in X's own witness, which both
+        # routes accept, since nothing substitutes X afterwards
+        assert "X := lambda u0. " in out and "X(?u0)" in out.split("X := ")[1].splitlines()[0]
+        assert "verification: FAIL (prover 3/3 clauses, 14 models checked)" in out
+        assert failure in out.splitlines()
+    else:
+        assert "verification: PASS (prover 3/3 clauses, 14 models checked)" in out
+        assert failure not in out.splitlines()
+
+
 def test_check_accepts_handwritten_witness(capsys, tmp_path):
     w = tmp_path / "w.txt"
     w.write_text("X := lambda u. u = a\n")

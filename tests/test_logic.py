@@ -49,7 +49,15 @@ from wscan.logic import (
 from wscan.problems import parse_formula
 from wscan.verify import model_count, signature_of
 
-from conftest import cl, match_terms, ref_eval_formula, ref_eval_term, ref_models, ref_simplify
+from conftest import (
+    cl,
+    match_terms,
+    ref_canonical_order,
+    ref_eval_formula,
+    ref_eval_term,
+    ref_models,
+    ref_simplify,
+)
 from test_verify import random_formula
 
 a, b, c = const("a"), const("b"), const("c")
@@ -248,6 +256,51 @@ def test_canonical_form_is_invariant_at_every_size(n):
             )
         )
     _one_form(rng, sorted(lits, key=str))
+
+
+def _random_kernel_clause(rng):
+    """Literals over up to 15 variables: ties of one shape (`E` edges),
+    equations that orient, ground literals and predicate-variable literals,
+    some of them repeated."""
+    xs = [Var(f"x{i}") for i in range(rng.randrange(2, 16))]
+    consts = [a, b, c]
+    lits = []
+    for _ in range(rng.randrange(1, 14)):
+        x, y = rng.choice(xs), rng.choice(xs)
+        lits.append(rng.choice([
+            Lit(True, "E", (x, y), False),
+            Lit(True, "E", (x, y), False),
+            Lit(False, "E", (x, rng.choice(consts)), False),
+            Lit(rng.random() < 0.5, "=", (f(x), y), False),
+            Lit(rng.random() < 0.5, "=", (rng.choice(consts), rng.choice(consts)), False),
+            Lit(rng.random() < 0.5, "B", (rng.choice(consts), f(rng.choice(consts))), False),
+            Lit(rng.random() < 0.5, "X", (rng.choice([x, f(x), rng.choice(consts)]),), True),
+        ]))
+    return lits + [rng.choice(lits) for _ in range(rng.randrange(3))]
+
+
+def _complete_graph(n, directed):
+    pairs = itertools.permutations(range(n), 2) if directed else itertools.combinations(range(n), 2)
+    return [Lit(True, "E", (Var(f"x{i}"), Var(f"x{j}")), False) for i, j in pairs]
+
+
+def test_canonical_form_matches_the_string_keyed_reference():
+    rng = random.Random(31)
+    cases = [_random_kernel_clause(rng) for _ in range(1500)]
+    # tie groups that name more than 10 variables: 8-13 edges over 11-15 variables
+    for _ in range(300):
+        xs = [Var(f"x{i}") for i in range(rng.randrange(11, 16))]
+        cases.append([Lit(True, "E", tuple(rng.sample(xs, 2)), False) for _ in range(rng.randrange(8, 14))])
+    cases += [_complete_graph(n, directed) for n in range(2, 6) for directed in (False, True)]
+    by_number = 0
+    for lits in cases:
+        want = ref_canonical_order(lits)
+        assert Clause.make(lits).lits == want, lits
+        if ref_canonical_order(lits, name=lambda k: k) != want:
+            by_number += 1
+    # on some cases, comparing the names as numbers (u2 < u10) would give
+    # another form, so the string comparison is what decides them
+    assert by_number >= 10, by_number
 
 
 def test_rename_apart_preserves_literal_positions():

@@ -60,7 +60,7 @@ from wscan.verify import (
 )
 from wscan.problems import parse_formula
 from wscan.saturation import RULES, Derivation, ReplayError, Step, replay_proof, trace_line
-from wscan.witness import Witness, extract_witness
+from wscan.witness import LresBudgetExceeded, Witness, extract_witness
 
 from conftest import (
     CORPUS_RUNS,
@@ -1002,7 +1002,7 @@ def test_the_prover_gets_no_time_past_the_checks_deadline(monkeypatch):
     now, given = [0.0], []
     monkeypatch.setattr(verify_module.time, "monotonic", lambda: now[0])
 
-    def prove(premises, goal, timeout):
+    def prove(premises, goal, timeout, base):
         given.append(timeout)
         now[0] += timeout + 0.01
         return Unknown("saturation budget exhausted")
@@ -1096,6 +1096,71 @@ def test_a_refutation_of_clauses_it_was_not_given_is_rejected(monkeypatch):
     # clause of the negated goal
     monkeypatch.setattr(_Prover, "run", lambda self: Derivation((Clause(),), ()))
     assert isinstance(prove(clauses_of("B(a)")), Rejected)
+
+
+# -- the conclusion is admitted once per check ---------------------------------------
+
+
+def negated_goal(premises, goal):
+    """The clauses of the negated goal, as `prove` clausifies it."""
+    return clausify(FNot(goal), (name for c in premises for name, _ in c.fn_symbols))
+
+
+def test_a_goal_on_the_shared_base_gets_the_proof_of_a_fresh_prover():
+    """Every goal of every corpus check, in the three witness modes that the
+    benchmark runs, gets from a copy of the one base that admitted the
+    conclusion the proof, trace line for trace line, that a prover of the
+    conclusion and the goal's clauses gets; the base stays as it was."""
+    goals = 0
+    for problem, trace in CORPUS_RUNS:
+        prob, d = corpus_derivation(problem, trace)
+        conclusion = d.conclusion()
+        base = _Prover(conclusion, math.inf)
+        before = (dict(base.recs), list(base.passive), set(base.seen), dict(base.units), base.next_id)
+        for mode in ("auto", "fixpoint", "resolution"):
+            try:
+                w = extract_witness(d, mode)
+            except LresBudgetExceeded:
+                continue
+            if w.has_gfp():
+                continue
+            for c in prob.clauses:
+                goal = simplify(apply_pred_subst_clause(c, w.psub))
+                shared = prove(conclusion, goal, base=base)
+                fresh = _Prover(list(conclusion) + negated_goal(conclusion, goal), time.monotonic() + 5.0).run()
+                assert isinstance(shared, Proved) and fresh is not None, (trace or problem, mode, str(c))
+                assert shared.proof.inputs == fresh.inputs
+                assert shared.proof.trace_lines() == replay_proof(fresh).trace_lines()
+                goals += 1
+        assert (base.recs, base.passive, base.seen, base.units, base.next_id) == before
+        assert not base.active and base.inferences == 0
+    assert goals == 148
+
+
+def test_check_witness_admits_each_conclusion_clause_once(monkeypatch):
+    """p06's 19-clause conclusion is admitted once for its 16 goals, not once
+    per goal: the inputs are those 19 and the goals' own clauses."""
+    prob, d = corpus_derivation("p06_graph3", "p06_graph3")
+    conclusion = d.conclusion()
+    inputs, negated = [], []
+    real_admit, real_clausify = _Prover._admit, verify_module.clausify
+
+    def admit(self, c, rule, args):
+        if rule == "input":
+            inputs.append(c)
+        real_admit(self, c, rule, args)
+
+    def clausify_goal(f, avoid=()):
+        got = real_clausify(f, avoid)
+        negated.extend(got)
+        return got
+
+    monkeypatch.setattr(_Prover, "_admit", admit)
+    monkeypatch.setattr(verify_module, "clausify", clausify_goal)
+    rep = check_witness(prob.clauses, prob.xvars, conclusion, extract_witness(d))
+    assert rep.passed and rep.prover == tuple((i, "proved") for i in range(16))
+    assert len(conclusion) == 19 and inputs[:19] == list(conclusion)
+    assert len(inputs) == 19 + len(negated) and inputs[19:] == negated
 
 
 # -- unit deletion ----------------------------------------------------------------
