@@ -18,7 +18,6 @@ from .logic import (
     Lit,
     PointedClause,
     Term,
-    Var,
     mgu,
     pointed,
     rename_clause_apart,
@@ -74,37 +73,28 @@ def factor_pairs(c: Clause) -> Iterator[tuple[int, int]]:
 def constraint_eliminate(c: Clause, selection=None) -> Optional[Clause]:
     """Unify a block of disequation constraints of c and drop them.
 
-    With no selection, takes the longest prefix of the constraint block that
-    still has a simultaneous unifier (constraints sort to the front of a
-    canonical clause).  A selection is a list of literal indices, all of which
-    must be constraints and must unify together.  Returns None when nothing
-    can be eliminated.
+    The block is the selection, a list of literal indices, or else the
+    longest prefix of the constraint block that still has a simultaneous
+    unifier (constraints sort to the front of a canonical clause).  Returns
+    None when the block is empty, holds a literal that is no constraint, or
+    does not unify.
     """
+    def unifier(block):
+        return mgu(c.lits[i].args for i in block)
+
     if selection is None:
-        idxs = [i for i, l in enumerate(c.lits) if l.is_constraint]
-        chosen: list[int] = []
-        sigma: Optional[dict] = {}
-        for i in idxs:
-            ext = mgu(
-                [(c.lits[j].args[0], c.lits[j].args[1]) for j in chosen + [i]]
-            )
-            if ext is None:
-                break
-            chosen.append(i)
-            sigma = ext
-        if not chosen:
-            return None
-    else:
-        chosen = list(selection)
-        if not chosen or any(not c.lits[i].is_constraint for i in chosen):
-            return None
-        sigma = mgu([(c.lits[i].args[0], c.lits[i].args[1]) for i in chosen])
-        if sigma is None:
-            return None
-    drop = set(chosen)
-    return Clause.make(
-        subst_lit(l, sigma) for i, l in enumerate(c.lits) if i not in drop
-    )
+        cons = [i for i, l in enumerate(c.lits) if l.is_constraint]
+        n = 0
+        while n < len(cons) and unifier(cons[: n + 1]) is not None:
+            n += 1
+        selection = cons[:n]
+    drop = set(selection)
+    if not drop or any(not c.lits[i].is_constraint for i in drop):
+        return None
+    sigma = unifier(selection)
+    if sigma is None:
+        return None
+    return Clause.make(subst_lit(l, sigma) for i, l in enumerate(c.lits) if i not in drop)
 
 
 def variable_eliminate(c: Clause) -> tuple[Clause, bool]:
@@ -132,88 +122,62 @@ def variable_eliminate(c: Clause) -> tuple[Clause, bool]:
 # paramodulation
 
 
-def _subterm_at(t: Term, path: tuple[int, ...]) -> Optional[Term]:
-    for i in path:
-        if isinstance(t, Var) or i >= len(t.args):
-            return None
-        t = t.args[i]
-    return t
+def _positions(
+    args: tuple[Term, ...], here: tuple[int, ...] = ()
+) -> Iterator[tuple[tuple[int, ...], App]]:
+    """The non-variable subterms of an argument tuple with their paths (the
+    first element selects the argument), in pre-order."""
+    for i, t in enumerate(args):
+        if isinstance(t, App):
+            yield here + (i,), t
+            yield from _positions(t.args, here + (i,))
 
 
-def _replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
-    if not path:
-        return new
-    assert isinstance(t, App)
-    i = path[0]
-    args = list(t.args)
-    args[i] = _replace_at(args[i], path[1:], new)
-    return App(t.fn, tuple(args))
+def _replace_at(args: tuple[Term, ...], path: tuple[int, ...], new: Term) -> tuple[Term, ...]:
+    """The argument tuple with the subterm at `path` replaced by `new`."""
+    i, t = path[0], args[path[0]]
+    sub = App(t.fn, _replace_at(t.args, path[1:], new)) if path[1:] else new
+    return args[:i] + (sub,) + args[i + 1 :]
 
 
-def paramodulant(
-    c1: Clause,
-    eq_index: int,
-    orient: str,
-    c2: Clause,
-    lit_index: int,
-    path: tuple[int, ...],
-) -> Optional[Clause]:
-    """Paramodulate the equation literal `eq_index` of c1 (oriented "lr" or
-    "rl") into the subterm of c2 at literal `lit_index`, argument path `path`
-    (first element selects the argument).  Returns None when the rule does not
-    apply at that position.
-    """
-    if not path:
-        return None
-    eq = c1.lits[eq_index]
-    if not (eq.is_eq and eq.pos):
-        return None
-    if orient not in ("lr", "rl"):
-        raise ValueError(f"bad orientation {orient!r}")
-    c1r = rename_clause_apart(c1, c2.vars)
-    eq = c1r.lits[eq_index]
-    s, t = eq.args if orient == "lr" else (eq.args[1], eq.args[0])
-    target = c2.lits[lit_index]
-    if path[0] >= len(target.args):
-        return None
-    r = _subterm_at(target.args[path[0]], path[1:])
-    if r is None or isinstance(r, Var):
-        return None
-    sigma = mgu([(s, r)])
-    if sigma is None:
-        return None
-    new_args = list(target.args)
-    new_args[path[0]] = _replace_at(target.args[path[0]], path[1:], t)
-    new_target = Lit(target.pos, target.head, tuple(new_args), target.pvar)
-    lits = [l for k, l in enumerate(c1r.lits) if k != eq_index]
-    lits += [new_target if k == lit_index else l for k, l in enumerate(c2.lits)]
-    return Clause.make(subst_lit(l, sigma) for l in lits)
-
-
-def _positions(t: Term, here: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], Term]]:
-    yield here, t
-    if isinstance(t, App):
-        for i, a in enumerate(t.args):
-            yield from _positions(a, here + (i,))
+def _paramodulants(c1: Clause, c2: Clause, want: Optional[tuple] = None):
+    """The paramodulation site walk of `all_paramodulants`; c1 is renamed
+    apart from c2 once, if it has an equation.  Given a descriptor `want`, it
+    unifies and builds at that site only."""
+    eqs = [i for i, l in enumerate(c1.lits) if l.is_eq and l.pos]
+    c1r = rename_clause_apart(c1, c2.vars) if eqs else c1
+    for ei in eqs:
+        a, b = c1r.lits[ei].args
+        for orient, s, t in (("lr", a, b), ("rl", b, a)):
+            for li, lit in enumerate(c2.lits):
+                for path, r in _positions(lit.args):
+                    if want and want != (ei, orient, li, path):
+                        continue
+                    sigma = mgu([(s, r)])
+                    if sigma is None:
+                        continue
+                    new = Lit(lit.pos, lit.head, _replace_at(lit.args, path, t), lit.pvar)
+                    lits = [l for k, l in enumerate(c1r.lits) if k != ei]
+                    lits += [new if k == li else l for k, l in enumerate(c2.lits)]
+                    yield Clause.make(subst_lit(l, sigma) for l in lits), ei, orient, li, path
 
 
 def all_paramodulants(
     c1: Clause, c2: Clause
 ) -> Iterator[tuple[Clause, int, str, int, tuple[int, ...]]]:
-    """Every paramodulant from an equation of c1 into c2, with its descriptor
-    (eq literal, orientation, target literal, argument path)."""
-    for ei, eq in enumerate(c1.lits):
-        if not (eq.is_eq and eq.pos):
-            continue
-        for orient in ("lr", "rl"):
-            for li, lit in enumerate(c2.lits):
-                for ai, arg in enumerate(lit.args):
-                    for sub, r in _positions(arg, ()):
-                        if isinstance(r, Var):
-                            continue
-                        got = paramodulant(c1, ei, orient, c2, li, (ai,) + sub)
-                        if got is not None:
-                            yield got, ei, orient, li, (ai,) + sub
+    """Every paramodulant of a positive equation of c1, oriented "lr" or "rl",
+    into a non-variable subterm of c2, with its descriptor (eq literal,
+    orientation, target literal, argument path whose first element selects
+    the argument)."""
+    return _paramodulants(c1, c2)
+
+
+def paramodulant(
+    c1: Clause, eq_index: int, orient: str, c2: Clause, lit_index: int, path: tuple[int, ...]
+) -> Optional[Clause]:
+    """The paramodulant that `all_paramodulants` gives with this descriptor,
+    or None when it gives none; only that one is built."""
+    return next(_paramodulants(c1, c2, (eq_index, orient, lit_index, path)), (None,))[0]
 
 
 # ---------------------------------------------------------------------------

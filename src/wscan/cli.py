@@ -51,7 +51,7 @@ from .problems import (
 )
 from .saturation import Derivation, ReplayError, SearchLimits, replay, search
 from .verify import CheckReport, ClausifyError, Disproved, Proved, Rejected, Unknown, check_witness, prove
-from .witness import FirstOrderUnavailable, LresBudgetExceeded, Witness, extract_witness
+from .witness import MODES, FirstOrderUnavailable, LresBudgetExceeded, Witness, extract_witness
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec = {
         "--max-steps": dict(type=int, default=50),
         "--timeout": dict(type=float, default=10.0),
-        "--witness-mode": dict(
-            choices=["auto", "first-order", "fixpoint", "resolution"], default="auto"
-        ),
+        "--witness-mode": dict(choices=MODES, default="auto"),
         "--fo-k": dict(type=int, default=None),
         "--lres-budget": dict(
             type=int, default=None, metavar="UNITS",

@@ -321,11 +321,7 @@ def _parse_unary(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
         return FFalse()
     if p.accept("sym", "("):
         if p.at("ident", "gfp"):
-            g = _parse_gfp(p, sig, bound)
-            p.expect("sym", ")")
-            if p.accept("sym", "@"):  # application args follow the closing paren
-                return replace(g, args=_parse_args(p, sig, bound, empty=True))
-            return g
+            return _parse_gfp(p, sig, bound, paren=True)
         with p.nested():
             f = _parse_formula(p, sig, bound)
         p.expect("sym", ")")
@@ -333,15 +329,25 @@ def _parse_unary(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> Formula:
     return _parse_atom(p, sig, bound)
 
 
-def _parse_gfp(p: _Parser, sig: _SigCheck, bound: tuple[str, ...]) -> FGfp:
-    p.expect("ident", "gfp")
+def _parse_gfp(p: _Parser, sig: _SigCheck, bound: tuple[str, ...], paren: bool = False) -> FGfp:
+    """`gfp Y params. body`; with `paren`, after a `(`, also the `)` and an
+    application `@ (args)`.  It takes one argument per parameter."""
+    at = p.expect("ident", "gfp")
     yname = p.expect("ident").text
     params = _parse_binders(p)
     inner = _SigCheck({**sig.xvars, yname: len(params)}, sig.closed)
     inner.funcs, inner.preds = sig.funcs, sig.preds  # share tables
     with p.nested():
         body = _parse_formula(p, inner, bound + params)
-    return FGfp(yname, params, body, ())
+    args: tuple[Term, ...] = ()
+    if paren:
+        p.expect("sym", ")")
+        if p.accept("sym", "@"):
+            args = _parse_args(p, sig, bound, empty=True)
+    if len(args) != len(params):
+        msg = f"gfp {yname} applied to {len(args)} arguments, expected {len(params)}"
+        raise ParseError(msg, at.line, at.col)
+    return FGfp(yname, params, body, args)
 
 
 # ---------------------------------------------------------------------------

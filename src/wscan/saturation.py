@@ -418,15 +418,13 @@ def _deletion_fixpoint(st: _State) -> None:
 
 
 def _factor_pass(st: _State) -> bool:
-    """Add every factor on predicate-variable literals that no live clause
-    subsumes."""
+    """Add every factor that `_fac` builds (on predicate-variable literals)
+    and no live clause subsumes."""
     added = False
     for i, c in list(st.live.items()):
         for a, b in factor_pairs(c):
-            if not c.lits[a].pvar:
-                continue
-            step = _fac(st, i, a, b)
-            if not any(memoized(st.memo, subsumes, s, step.added) for s in st.live.values()):
+            step = _attempt(_fac, st, i, a, b)
+            if step and not any(memoized(st.memo, subsumes, s, step.added) for s in st.live.values()):
                 st.apply(step)
                 added = True
     return added

@@ -8,8 +8,8 @@ the desk-scale goals produced by witness checking.  As in E's DISCOUNT loop,
 only active clauses subsume or get subsumed, and only when a clause is
 selected: it is dropped if an active clause subsumes it, and otherwise drops
 the active clauses it subsumes.  A clause that arrives is only deduplicated
-and unit-deleted.  It takes resolution partners and factor pairs from
-`calculus` and tries each inference site once.  A witness check admits its
+and unit-deleted.  It takes resolution partners, factor pairs and
+paramodulants from `calculus` and tries each inference site once.  A witness check admits its
 conclusion into one prover, and each goal runs on a copy of it.
 A refutation is a `Derivation` in trace syntax, and it counts only once
 `saturation.replay_proof` has rebuilt it through `RULES`.

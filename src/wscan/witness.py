@@ -282,6 +282,10 @@ class Witness:
         return any(formula_has_gfp(pe.body) for pe in self.psub.values())
 
 
+# the ways `_purdel_pred` builds a PurDel predicate
+MODES = ("auto", "first-order", "fixpoint", "resolution")
+
+
 class FirstOrderUnavailable(Exception):
     def __init__(self, step_index: int, reason: str):
         super().__init__(f"no first-order expression for PurDel at step {step_index + 1}: {reason}")
@@ -303,10 +307,8 @@ def _purdel_pred(
         raise FirstOrderUnavailable(i, "cyclic")
     elif mode in ("fixpoint", "auto"):
         pe, note = gfp_pred_expr(p), "fixpoint"
-    elif mode == "resolution":
-        pe, note = lres(p, budget).to_pred_expr(), "resolution"
     else:
-        raise ValueError(f"unknown witness mode {mode!r}")
+        pe, note = lres(p, budget).to_pred_expr(), "resolution"
     if p.designated.pos:
         pe = simplify_pred_expr(PredExpr(pe.params, FNot(pe.body)))
     return pe, note
@@ -323,6 +325,8 @@ def extract_witness(
     A step's predicate for its variable x is composed with the substitution
     of the later steps and simplified once; it replaces any later entry for
     x, and the other entries, simplified when they were folded in, stay."""
+    if mode not in MODES:
+        raise ValueError(f"unknown witness mode {mode!r}")
     if not d.eliminating():
         raise ValueError("derivation does not eliminate its predicate variables")
     sigma: dict[str, PredExpr] = {}

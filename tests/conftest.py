@@ -263,10 +263,13 @@ def _ref_match_lit(pat, tgt, base):
 
 
 def ref_subsumes(s, c, like=None):
-    """Reference backtracking matcher, without the feature prefilter: patterns
-    are ordered by how many target literals each matches on its own, and
-    every pair goes to the search.  When `like` is given, the literals of s of
-    that kind must map onto pairwise distinct literals of c."""
+    """Reference backtracking matcher, without the feature prefilter or an
+    argument index: patterns are ordered by how many target literals each
+    matches on its own, and every pair goes to the search.  When `like` is
+    given, the literals of s of that kind must map onto pairwise distinct
+    literals of c.  A failed subsearch is remembered by what decides it: the
+    pattern position, the bindings of the variables the later patterns read,
+    and the used targets."""
     pats = sorted(
         range(len(s.lits)),
         key=lambda i: sum(1 for m in c.lits if any(True for _ in _ref_match_lit(s.lits[i], m, {}))),
@@ -274,10 +277,15 @@ def ref_subsumes(s, c, like=None):
     inj = [like is not None and s.lits[i].same_kind(like) for i in range(len(s.lits))]
     if like is not None and sum(inj) > sum(1 for m in c.lits if m.same_kind(like)):
         return False
+    later = [set().union(*(lit_vars(s.lits[i]) for i in pats[k:])) for k in range(len(pats))]
+    failed = set()
 
     def go(k, sigma, used):
         if k == len(pats):
             return True
+        key = (k, frozenset((v, t) for v, t in sigma.items() if v in later[k]), used)
+        if key in failed:
+            return False
         i = pats[k]
         for j, m in enumerate(c.lits):
             if inj[i] and j in used:
@@ -285,6 +293,7 @@ def ref_subsumes(s, c, like=None):
             for got in _ref_match_lit(s.lits[i], m, sigma):
                 if go(k + 1, got, used | {j} if inj[i] else used):
                     return True
+        failed.add(key)
         return False
 
     return go(0, {}, frozenset())

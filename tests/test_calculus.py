@@ -17,9 +17,9 @@ from wscan.calculus import (
     resolution_partners,
     variable_eliminate,
 )
-from wscan.logic import Clause, PointedClause, Var, const
+from wscan.logic import EQ, Clause, Lit, PointedClause, Var, const
 
-from conftest import cl, clauses_of, random_clause
+from conftest import cl, clauses_of, random_clause, random_term
 
 
 def pointed(text, head="X", pos=None, header="X/1"):
@@ -200,3 +200,23 @@ def test_factor_pairs_are_the_pairs_constraint_factor_accepts():
         assert list(factor_pairs(c)) == want, c
         found += len(want)
     assert found > 50
+
+
+def test_paramodulant_is_the_entry_of_all_paramodulants_it_names():
+    # paramodulant looks one descriptor up in the site walk: the same
+    # clause where the walk gives one, None at every other position
+    rng = random.Random(411)
+    found = 0
+    for _ in range(300):
+        eq = Lit(True, EQ, (random_term(rng), random_term(rng)))
+        c1 = Clause.make((eq, *random_clause(rng, max_lits=2).lits))
+        c2 = random_clause(rng)
+        walk = {tuple(site): r for r, *site in all_paramodulants(c1, c2)}
+        sites = itertools.product(range(len(c1.lits)), ("lr", "rl"), range(len(c2.lits)),
+                                  [(0,), (1,), (2,), (0, 0), (1, 0), (0, 0, 0), (0, 1)])
+        for ei, o, li, path in sites:
+            got = paramodulant(c1, ei, o, c2, li, path)
+            assert got == walk.get((ei, o, li, path)), (c1, c2, ei, o, li, path)
+        found += len(walk)
+    assert found > 50
+

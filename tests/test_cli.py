@@ -435,6 +435,25 @@ def test_bench_json(capsys):
     assert len(solved) >= 10
 
 
+def test_bench_reports_input_and_witness_errors_in_their_rows(capsys, tmp_path):
+    # a bench row never stops the run; a column with no number in any row
+    # aggregates to blanks
+    (tmp_path / "bad.wscan").write_text("exists X/1.\nX(a\n")
+    (tmp_path / "p01_main.wscan").write_text(MAIN.read_text())
+    code, out, _ = run(capsys, "bench", tmp_path, "--witness-mode", "resolution",
+                       "--lres-budget", "1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    bad, main_row = doc["rows"]
+    assert bad["verification"] == "input error: line 2, col 4: expected ')', found 'end of input'"
+    assert main_row["solved"] == "yes"
+    assert main_row["verification"].startswith(
+        "witness error: local resolution closure did not stabilize within 1 work units")
+    for agg in doc["aggregates"]:
+        assert (agg["input_size"], agg["derivation_len"]) == (14, 3)
+        assert agg["witness_ms"] == agg["witness_size"] == ""
+
+
 def test_bench_jobs_gives_the_rows_of_a_serial_run(capsys, tmp_path):
     for name in ("p01_main", "p02_two_constants", "p03_ackermann_unary"):
         (tmp_path / f"{name}.wscan").write_text((CORPUS / f"{name}.wscan").read_text())
@@ -495,7 +514,16 @@ BAD_INPUTS = {
     "res-same-polarity": ("replay", MAIN, "res_same_polarity.trace"),
     "extpurdel-unknown-variable": ("replay", MAIN, "extpurdel_z.trace"),
     "parmod-from-a-non-equation": ("replay", MAIN, "parmod_non_equation.trace"),
+    # a gfp application takes one argument per parameter; a bare gfp none
+    **{f"gfp-witness-{k}": ("check", MAIN, f"gfp_witness_{k}.txt") for k in range(4)},
 }
+
+GFP_WITNESSES = [
+    "X := lambda u. (gfp Y v. Y(v) \\/ B(v)) @ (u, u)\n",
+    "X := lambda u. (gfp Y v w. Y(v, w)) @ (u)\n",
+    "X := lambda u. gfp Y v. B(v)\n",
+    "X := lambda u. (gfp Y v. B(v)) @ ()\n",
+]
 
 # the one line a refused trace prints, by the case's trace file
 INVALID_TRACES = {
@@ -516,7 +544,9 @@ def test_bad_input_exits_three_with_one_error_line(capsys, tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     (tmp_path / "premises.wscan").write_text("exists X/1.\nB(a)\n")
     (tmp_path / "goal.txt").write_text("B(a)\n")
-    (tmp_path / "gfp.txt").write_text("gfp Y u. Y(u)\n")
+    (tmp_path / "gfp.txt").write_text("(gfp Y u. Y(u)) @ (a)\n")
+    for k, text in enumerate(GFP_WITNESSES):
+        (tmp_path / f"gfp_witness_{k}.txt").write_text(text)
     (tmp_path / "latin1.bin").write_bytes("nodes 2 # caf\u00e9\n".encode("latin-1"))
     (tmp_path / "nodes0.graph").write_text("nodes 0\n")
     (tmp_path / "nodes-2.graph").write_text("nodes -2\n")

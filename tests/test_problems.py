@@ -57,6 +57,54 @@ def test_parse_error_locations():
     assert "line 2" in msg
 
 
+# each error a parse can report, at its line and column
+PARSE_ERRORS = {
+    "expected-token": (parse_problem, "exists X/1.\nX(a\n",
+                       "line 2, col 4: expected ')', found 'end of input'"),
+    "function-as-predicate": (parse_problem, "B(f(a))\nf(b)\n",
+                              "line 2, col 1: f used both as function and predicate"),
+    "predicate-as-function": (parse_problem, "f(a)\nB(f(b))\n",
+                              "line 2, col 3: f used both as predicate and function"),
+    "function-arity": (parse_problem, "B(f(a))\nB(f(a, b))\n",
+                       "line 2, col 3: arity conflict for f: 1 vs 2"),
+    "predicate-arity": (parse_problem, "f(a)\nf(a, b)\n",
+                        "line 2, col 1: arity conflict for f: 1 vs 2"),
+    "term-literal": (parse_problem, "exists X/1.\nX(a) | ?x\n",
+                     "line 2, col 10: expected = or != after a term"),
+    "after-exists": (parse_problem, "exists X/1. a\nX(a)\n",
+                     "line 1, col 13: trailing input after exists directive"),
+    "after-clause": (parse_problem, "exists X/1.\nX(a) X(b)\n",
+                     "line 2, col 6: trailing input after clause"),
+    "after-formula": (parse_formula, "B(a) B(b)", "line 1, col 6: trailing input after formula"),
+    "after-binding": (parse_witness, "X := lambda u. B(u) C",
+                      "line 1, col 21: trailing input after witness binding"),
+    "graph-numbers": (parse_graph, "nodes 2\nedge 1 x\n",
+                      "line 2, col 1: expected numbers after 'edge'"),
+    "graph-directive": (parse_graph, "nodes 2\nfrob 1\n",
+                        "line 2, col 1: unknown graph directive 'frob 1'"),
+    # a gfp application takes one argument per parameter, a bare gfp none;
+    # the error names the gfp
+    "gfp-extra-argument": (parse_witness, "X := lambda u. (gfp Y v. Y(v) \\/ B(v)) @ (u, u)",
+                           "line 1, col 17: gfp Y applied to 2 arguments, expected 1"),
+    "gfp-missing-argument": (parse_witness, "X := lambda u. (gfp Y v w. Y(v, w)) @ (u)",
+                             "line 1, col 17: gfp Y applied to 1 arguments, expected 2"),
+    "gfp-bare": (parse_witness, "X := lambda u. gfp Y v. B(v)",
+                 "line 1, col 16: gfp Y applied to 0 arguments, expected 1"),
+    "gfp-no-arguments": (parse_witness, "X := lambda u. (gfp Y v. B(v)) @ ()",
+                         "line 1, col 17: gfp Y applied to 0 arguments, expected 1"),
+    "gfp-unapplied": (parse_formula, "(gfp Y v. B(v))",
+                      "line 1, col 2: gfp Y applied to 0 arguments, expected 1"),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_ERRORS)
+def test_parse_error_names_its_line_and_column(case):
+    parse, text, message = PARSE_ERRORS[case]
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
+
+
 def test_parse_theory_marking():
     p = parse_problem("exists X/1.\ntheory B(a)\nX(a)\n", origin="t")
     assert p.theory == frozenset({0})
@@ -283,6 +331,9 @@ def test_parse_formula_gfp_application():
     from wscan.logic import FGfp
 
     assert isinstance(f, FGfp)
+    # without parameters, the application may be left out
+    for text in ("gfp Y . B(a)", "(gfp Y . B(a))", "(gfp Y . B(a)) @ ()"):
+        assert parse_formula(text) == FGfp("Y", (), parse_formula("B(a)"), ()), text
 
 
 def test_parse_witness_binding():
@@ -343,7 +394,7 @@ NESTED = {
     "imp": lambda n: "B -> " * n + "B",
     "iff": lambda n: "B <-> " * n + "B",
     "binders": lambda n: "forall " + " ".join(f"x{i}" for i in range(n)) + ". B",
-    "gfp": lambda n: "gfp Y u. " * n + "B",
+    "gfp": lambda n: "gfp Y . " * n + "B",
 }
 
 

@@ -260,6 +260,15 @@ def test_extract_witness_requires_eliminating_derivation():
         extract_witness(d)
 
 
+def test_extract_witness_checks_the_mode_before_any_step():
+    # the only step is an ExtPurDel, which no mode changes
+    clauses = clauses_of("X(a)\nB(a)")
+    d = next(search(clauses, {"X": 1}))
+    assert [s.rule for s in d.steps] == ["extpurdel"]
+    with pytest.raises(ValueError, match="unknown witness mode 'bogus'"):
+        extract_witness(d, mode="bogus")
+
+
 def run_main():
     clauses = clauses_of("B(a, ?v)\nX(a)\nB(?u, ?v) | ~X(?u) | X(?v)\n~X(c)")
     return clauses, replay(
